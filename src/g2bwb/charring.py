@@ -72,6 +72,17 @@ class Character:
             out[k] = out.get(k, 0) - v
         return Character(out)
 
+    def isub_scaled(self, other: "Character", n: int) -> None:
+        """In place: self -= n * other.  Only ever applied to a private copy,
+        never to a cached character."""
+        mult = self.mult
+        for k, v in other.mult.items():
+            r = mult.get(k, 0) - n * v
+            if r:
+                mult[k] = r
+            else:
+                mult.pop(k, None)
+
     def scaled(self, n: int) -> "Character":
         return Character({k: n * v for k, v in self.mult.items()})
 
@@ -97,19 +108,35 @@ class Character:
         return self.mult.get(lam, 0)
 
     def is_w_invariant(self) -> bool:
-        for w in (weyl.S1, weyl.S2):
-            for k, v in self.mult.items():
-                if self.mult.get(weyl.act(w, k), 0) != v:
-                    return False
+        """Invariance under both simple reflections, in closed form: the
+        matrices weyl._S1 and weyl._S2 send (a, b) to (-a, a + b) and to
+        (a + 3b, -b).  A plain tuple looks up the equal Weight key."""
+        get = self.mult.get
+        for (a, b), v in self.mult.items():
+            if get((-a, a + b), 0) != v or get((a + 3 * b, -b), 0) != v:
+                return False
         return True
 
     def support_max(self) -> Weight:
-        """A dominance-maximal support weight, ties broken lexicographically."""
-        maximal = [
-            k
-            for k in self.mult
-            if not any(dominance_leq(k, m) and m != k for m in self.mult)
-        ]
+        """A dominance-maximal support weight, ties broken lexicographically.
+
+        The support is scanned by decreasing height 3a + 5b (the sum of the
+        simple-root coordinates 2a + 3b and a + 2b).  If k < m strictly then
+        m - k is a nonzero nonnegative combination of simple roots, so m has
+        strictly greater height; two distinct weights of equal height are
+        never comparable.  Hence a weight below some other support weight
+        lies below a maximal one already found, and each weight is tested
+        only against the maximal weights found so far."""
+        maximal: list[Weight] = []
+        for m in sorted(self.mult, key=lambda w: 3 * w[0] + 5 * w[1], reverse=True):
+            ma, mb = m
+            for ka, kb in maximal:
+                da = ka - ma
+                db = kb - mb
+                if 2 * da + 3 * db >= 0 and da + 2 * db >= 0:
+                    break
+            else:
+                maximal.append(m)
         return max(maximal)
 
     def to_json(self) -> list[list[int]]:
@@ -344,7 +371,7 @@ class FiltrationError(ValueError):
 
 def filter_character(char: Character, parabolic: ParabolicId) -> FilteredPModule:
     """Greedy costandard P-filtration of a genuine character."""
-    rem = Character(dict(char.mult))
+    rem = Character(char.mult)
     atoms: list[PString] = []
     while rem:
         mu = rem.support_max()
@@ -353,7 +380,7 @@ def filter_character(char: Character, parabolic: ParabolicId) -> FilteredPModule
             raise FiltrationError(f"cannot extract a string at {mu} (mult {m})")
         s = PString(parabolic, mu)
         atoms.extend([s] * m)
-        rem = rem - pstring_character(s).scaled(m)
+        rem.isub_scaled(pstring_character(s), m)
     out = FilteredPModule(parabolic, tuple(atoms))
     assert out.character() == char
     return out
@@ -367,7 +394,7 @@ def restrict_to_P(lam: Weight, parabolic: ParabolicId) -> FilteredPModule:
 
 def decompose_costandard(char: Character) -> list[tuple[Weight, int]]:
     """Coefficients of a (virtual) character in the Weyl-character basis."""
-    rem = Character(dict(char.mult))
+    rem = Character(char.mult)
     out: list[tuple[Weight, int]] = []
     while rem:
         mu = rem.support_max()
@@ -375,5 +402,5 @@ def decompose_costandard(char: Character) -> list[tuple[Weight, int]]:
             raise ValueError(f"maximal weight {mu} of a virtual character not dominant")
         c = rem.coeff(mu)
         out.append((mu, c))
-        rem = rem - weyl_character(mu).scaled(c)
+        rem.isub_scaled(weyl_character(mu), c)
     return out

@@ -23,7 +23,7 @@ from .extcollection import (
     full_collection_report,
     object_by_name,
 )
-from .karoubi import verify_generation
+from .karoubi import default_targets, verify_generation
 from .modchar import Undecided, rank_identity_check, resolved_oracle, weyl_dim
 from .chevalley import chevalley_verify
 from .rootdata import ZERO, restricted_split
@@ -146,9 +146,15 @@ def _cmd_report(args) -> int:
         _emit(args, rep.to_json(), rep.to_text())
         return EXIT_OK if rep.passed else EXIT_FAILED
     if kind == "karoubi":
+        par = _parabolic(args.parabolic)
         amax = args.box
+        need = max(abs(w.a) for w in default_targets(par))
+        if amax < need:
+            print(f"--box must be at least {need} to hold the {args.parabolic} targets",
+                  file=sys.stderr)
+            return EXIT_USAGE
         bmax = max(12, amax - 4)
-        rep, kb = verify_generation(_parabolic(args.parabolic), amax=amax, bmax=bmax)
+        rep, kb = verify_generation(par, amax=amax, bmax=bmax)
         if _audit_enabled():
             print(kb.audit_log(), file=sys.stderr)
         _emit(args, rep.to_json(), rep.to_text())
@@ -199,6 +205,44 @@ def _cmd_modchar(args) -> int:
     return EXIT_OK
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses: exact below
+    3.3e24, and never slow, unlike trial division on a huge input."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(text: str) -> int:
+    """argparse type for --p: a prime number."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not _is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g2bwb",
@@ -210,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         if parabolic:
             p.add_argument("--parabolic", choices=("short", "long"), default="short")
         if prime:
-            p.add_argument("--p", type=int, default=DEFAULT_P)
+            p.add_argument("--p", type=_prime, default=DEFAULT_P)
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     b = sub.add_parser("bott", help="cohomology of one line bundle on the flag variety")

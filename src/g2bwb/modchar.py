@@ -127,9 +127,8 @@ class CharacterOracle:
 
     def radical_counts(self, lam: Weight) -> dict[Weight, int]:
         """Composition multiplicities of the radical of the costandard module."""
-        layers = jantzen_sum(lam, self.p)
+        rem = Character(jantzen_sum(lam, self.p).mult)
         counts: dict[Weight, int] = {}
-        rem = layers
         while rem:
             mu = rem.support_max()
             if not mu.is_dominant():
@@ -138,7 +137,7 @@ class CharacterOracle:
             if c <= 0:
                 raise AssertionError(f"negative layer count at {mu} below {lam}")
             counts[mu] = c
-            rem = rem - self.simple(mu).scaled(c)
+            rem.isub_scaled(self.simple(mu), c)
         resolved: dict[Weight, int] = {}
         for mu, c in counts.items():
             if c == 1:
@@ -164,9 +163,9 @@ class CharacterOracle:
         elif lowest_alcove(lam, self.p):
             out = weyl_character(lam)
         else:
-            out = weyl_character(lam)
+            out = Character(weyl_character(lam).mult)  # a copy: the cached one stays intact
             for mu, a in self.radical_counts(lam).items():
-                out = out - self.simple(mu).scaled(a)
+                out.isub_scaled(self.simple(mu), a)
             if any(v < 0 for v in out.mult.values()):
                 raise InconsistentChoice(f"negative character at {lam}")
             if out.coeff(lam) != 1 or not out.is_w_invariant():
@@ -179,12 +178,6 @@ def simple_character(lam: Weight, p: int = DEFAULT_P) -> Character:
     """Character of the simple module of highest weight lam; raises
     Undecided when the sum formula leaves a multiplicity open."""
     return CharacterOracle(p).simple(lam)
-
-
-def simple_character_for(label: SimpleLabel) -> Character:
-    if label.p < 11:
-        raise ValueError("the restricted labels assume p >= 11")
-    return simple_character(label.restricted_weight, label.p)
 
 
 # ---------------------------------------------------------------------------

@@ -201,3 +201,11 @@ def test_filtered_module_operations():
 def test_character_json_roundtrip():
     c = weyl_character(RHO) - weyl_character(W1).scaled(2)
     assert Character.from_json(c.to_json()) == c
+
+
+def test_isub_scaled_in_place():
+    c = weyl_character(W1) + Character.line(Weight(5, 5), 3)
+    c.isub_scaled(weyl_character(W1), 1)
+    assert c.mult == {Weight(5, 5): 3}  # cancelled entries are dropped
+    c.isub_scaled(Character({Weight(5, 5): 1, ZERO: -2}), 3)
+    assert c.mult == {ZERO: 6}

@@ -126,3 +126,49 @@ def test_all_report_jsons_roundtrip(capsys):
         code, out = run(capsys, *argv)
         data = json.loads(out)
         assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "E(e)", "E(e)", "--p", "0"],
+    ["report", "rank", "--p", "-3"],
+    ["report", "rank", "--p", "4"],
+])
+def test_non_prime_p_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_karoubi_box_below_targets_is_usage_error(capsys):
+    for argv in (["--box", "-1"], ["--box", "9"], ["--parabolic", "long", "--box", "11"]):
+        code, out = run(capsys, "report", "karoubi", *argv)
+        assert code == EXIT_USAGE and out == ""
+    for argv in (["--box", "10"], ["--parabolic", "long", "--box", "12"]):
+        code, out = run(capsys, "report", "karoubi", *argv)
+        assert code == EXIT_OK
+
+
+RANK_P7_JSON = (
+    '{"character_match": true, "choice_points": ["[nabla(3,3):L(2,2)] = 1", '
+    '"[nabla(3,5):L(1,2)] = 1", "[nabla(3,5):L(2,0)] = 1", "[nabla(4,3):L(1,2)] = 1", '
+    '"[nabla(4,3):L(5,1)] = 1", "[nabla(4,4):L(1,1)] = 1", "[nabla(4,4):L(2,2)] = 1"], '
+    '"decided_by": "identity_resolution", "dims": {"e": 1, "s1s2": 481, "s1s2s1s2": 38, '
+    '"s2": 6578, "s2s1s2": 3419, "s2s1s2s1s2": 267}, "dims_match": true, "expected": 16807, '
+    '"p": 7, "parabolic": "short", "passed": true, "surviving_assignments": 1, '
+    '"weighted_sum": 16807, "zero_weight_match": true}\n'
+)
+
+
+def test_report_rank_p7_golden(capsys):
+    code, out = run(capsys, "report", "rank", "--p", "7", "--format", "json")
+    assert code == EXIT_OK
+    assert out == RANK_P7_JSON
+
+
+def test_prime_check_agrees_with_trial_division():
+    from g2bwb.cli import _is_prime
+
+    for n in range(-5, 5000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))), n
+    assert not _is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    assert _is_prime(2 ** 89 - 1)

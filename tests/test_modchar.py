@@ -1,15 +1,22 @@
 import pytest
 
 from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
-from g2bwb.charring import Character, weyl_character
+from g2bwb.charring import (
+    Character,
+    decompose_costandard,
+    filter_character,
+    weyl_character,
+)
 from g2bwb.cohomology import linked, lowest_alcove
 from g2bwb.modchar import (
     CharacterOracle,
     SimpleLabel,
     Undecided,
     _socle_modules,
+    _weighted_dims,
     euler_character,
     jantzen_sum,
+    resolved_oracle,
     simple_character,
     verma_character,
     weyl_dim,
@@ -127,3 +134,25 @@ def test_euler_character_signs():
     assert euler_character(Weight(3, -2)) == weyl_character(ZERO).scaled(-1)
     assert not euler_character(Weight(1, -1))
     assert euler_character(W1) == weyl_character(W1)
+
+
+def test_peeling_leaves_cached_characters_intact():
+    # peeling subtracts in place; it must never reach a cached character
+    p = 7
+    box = [Weight(a, b) for a in range(p) for b in range(p)]
+    weyl_character.cache_clear()
+    jantzen_sum.cache_clear()
+    cached = {lam: weyl_character(lam) for lam in box}
+    layers = {lam: jantzen_sum(lam, p) for lam in box}
+    oracle, _, _ = resolved_oracle(p)
+    for par in ParabolicId:
+        _weighted_dims(par, oracle)  # every restricted weight of the socle data
+    decompose_costandard(weyl_character(RHO).tensor(weyl_character(Weight(2, 1))))
+    for par in ParabolicId:
+        filter_character(weyl_character(Weight(2, 1)), par)
+    assert all(weyl_character(lam) is cached[lam] for lam in box)
+    weyl_character.cache_clear()
+    jantzen_sum.cache_clear()
+    for lam in box:
+        assert cached[lam] == weyl_character(lam), lam
+        assert layers[lam] == jantzen_sum(lam, p), lam

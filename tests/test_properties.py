@@ -12,6 +12,7 @@ from g2bwb.rootdata import (
     restricted_split,
 )
 from g2bwb.charring import (
+    Character,
     PString,
     clebsch_gordan_P,
     dual_pstring,
@@ -117,3 +118,57 @@ def test_clebsch_gordan_additive(par, h1, t1, h2, t2):
         y = PString(par, Weight(t2, h2))
     out = clebsch_gordan_P(x, y)
     assert out.character() == pstring_character(x).tensor(pstring_character(y))
+
+
+def _support_max_reference(ch):
+    """The quadratic definition: maximal weights, ties broken lexicographically."""
+    maximal = [k for k in ch.mult if not any(dominance_leq(k, m) and m != k for m in ch.mult)]
+    return max(maximal)
+
+
+# Companions of the sampled weights: a shift by +-(5, -3) keeps the height
+# 3a + 5b (a tie), a shift by a multiple of a simple root makes the pair
+# comparable in the dominance order.
+shifts = st.sampled_from([Weight(n * x, n * y) for n in (1, -1, 2)
+                          for x, y in ((5, -3), (2, -1), (-3, 2))])
+virtual = st.builds(
+    lambda base, moves: Character({**base, **{k + s: v for (k, v), s in zip(base.items(), moves)}}),
+    st.dictionaries(weights, st.integers(-3, 3).filter(bool), min_size=1, max_size=30),
+    st.lists(shifts, max_size=30),
+)
+
+
+@given(virtual)
+def test_support_max_matches_quadratic_reference(ch):
+    assert ch.support_max() == _support_max_reference(ch)
+
+
+def test_support_max_tie_break():
+    # three incomparable weights of height 15: the lexicographic maximum wins
+    ch = Character({Weight(-5, 6): 1, Weight(0, 3): -2, Weight(5, 0): 4, Weight(4, 0): 1})
+    assert ch.support_max() == _support_max_reference(ch) == Weight(5, 0)
+
+
+def _w_invariant_reference(ch):
+    return all(ch.coeff(weyl.act(w, k)) == v
+               for w in weyl.ALL_ELEMENTS for k, v in ch.mult.items())
+
+
+def _orbit_sum(mult):
+    out = Character()
+    for k, v in mult.items():
+        out = out + Character({nu: v for nu in {weyl.act(w, k) for w in weyl.ALL_ELEMENTS}})
+    return out
+
+
+multisets = st.dictionaries(weights, st.integers(-3, 3).filter(bool), max_size=8)
+
+
+@given(multisets, weights, st.integers(-2, 2))
+def test_is_w_invariant_matches_group_reference(mult, lam, bump):
+    inv = _orbit_sum(mult)
+    assert inv.is_w_invariant() and _w_invariant_reference(inv)
+    perturbed = inv + Character.line(lam, bump)
+    assert perturbed.is_w_invariant() == _w_invariant_reference(perturbed)
+    raw = Character(mult)
+    assert raw.is_w_invariant() == _w_invariant_reference(raw)
