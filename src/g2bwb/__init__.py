@@ -5,14 +5,14 @@ throughout; no floating point anywhere."""
 
 from .rootdata import ParabolicId, Weight
 from .charring import Character, FilteredPModule, PString
-from .cohomology import BottResult, CohomologyTable, bott_line, linked, lowest_alcove
+from .cohomology import BottResult, bott_line, linked, lowest_alcove
 from .extcollection import ExtTable, SheafObject, ext_table, full_collection_report
 from .karoubi import verify_generation
 from .modchar import rank_identity_check, simple_character, weyl_dim
 
 __all__ = [
     "ParabolicId", "Weight", "Character", "FilteredPModule", "PString",
-    "BottResult", "CohomologyTable", "bott_line", "linked", "lowest_alcove",
+    "BottResult", "bott_line", "linked", "lowest_alcove",
     "ExtTable", "SheafObject", "ext_table", "full_collection_report",
     "verify_generation", "rank_identity_check", "simple_character", "weyl_dim",
 ]

@@ -168,16 +168,6 @@ def _dominant_cone(lam: Weight) -> list[Weight]:
     return out
 
 
-def dominant_conjugate(lam: Weight) -> Weight:
-    nu = lam
-    while not nu.is_dominant():
-        if nu.a < 0:
-            nu = weyl.act(weyl.S1, nu)
-        else:
-            nu = weyl.act(weyl.S2, nu)
-    return nu
-
-
 @lru_cache(maxsize=None)
 def weyl_character(lam: Weight) -> Character:
     """Character of the costandard module with highest weight lam (Freudenthal)."""
@@ -188,7 +178,7 @@ def weyl_character(lam: Weight) -> Character:
     clam = inner(lam + RHO, lam + RHO)
 
     def mult_of(nu: Weight) -> int:
-        return mults.get(dominant_conjugate(nu), 0)
+        return mults.get(weyl.dominant_conjugate(nu), 0)
 
     for mu in dom:
         if mu == lam:

@@ -43,16 +43,11 @@ def _parabolic(name: str) -> ParabolicId:
     return ParabolicId.SHORT if name == "short" else ParabolicId.LONG
 
 
-class _NoLatex(Exception):
-    pass
-
-
 def _emit(args, payload_json: dict, payload_text: str, payload_latex: str | None = None) -> None:
+    """Print one payload; ``--format latex`` is offered only where there is one."""
     if args.format == "json":
         print(json.dumps(payload_json, sort_keys=True))
     elif args.format == "latex":
-        if payload_latex is None:
-            raise _NoLatex
         print(payload_latex)
     else:
         print(payload_text)
@@ -250,17 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, parabolic=True, prime=True):
+    def common(p, parabolic=True, prime=True, latex=True):
         if parabolic:
             p.add_argument("--parabolic", choices=("short", "long"), default="short")
         if prime:
             p.add_argument("--p", type=_prime, default=DEFAULT_P)
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        formats = ("text", "json", "latex") if latex else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
 
     b = sub.add_parser("bott", help="cohomology of one line bundle on the flag variety")
     b.add_argument("a", type=int)
     b.add_argument("b", type=int)
-    common(b, parabolic=False)
+    common(b, parabolic=False, latex=False)
     b.set_defaults(func=_cmd_bott)
 
     e = sub.add_parser("ext", help="Ext table between two collection objects")
@@ -284,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="aggregated verification reports")
     rep.add_argument("kind", choices=("collection", "frobenius", "karoubi", "chevalley", "rank"))
     rep.add_argument("--box", type=int, default=16)
-    common(rep)
+    common(rep, latex=False)
     rep.set_defaults(func=_cmd_report)
 
     m = sub.add_parser("modchar", help="simple character attached to a Weyl word")
     m.add_argument("--w", required=True)
-    common(m, parabolic=False)
+    common(m, parabolic=False, latex=False)
     m.set_defaults(func=_cmd_modchar)
 
     return parser
@@ -298,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _NoLatex:
-        print("latex output is not available for this command", file=sys.stderr)
-        return EXIT_USAGE
+    return args.func(args)
 
 
 if __name__ == "__main__":

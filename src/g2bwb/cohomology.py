@@ -1,16 +1,18 @@
-"""Line-bundle cohomology on the flag variety of G2 and its two P1-fibrations.
+"""Line-bundle cohomology on the flag variety of G2, and the table algebra
+that certifies the Ext tables of sheaves on its two P1-fibrations.
 
 ``bott_line`` evaluates the cohomology of a line bundle on the full flag
 variety: it vanishes when the rho-shift is singular and otherwise sits in a
-single degree, the number of positive coroots made negative.  For a filtered
-sheaf on either G/P the atoms are strings, each of which contributes through
-the same evaluation; the resulting table is exact when no two contributions
-can be connected by a boundary map, which the linkage principle detects.
+single degree, the number of positive coroots made negative.  ``linked`` and
+``affine_normal_form`` decide the p-dot linkage classes.
 
-Tables that are only upper bounds carry their Euler characteristic, written
-in the basis of Weyl characters.  Intersecting bounds obtained from
-different presentations of the same sheaf, and then solving the per-weight
-alternating-sum constraints, recovers the exact table whenever the
+A table maps each degree to a multiset of dominant weights, the Weyl-character
+factors in that degree.  Evaluating a filtered sheaf atom by atom gives an
+upper bound; it is exact when no linkage class shows up in two degrees, since
+then no boundary map connects two contributions (``linkage_collision``).
+``combine`` meets the bounds that different presentations of one object give
+and solves the per-weight alternating-sum constraints against the Euler
+characteristic (``certify``); that recovers the exact table whenever the
 constraints pin a unique solution.
 """
 
@@ -20,9 +22,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import POSITIVE_ROOTS, RHO, Weight, ZERO
-from .charring import FilteredPModule, weyl_character
 from . import weyl
 
 DEFAULT_P = 11
@@ -57,20 +59,9 @@ def bott_line(lam: Weight, p: int = DEFAULT_P) -> BottResult:
     if any(alpha.pair(x) == 0 for alpha in POSITIVE_ROOTS):
         return BottResult(vanishes=True)
     degree = sum(1 for alpha in POSITIVE_ROOTS if alpha.pair(x) < 0)
-    y = x
-    while not y.is_dominant():
-        y = weyl.act(weyl.S1 if y.a < 0 else weyl.S2, y)
-    out = y - RHO
+    out = weyl.dominant_conjugate(x) - RHO
     caveat = degree >= 2 or not lowest_alcove(out, p)
     return BottResult(vanishes=False, degree=degree, weight=out, caveat=caveat)
-
-
-def weyl_euler(lam: Weight) -> tuple[int, Weight] | None:
-    """Euler characteristic of the weight lam: None or (sign, dominant weight)."""
-    r = bott_line(lam)
-    if r.vanishes:
-        return None
-    return ((-1) ** r.degree, r.weight)
 
 
 def lowest_alcove(lam: Weight, p: int = DEFAULT_P) -> bool:
@@ -83,8 +74,7 @@ def affine_normal_form(x: Weight, p: int) -> Weight:
     """Unique representative of the p-dilated affine Weyl orbit of x in the
     closed dominant fundamental domain."""
     while True:
-        while not x.is_dominant():
-            x = weyl.act(weyl.S1 if x.a < 0 else weyl.S2, x)
+        x = weyl.dominant_conjugate(x)
         t = _beta_pair(x)
         if t <= p:
             return x
@@ -98,25 +88,18 @@ def linked(lam: Weight, mu: Weight, p: int = DEFAULT_P) -> bool:
     return affine_normal_form(lam + RHO, p) == affine_normal_form(mu + RHO, p)
 
 
-@dataclass(frozen=True)
-class LinkageClass:
-    """A p-dot affine Weyl orbit, keyed by its closed-alcove representative."""
-
-    representative: Weight
-    p: int
-
-    @staticmethod
-    def of(lam: Weight, p: int = DEFAULT_P) -> "LinkageClass":
-        return LinkageClass(affine_normal_form(lam + RHO, p), p)
-
-    def contains(self, mu: Weight) -> bool:
-        return affine_normal_form(mu + RHO, self.p) == self.representative
-
-
 Degrees = dict[int, Counter]  # degree -> multiset of dominant Weights
+Frozen = tuple[tuple[int, tuple[Weight, ...]], ...]  # sorted, empty degrees dropped
 
 
-def _freeze(by_degree: Degrees) -> tuple[tuple[int, tuple[Weight, ...]], ...]:
+class Bound(NamedTuple):
+    """A table bounding Ext from above along one route; exact if it is the table."""
+
+    by_degree: Degrees
+    exact: bool
+
+
+def freeze(by_degree: Degrees) -> Frozen:
     return tuple(
         (d, tuple(sorted(cnt.elements())))
         for d, cnt in sorted(by_degree.items())
@@ -124,55 +107,30 @@ def _freeze(by_degree: Degrees) -> tuple[tuple[int, tuple[Weight, ...]], ...]:
     )
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    """Degree-indexed multisets of dominant weights, exact or an upper bound."""
-
-    degrees: tuple[tuple[int, tuple[Weight, ...]], ...]
-    exact: bool
-    euler: tuple[tuple[Weight, int], ...]
-    caveats: tuple[str, ...] = ()
-
-    @staticmethod
-    def build(by_degree: Degrees, exact: bool, euler: dict[Weight, int],
-              caveats: tuple[str, ...] = ()) -> "CohomologyTable":
-        return CohomologyTable(
-            _freeze(by_degree),
-            exact,
-            tuple(sorted((k, v) for k, v in euler.items() if v)),
-            caveats,
-        )
-
-    def counters(self) -> Degrees:
-        return {d: Counter(ws) for d, ws in self.degrees}
-
-    def euler_dict(self) -> dict[Weight, int]:
-        return dict(self.euler)
-
-    def entries(self, degree: int) -> tuple[Weight, ...]:
-        for d, ws in self.degrees:
-            if d == degree:
-                return ws
-        return ()
-
-    def is_zero(self) -> bool:
-        return not self.degrees
-
-    def max_degree(self) -> int:
-        return max((d for d, _ in self.degrees), default=-1)
-
-    def dimension(self, degree: int) -> int:
-        return sum(weyl_character(w).dimension() for w in self.entries(degree))
-
-    def to_json(self) -> dict:
-        return {
-            "degrees": {str(d): [[w.a, w.b] for w in ws] for d, ws in self.degrees},
-            "exact": self.exact,
-            "caveats": list(self.caveats),
-        }
+def meet(a: Degrees, b: Degrees) -> Degrees:
+    """Degreewise multiset intersection of two bounds on one table."""
+    out: Degrees = {}
+    for d in set(a) & set(b):
+        m = a[d] & b[d]
+        if m.total():
+            out[d] = m
+    return out
 
 
-def _linkage_collision(by_degree: Degrees, p: int) -> bool:
+def contains(big: Degrees, small: Degrees) -> bool:
+    return all(cnt <= big.get(d, Counter()) for d, cnt in small.items())
+
+
+def euler_characteristic(by_degree: Degrees) -> dict[Weight, int]:
+    """Alternating sum of a table in the Weyl basis, zero entries dropped."""
+    out: dict[Weight, int] = {}
+    for d, cnt in by_degree.items():
+        for w, m in cnt.items():
+            out[w] = out.get(w, 0) + (-1) ** d * m
+    return {k: v for k, v in out.items() if v}
+
+
+def linkage_collision(by_degree: Degrees, p: int) -> bool:
     """True if one linkage class shows up in two distinct degrees."""
     seen: dict[Weight, set[int]] = {}
     for d, cnt in by_degree.items():
@@ -180,23 +138,6 @@ def _linkage_collision(by_degree: Degrees, p: int) -> bool:
             nf = affine_normal_form(w + RHO, p)
             seen.setdefault(nf, set()).add(d)
     return any(len(ds) > 1 for ds in seen.values())
-
-
-def cohomology_filtered(mod: FilteredPModule, p: int = DEFAULT_P) -> CohomologyTable:
-    """Merge the per-atom line evaluations of a filtered sheaf on G/P."""
-    by_degree: Degrees = {}
-    euler: dict[Weight, int] = {}
-    caveats: list[str] = []
-    for s in mod.atoms:
-        r = bott_line(s.highest, p)
-        if r.vanishes:
-            continue
-        by_degree.setdefault(r.degree, Counter())[r.weight] += 1
-        euler[r.weight] = euler.get(r.weight, 0) + (-1) ** r.degree
-        if r.caveat:
-            caveats.append(f"char-p caveat at atom {s.highest} (degree {r.degree})")
-    exact = not _linkage_collision(by_degree, p)
-    return CohomologyTable.build(by_degree, exact, euler, tuple(caveats))
 
 
 class EulerMismatch(ValueError):
@@ -241,35 +182,29 @@ def certify(by_degree: Degrees, euler: dict[Weight, int]) -> tuple[Degrees, bool
     return out, not ambiguous, ambiguous
 
 
-def intersect_tables(t1: CohomologyTable, t2: CohomologyTable) -> CohomologyTable:
-    """Per-degree multiset intersection of two bounds on the same object."""
-    if t1.euler != t2.euler:
-        raise EulerMismatch(
-            f"presentations disagree: {t1.euler} versus {t2.euler}"
-        )
+def combine(routes: list[Bound], chi: dict[Weight, int]) -> tuple[Frozen, bool]:
+    """The table certified by the bounds of several routes for one object.
 
-    def contained(exact: CohomologyTable, bound: CohomologyTable) -> bool:
-        cb = bound.counters()
-        return all(cnt <= cb.get(d, Counter()) for d, cnt in exact.counters().items())
-
-    if t1.exact and t2.exact:
-        if t1.degrees != t2.degrees:
-            raise EulerMismatch("two exact tables for one object differ")
-        return t1
-    if t1.exact:
-        if not contained(t1, t2):
-            raise EulerMismatch("exact table not contained in the other bound")
-        return t1
-    if t2.exact:
-        if not contained(t2, t1):
-            raise EulerMismatch("exact table not contained in the other bound")
-        return t2
-    c1, c2 = t1.counters(), t2.counters()
-    inter: Degrees = {}
-    for d in set(c1) & set(c2):
-        m = c1[d] & c2[d]
-        if m.total():
-            inter[d] = m
-    pruned, exact, _ = certify(inter, t1.euler_dict())
-    caveats = tuple(dict.fromkeys(t1.caveats + t2.caveats))
-    return CohomologyTable.build(pruned, exact or (t1.exact and t2.exact), t1.euler_dict(), caveats)
+    An exact route is the table: every other exact route must equal it, every
+    bound must contain it, and its alternating sum must be chi.  Without one,
+    the meet of all bounds is certified against chi weight by weight.
+    Returns the frozen table and its exactness flag.
+    """
+    exact_routes = [r for r in routes if r.exact]
+    if exact_routes:
+        base = exact_routes[0].by_degree
+        frozen = freeze(base)
+        for r in exact_routes[1:]:
+            if freeze(r.by_degree) != frozen:
+                raise EulerMismatch("two exact routes disagree")
+        for r in routes:
+            if not contains(r.by_degree, base):
+                raise EulerMismatch("exact route not within another bound")
+        if euler_characteristic(base) != chi:
+            raise EulerMismatch("exact route contradicts the Euler characteristic")
+        return frozen, True
+    inter = routes[0].by_degree
+    for r in routes[1:]:
+        inter = meet(inter, r.by_degree)
+    pruned, exact, _ambiguous = certify(inter, chi)
+    return freeze(pruned), exact

@@ -25,7 +25,8 @@ construction.
 All routes bound the same composition-factor table, so their degreewise
 intersection still does; the per-weight alternating-sum constraints against
 the Euler characteristic then certify exactness whenever they pin a unique
-solution.  Ambiguity is propagated, never guessed away.
+solution (``cohomology.combine``).  Ambiguity is propagated, never guessed
+away.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ from .charring import (
 )
 from .cohomology import (
     DEFAULT_P,
+    Bound,
     Degrees,
-    EulerMismatch,
-    bott_line,
-    certify,
+    Frozen,
     affine_normal_form,
+    bott_line,
+    combine,
+    euler_characteristic,
+    linkage_collision,
     lowest_alcove,
 )
 from .rootdata import RHO
@@ -118,19 +122,6 @@ def costandard_factors(*weights: Weight) -> tuple[tuple[Weight, int], ...]:
     return tuple(decompose_costandard(ch))
 
 
-def euler_of_pair(x: FilteredPModule, y: FilteredPModule) -> dict[Weight, int]:
-    """Euler characteristic of RHom of two filtered sheaves, Weyl basis."""
-    out: dict[Weight, int] = {}
-    for sx in x.dual().atoms:
-        for sy in y.atoms:
-            for s in clebsch_gordan_P(sx, sy).atoms:
-                r = bott_line(s.highest)
-                if r.vanishes:
-                    continue
-                out[r.weight] = out.get(r.weight, 0) + (-1) ** r.degree
-    return {k: v for k, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # Ext tables
 
@@ -138,7 +129,7 @@ def euler_of_pair(x: FilteredPModule, y: FilteredPModule) -> dict[Weight, int]:
 class ExtTable:
     """Degreewise composition-factor table of Ext^*(X, Y)."""
 
-    degrees: tuple[tuple[int, tuple[Weight, ...]], ...]
+    degrees: Frozen
     exact: bool
     p: int
     caveats: tuple[str, ...] = ()
@@ -196,12 +187,6 @@ class AmbiguousTable(RuntimeError):
     """A report required an exact table but only a bound was certified."""
 
 
-@dataclass
-class _Route:
-    by_degree: Degrees
-    exact: bool
-
-
 class ExtEngine:
     """Memoized Ext-table computation for one parabolic and one prime."""
 
@@ -209,7 +194,6 @@ class ExtEngine:
         self.parabolic = parabolic
         self.p = p
         self._memo: dict[tuple, ExtTable] = {}
-        self._caveats: dict[tuple, tuple[str, ...]] = {}
 
     # -- presentation pieces -------------------------------------------------
     # Each piece is (content, placement, full_object_or_None); the placement
@@ -262,7 +246,7 @@ class ExtEngine:
                 for fw, fm in costandard_factors(*gweights, w):
                     deg.setdefault(d + shift, Counter())[fw] += fm
 
-    def _route_product(self, px, py, caveats: list[str]) -> _Route:
+    def _route_product(self, px, py, caveats: list[str]) -> Bound:
         deg: Degrees = {}
         plain = (
             len(px) == 1 and len(py) == 1
@@ -287,18 +271,9 @@ class ExtEngine:
                     self._tensor_into(deg, sub, (cy.gweight,), shift)
                 else:
                     self._direct_into(deg, caveats, cx, cy, shift)
-        exact = plain and not self._collision(deg)
-        return _Route(deg, exact)
+        return Bound(deg, plain and not linkage_collision(deg, self.p))
 
-    def _collision(self, deg: Degrees) -> bool:
-        seen: dict[Weight, set[int]] = {}
-        for d, cnt in deg.items():
-            for w in cnt:
-                nf = affine_normal_form(w + RHO, self.p)
-                seen.setdefault(nf, set()).add(d)
-        return any(len(ds) > 1 for ds in seen.values())
-
-    def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> _Route:
+    def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> Bound:
         """Bound Ext(X, Y) by the certified tables of one side's atoms."""
         atoms = X.filtration.atoms if first else Y.filtration.atoms
         deg: Degrees = {}
@@ -321,7 +296,7 @@ class ExtEngine:
                 for j, dd in spots:
                     if dd == d + 1 and j != i:
                         exact = False
-        return _Route(deg, exact)
+        return Bound(deg, exact)
 
     # -- the cell ------------------------------------------------------------
 
@@ -330,7 +305,7 @@ class ExtEngine:
         if key in self._memo:
             return self._memo[key]
         caveats: list[str] = []
-        routes: list[_Route] = []
+        routes: list[Bound] = []
         for px in self._pieces_first(X):
             for py in self._pieces_second(Y):
                 routes.append(self._route_product(px, py, caveats))
@@ -339,58 +314,13 @@ class ExtEngine:
         if len(Y.filtration.atoms) > 1:
             routes.append(self._route_split(X, Y, first=False))
 
-        chi = euler_of_pair(X.filtration, Y.filtration)
-        table = self._combine(routes, chi)
-        table = ExtTable(table.degrees, table.exact, self.p,
-                         tuple(dict.fromkeys(caveats)))
+        # The first route is the plain product at shift 0: it evaluates every
+        # atom of dual(X) (x) Y once and drops none, so its alternating sum is
+        # the Euler characteristic of RHom(X, Y).
+        degrees, exact = combine(routes, euler_characteristic(routes[0].by_degree))
+        table = ExtTable(degrees, exact, self.p, tuple(dict.fromkeys(caveats)))
         self._memo[key] = table
         return table
-
-    def _combine(self, routes: list[_Route], chi: dict[Weight, int]) -> ExtTable:
-        exact_routes = [r for r in routes if r.exact]
-        if exact_routes:
-            base = exact_routes[0].by_degree
-            frozen = _freeze_counts(base)
-            for r in exact_routes[1:]:
-                if _freeze_counts(r.by_degree) != frozen:
-                    raise EulerMismatch("two exact routes disagree")
-            for r in routes:
-                if not _contains(r.by_degree, base):
-                    raise EulerMismatch("exact route not within another bound")
-            acc: dict[Weight, int] = {}
-            for d, ws in frozen:
-                for w in ws:
-                    acc[w] = acc.get(w, 0) + (-1) ** d
-            if {k: v for k, v in acc.items() if v} != chi:
-                raise EulerMismatch("exact route contradicts the Euler characteristic")
-            return ExtTable(frozen, True, self.p)
-        inter: Degrees | None = None
-        for r in routes:
-            inter = r.by_degree if inter is None else _meet(inter, r.by_degree)
-        assert inter is not None
-        pruned, exact, _ambiguous = certify(inter, chi)
-        return ExtTable(_freeze_counts(pruned), exact, self.p)
-
-
-def _freeze_counts(deg: Degrees) -> tuple[tuple[int, tuple[Weight, ...]], ...]:
-    return tuple(
-        (d, tuple(sorted(cnt.elements())))
-        for d, cnt in sorted(deg.items())
-        if cnt.total()
-    )
-
-
-def _meet(a: Degrees, b: Degrees) -> Degrees:
-    out: Degrees = {}
-    for d in set(a) & set(b):
-        m = a[d] & b[d]
-        if m.total():
-            out[d] = m
-    return out
-
-
-def _contains(big: Degrees, small: Degrees) -> bool:
-    return all(cnt <= big.get(d, Counter()) for d, cnt in small.items())
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,19 @@ def dot(w: WeylElement, lam: Weight) -> Weight:
     return _apply(w.matrix, lam + RHO) - RHO
 
 
+def dominant_conjugate(lam: Weight) -> Weight:
+    """The unique dominant weight in the W-orbit of lam.  Applies s1 while
+    a < 0 and s2 while b < 0, in the closed forms of _S1 and _S2:
+    (a, b) -> (-a, a + b) and (a, b) -> (a + 3b, -b)."""
+    a, b = lam
+    while a < 0 or b < 0:
+        if a < 0:
+            a, b = -a, a + b
+        else:
+            a, b = a + 3 * b, -b
+    return Weight(a, b)
+
+
 def length_by_inversions(w: WeylElement) -> int:
     """Number of positive roots sent to negative ones; equals word length."""
     count = 0

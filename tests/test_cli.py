@@ -113,9 +113,16 @@ def test_modchar_command(capsys):
     assert "dim 1" in out
 
 
-def test_latex_unavailable_is_usage_error(capsys):
-    code, _ = run(capsys, "report", "chevalley", "--format", "latex")
-    assert code == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["bott", "0", "0"],
+    ["report", "chevalley"],
+    ["modchar", "--w", "e"],
+], ids=["bott", "report-chevalley", "modchar"])
+def test_latex_unavailable_is_usage_error(argv):
+    # refused by the parser, before any of the work runs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "latex"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_all_report_jsons_roundtrip(capsys):

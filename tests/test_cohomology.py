@@ -5,21 +5,37 @@ import pytest
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight
 from g2bwb.charring import module
 from g2bwb.cohomology import (
-    CohomologyTable,
+    Bound,
     EulerMismatch,
     affine_normal_form,
     bott_line,
     certify,
-    cohomology_filtered,
-    intersect_tables,
+    combine,
+    euler_characteristic,
+    linkage_collision,
     linked,
     lowest_alcove,
-    weyl_euler,
 )
+from g2bwb.extcollection import _anon, ext_table, object_by_name
 from g2bwb.modchar import weyl_dim
 from g2bwb import weyl
 
 SHORT = ParabolicId.SHORT
+
+
+def _atom_bound(atoms: list[Weight]) -> dict[int, Counter]:
+    """The per-atom line evaluations of a filtered sheaf on G/P, merged."""
+    by_degree: dict[int, Counter] = {}
+    for s in module(SHORT, atoms).atoms:
+        r = bott_line(s.highest)
+        if not r.vanishes:
+            by_degree.setdefault(r.degree, Counter())[r.weight] += 1
+    return by_degree
+
+
+def _cohomology(atoms: list[Weight]):
+    """H^*(G/P, X) as Ext^*(O, X) for the sheaf X with the given atoms."""
+    return ext_table(object_by_name(SHORT, "E(e)"), _anon(SHORT, module(SHORT, atoms).atoms))
 
 
 def test_bott_examples():
@@ -55,13 +71,12 @@ def test_euler_invariance_under_dot():
     box = [Weight(a, b) for a in range(-2, 4) for b in range(-2, 3)]
     for w in weyl.ALL_ELEMENTS:
         for lam in box:
-            left = weyl_euler(weyl.dot(w, lam))
-            right = weyl_euler(lam)
-            if right is None:
-                assert left is None
-            else:
-                sign, wt = right
-                assert left == ((-1) ** w.length * sign, wt)
+            left = bott_line(weyl.dot(w, lam))
+            right = bott_line(lam)
+            assert left.vanishes == right.vanishes
+            if not right.vanishes:
+                assert (-1) ** left.degree == (-1) ** w.length * (-1) ** right.degree
+                assert left.weight == right.weight
 
 
 def test_serre_duality_dimensions():
@@ -155,31 +170,32 @@ def test_normal_form_idempotent_and_dot_invariant():
 
 
 def test_cohomology_filtered_examples():
-    t = cohomology_filtered(module(SHORT, [Weight(2, -1), ZERO]))
+    t = _cohomology([Weight(2, -1), ZERO])
     assert t.exact
     assert t.entries(0) == (ZERO,)
     assert t.max_degree() == 0
 
-    t = cohomology_filtered(module(SHORT, [RHO, Weight(2, 0)]))
+    t = _cohomology([RHO, Weight(2, 0)])
     assert t.exact
     assert Counter(t.entries(0)) == Counter([RHO, Weight(2, 0)])
 
-    t = cohomology_filtered(module(SHORT, [ZERO]))
+    t = _cohomology([ZERO])
     assert t.exact and t.entries(0) == (ZERO,)
 
 
 def test_cohomology_filtered_atom_order_irrelevant():
     atoms = [Weight(2, -2), Weight(0, -1), Weight(3, -3), Weight(0, -2)]
-    t1 = cohomology_filtered(module(SHORT, atoms))
-    t2 = cohomology_filtered(module(SHORT, list(reversed(atoms))))
-    assert t1.degrees == t2.degrees
-    assert t1.euler == t2.euler
+    t1 = _cohomology(atoms)
+    t2 = _cohomology(list(reversed(atoms)))
+    assert t1.degrees == t2.degrees and t1.exact == t2.exact
+    assert euler_characteristic(_atom_bound(atoms)) == euler_characteristic(
+        _atom_bound(list(reversed(atoms))))
 
 
 def test_cohomology_filtered_flags_ambiguity():
     # one atom in degree 0 and a linked one in degree 1: only a bound
-    t = cohomology_filtered(module(SHORT, [ZERO, Weight(3, -2)]))
-    assert not t.exact
+    assert linkage_collision(_atom_bound([ZERO, Weight(3, -2)]), 11)
+    assert not _cohomology([ZERO, Weight(3, -2)]).exact
 
 
 def test_certify_unique_and_ambiguous():
@@ -196,38 +212,44 @@ def test_certify_unique_and_ambiguous():
         certify({0: Counter()}, {W2: 1})
 
 
-def test_intersect_tables_resolves_bounds():
+def test_combine_resolves_bounds():
     # the two bounds for one Ext computation cut each other down to truth
-    route_a = cohomology_filtered(module(SHORT, [
+    route_a = _atom_bound([
         Weight(3, -1), Weight(1, 0), Weight(1, 0), Weight(4, -2),
-        Weight(2, -1), Weight(1, -1)]))
-    assert not route_a.exact
-    euler = route_a.euler_dict()
-    route_b = CohomologyTable.build(
-        {0: Counter({RHO: 1, Weight(2, 0): 1, W1: 1}),
-         1: Counter({RHO: 1, Weight(2, 0): 1})},
-        False, euler)
-    out = intersect_tables(route_a, route_b)
-    assert out.exact
-    assert out.entries(0) == (W1,) and not out.entries(1)
+        Weight(2, -1), Weight(1, -1)])
+    assert linkage_collision(route_a, 11)
+    euler = euler_characteristic(route_a)
+    route_b = {0: Counter({RHO: 1, Weight(2, 0): 1, W1: 1}),
+               1: Counter({RHO: 1, Weight(2, 0): 1})}
+    degrees, exact = combine([Bound(route_a, False), Bound(route_b, False)], euler)
+    assert exact
+    assert degrees == ((0, (W1,)),)
 
     # two routes whose intersection is empty certify vanishing
-    t1 = CohomologyTable.build(
-        {0: Counter({ZERO: 1}), 1: Counter({ZERO: 1})}, False, {})
-    t2 = CohomologyTable.build(
-        {0: Counter({W1: 1}), 1: Counter({W1: 1})}, False, {})
-    out = intersect_tables(t1, t2)
-    assert out.exact and out.is_zero()
+    t1 = {0: Counter({ZERO: 1}), 1: Counter({ZERO: 1})}
+    t2 = {0: Counter({W1: 1}), 1: Counter({W1: 1})}
+    assert combine([Bound(t1, False), Bound(t2, False)], {}) == ((), True)
+
+    # the meet is pruned where the Euler characteristic rules an entry out,
+    # and stays a bound where it pins nothing
+    a = {0: Counter({ZERO: 1}), 1: Counter({ZERO: 1, W1: 1})}
+    b = {0: Counter({ZERO: 1, W1: 1}), 1: Counter({W1: 1})}
+    assert combine([Bound(a, False), Bound(b, False)], {ZERO: 1}) == (((0, (ZERO,)),), True)
+    assert combine([Bound(t1, False)], {}) == (((0, (ZERO,)), (1, (ZERO,))), False)
 
 
-def test_intersect_tables_exact_passthrough_and_euler_guard():
-    t = cohomology_filtered(module(SHORT, [ZERO]))
-    bound = CohomologyTable.build(
-        {0: Counter({ZERO: 2}), 1: Counter({W1: 1})}, False, t.euler_dict())
-    assert intersect_tables(t, bound) == t
-    other = cohomology_filtered(module(SHORT, [Weight(2, 0)]))
+def test_combine_exact_passthrough_and_euler_guard():
+    t = _atom_bound([ZERO])
+    euler = euler_characteristic(t)
+    bound = {0: Counter({ZERO: 2}), 1: Counter({W1: 1})}
+    assert combine([Bound(t, True), Bound(bound, False)], euler) == (((0, (ZERO,)),), True)
+    other = _atom_bound([Weight(2, 0)])
     with pytest.raises(EulerMismatch):
-        intersect_tables(t, other)
+        combine([Bound(t, True), Bound(other, True)], euler)
+    with pytest.raises(EulerMismatch):
+        combine([Bound(other, True)], euler)
+    with pytest.raises(EulerMismatch):
+        combine([Bound(t, True), Bound({1: Counter({ZERO: 1})}, False)], euler)
 
 
 def test_char_p_caveat_flag():
@@ -237,10 +259,9 @@ def test_char_p_caveat_flag():
 
 
 def test_linkage_class_type():
-    from g2bwb.cohomology import LinkageClass
-    c = LinkageClass.of(ZERO, 11)
-    assert c.representative == RHO
+    # the linkage class of zero is keyed by its closed-alcove representative rho
+    assert affine_normal_form(ZERO + RHO, 11) == RHO
     for w in weyl.ALL_ELEMENTS:
-        assert c.contains(weyl.dot(w, ZERO))
-    assert not c.contains(W2)
-    assert LinkageClass.of(Weight(3, -2), 11) == c
+        assert linked(ZERO, weyl.dot(w, ZERO), 11)
+    assert not linked(ZERO, W2, 11)
+    assert affine_normal_form(Weight(3, -2) + RHO, 11) == RHO

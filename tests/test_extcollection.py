@@ -3,10 +3,12 @@ from collections import Counter
 import pytest
 
 from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
-from g2bwb.charring import Character, module, weyl_character
+from g2bwb.charring import Character, clebsch_gordan_P, module, weyl_character
+from g2bwb.cohomology import bott_line
 from g2bwb.extcollection import (
+    ExtEngine,
+    SheafObject,
     builtin_collection,
-    euler_of_pair,
     ext_table,
     filtration_to_latex,
     frobenius_report,
@@ -170,13 +172,32 @@ def test_hom_pattern_equals_bruhat():
                 assert t.hom_nonzero() == weyl.bruhat_leq(wy, wx), (wx, wy)
 
 
+def _euler_of_pair(x, y) -> dict[Weight, int]:
+    """Euler characteristic of RHom of two filtered sheaves in the Weyl basis,
+    summed straight from the line bundles of dual(x) (x) y."""
+    out: dict[Weight, int] = {}
+    for sx in x.dual().atoms:
+        for sy in y.atoms:
+            for s in clebsch_gordan_P(sx, sy).atoms:
+                r = bott_line(s.highest)
+                if r.vanishes:
+                    continue
+                out[r.weight] = out.get(r.weight, 0) + (-1) ** r.degree
+    return {k: v for k, v in out.items() if v}
+
+
+def _objects(par):
+    coll, m_obj = builtin_collection(par)
+    return list(coll.values()) + ([m_obj] if m_obj else [])
+
+
 def test_euler_presentation_independent():
     # alternating character sums agree between named and dual-order atoms
     coll, m_obj = builtin_collection(SHORT)
     objs = list(coll.values()) + [m_obj]
     for X in objs:
         for Y in objs:
-            chi = euler_of_pair(X.filtration, Y.filtration)
+            chi = _euler_of_pair(X.filtration, Y.filtration)
             t = ext_table(X, Y, 11)
             acc: dict[Weight, int] = {}
             for d, ws in t.degrees:
@@ -302,3 +323,52 @@ def test_reports_stable_at_larger_primes():
         assert full_collection_report(SHORT, p).passed
         assert full_collection_report(LONG, p).passed
         assert frobenius_report(SHORT, p).self_ext_nonzero
+
+
+# Ext^i(X, Y) = Ext^{5-i}(Y, X (x) omega)^* on the 5-dimensional G/P, and
+# G2-modules are self-dual, so the factor multisets agree degree by degree.
+_OMEGA = {SHORT: Weight(0, -3), LONG: Weight(-5, 0)}
+
+
+@pytest.mark.parametrize("par,floor", [(SHORT, 41), (LONG, 34)], ids=["short", "long"])
+def test_serre_duality(par, floor):
+    engine = ExtEngine(par, 11)
+    objs = _objects(par)
+    twisted = {
+        X.name: SheafObject(f"{X.name}(x)omega", par,
+                            module(par, [s.highest + _OMEGA[par] for s in X.filtration.atoms]))
+        for X in objs
+    }
+    compared = 0
+    for X in objs:
+        for Y in objs:
+            t = engine.cell(X, Y)
+            dual = engine.cell(Y, twisted[X.name])
+            if not (t.exact and dual.exact):
+                continue
+            assert t.degrees == tuple(reversed([(5 - d, ws) for d, ws in dual.degrees])), \
+                (X.name, Y.name)
+            compared += 1
+    assert compared >= floor  # pairs where both sides are exact at p = 11
+
+
+def _stripped(X):
+    return SheafObject(f"{X.name}~", X.parabolic, X.filtration)
+
+
+@pytest.mark.parametrize("par,floor", [(SHORT, 117), (LONG, 101)], ids=["short", "long"])
+def test_presentation_invariance(par, floor):
+    # a further valid presentation may sharpen a bound but never changes an
+    # exact table: strip the two-term presentations from X, Y or both
+    engine = ExtEngine(par, 11)
+    objs = _objects(par)
+    exact_cells = 0
+    for X in objs:
+        for Y in objs:
+            full = engine.cell(X, Y)
+            for bare in (engine.cell(_stripped(X), Y), engine.cell(X, _stripped(Y)),
+                         engine.cell(_stripped(X), _stripped(Y))):
+                if bare.exact:
+                    exact_cells += 1
+                    assert full.exact and full.degrees == bare.degrees, (X.name, Y.name)
+    assert exact_cells >= floor  # stripped cells that are exact at p = 11

@@ -95,6 +95,12 @@ def test_normal_form_idempotent(lam):
     assert 2 * nf.a + 3 * nf.b <= p
 
 
+@given(st.builds(Weight, st.integers(-40, 40), st.integers(-40, 40)))
+def test_dominant_conjugate_is_the_dominant_orbit_point(lam):
+    orbit = {weyl.act(w, lam) for w in weyl.ALL_ELEMENTS}
+    assert [mu for mu in orbit if mu.is_dominant()] == [weyl.dominant_conjugate(lam)]
+
+
 @given(st.sampled_from([ParabolicId.SHORT, ParabolicId.LONG]), weights)
 def test_dual_pstring_involution(par, lam):
     if par.pair(lam) < 0:
