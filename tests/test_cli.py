@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,16 @@ def test_report_rank_p7_golden(capsys):
     code, out = run(capsys, "report", "rank", "--p", "7", "--format", "json")
     assert code == EXIT_OK
     assert out == RANK_P7_JSON
+
+
+CHEVALLEY_JSON_SHA256 = "073567118ebe3d22ad7386d0019e7037926914c5f3d3347308966a522eae339c"
+
+
+def test_report_chevalley_json_golden(capsys):
+    # pins every check label and verdict of the SO7 report
+    code, out = run(capsys, "report", "chevalley", "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CHEVALLEY_JSON_SHA256
 
 
 def test_prime_check_agrees_with_trial_division():
