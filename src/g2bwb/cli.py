@@ -2,7 +2,8 @@
 
 Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
-error, 3 ambiguous-but-valid, 4 verification failure.  Set G2BWB_LOG for
+error, 3 ambiguous-but-valid, 4 verification failure; a library exception
+that escapes a command maps to 3 or 4 in ``main``.  Set G2BWB_LOG for
 audit output on stderr.
 """
 
@@ -15,8 +16,9 @@ import sys
 
 from .rootdata import ParabolicId, Weight
 from .charring import restrict_to_P, tensor, weyl_character, decompose_costandard
-from .cohomology import DEFAULT_P, bott_line
+from .cohomology import DEFAULT_P, EulerMismatch, bott_line
 from .extcollection import (
+    AmbiguousTable,
     ext_table,
     filtration_to_latex,
     frobenius_report,
@@ -24,7 +26,13 @@ from .extcollection import (
     object_by_name,
 )
 from .karoubi import default_targets, verify_generation
-from .modchar import Undecided, rank_identity_check, resolved_oracle, weyl_dim
+from .modchar import (
+    InconsistentChoice,
+    Undecided,
+    rank_identity_check,
+    resolved_oracle,
+    weyl_dim,
+)
 from .chevalley import chevalley_verify
 from .rootdata import ZERO, restricted_split
 from . import weyl
@@ -33,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_AMBIGUOUS = 3
 EXIT_FAILED = 4
+
+# Largest --box of report karoubi: the rule count grows with the box squared,
+# and each compiled rule set stays cached for the life of the process.
+KAROUBI_MAX_BOX = 32
 
 
 def _audit_enabled() -> bool:
@@ -147,6 +159,9 @@ def _cmd_report(args) -> int:
         if amax < need:
             print(f"--box must be at least {need} to hold the {args.parabolic} targets",
                   file=sys.stderr)
+            return EXIT_USAGE
+        if amax > KAROUBI_MAX_BOX:
+            print(f"--box must be at most {KAROUBI_MAX_BOX}", file=sys.stderr)
             return EXIT_USAGE
         bmax = max(12, amax - 4)
         rep, kb = verify_generation(par, amax=amax, bmax=bmax)
@@ -294,7 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EulerMismatch, InconsistentChoice) as e:
+        print(f"verification failed: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_FAILED
+    except (AmbiguousTable, Undecided) as e:
+        print(f"ambiguous: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
 
 
 if __name__ == "__main__":

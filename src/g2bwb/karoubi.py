@@ -17,12 +17,17 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 Every multi-layer rule is compiled into two-term triangle rules through
 synthetic truncation classes, so a single two-out-of-three inference drives
 the whole closure.  Filtration rules are admitted only after an exact
-character-additivity check.  The closure is a worklist saturation whose
-result is independent of rule order; derivations are logged and replayable.
+character-additivity check.  The rules of a box depend only on
+(parabolic, amax, bmax), so each rule set is compiled and checked once per
+box and shared by every closure over it; a knowledge base holds its own
+copies of the rule and skip lists.  The closure is a worklist saturation
+whose result is independent of rule order; derivations are logged and
+replayable.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -71,7 +76,7 @@ def class_str(c: ClassId) -> str:
     return ":".join(str(x) for x in c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriRule:
     """Two-term triangle: total is an extension of the two parts."""
 
@@ -80,7 +85,7 @@ class TriRule:
     parts: tuple[ClassId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImplRule:
     """One-directional membership implication."""
 
@@ -120,10 +125,11 @@ class KnowledgeBase:
                        parts: list[ClassId], total_char: Character,
                        part_chars: list[Character]) -> None:
         """Admit a filtration rule; exact character additivity is mandatory."""
-        acc = Character()
+        acc: dict[Weight, int] = {}
         for ch in part_chars:
-            acc = acc + ch
-        if acc != total_char:
+            for k, v in ch.mult.items():
+                acc[k] = acc.get(k, 0) + v
+        if Character(acc) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         if len(parts) == 1:
             self.rules.append(TriRule(rule_id, total, (parts[0],)))
@@ -217,12 +223,11 @@ def _add_tensor_rules(kb: KnowledgeBase, generator: Weight, nu: Weight) -> None:
     kb.rules.append(ImplRule(f"tensortotal{generator}@{nu}", line_class(nu), total))
     total_char = gch.tensor(Character.line(nu))
 
-    weights = sorted(gch.mult)
-    if all(kb.in_box(mu + nu) for mu in weights):
-        parts = [line_class(mu + nu) for mu in weights for _ in range(gch.mult[mu])]
+    lines = [mu + nu for mu in sorted(gch.mult) for _ in range(gch.mult[mu])]
+    if all(kb.in_box(w) for w in lines):
         kb.add_filtration(
-            f"wtfilt{generator}@{nu}", total, parts, total_char,
-            [Character.line(mu + nu) for mu in weights for _ in range(gch.mult[mu])],
+            f"wtfilt{generator}@{nu}", total, [line_class(w) for w in lines], total_char,
+            [Character.line(w) for w in lines],
         )
     else:
         kb.skipped.append(f"tensor {generator}@{nu}: weight outside box")
@@ -249,19 +254,22 @@ def add_koszul_rules(kb: KnowledgeBase, box=None) -> None:
     for k in range(8):
         term = exterior_power(v, k).tensor(Character.line(W1.scaled(-k)))
         euler = euler + term.scaled((-1) ** k)
-    assert not euler, "Koszul complex must be exact at character level"
+    if euler:
+        raise ValueError("Koszul complex must be exact at character level")
     if box is None:
         box = [Weight(a, b)
                for a in range(-kb.amax, kb.amax + 1)
                for b in range(-kb.bmax, kb.bmax + 1)]
+    steps = [W1.scaled(k) for k in range(8)]
     for nu in box:
-        terms = [nu - W1.scaled(k) for k in range(8)]
+        terms = [nu - s for s in steps]
         if not all(kb.in_box(t) for t in terms):
             continue
+        rid = f"koszul{nu}"
         prev = line_class(terms[0])
         for k in range(1, 8):
-            tk: ClassId = ZERO_CLASS if k == 7 else ("trunc", f"koszul{nu}", k)
-            kb.rules.append(TriRule(f"koszul{nu}#{k}", tk, (prev, line_class(terms[k]))))
+            tk: ClassId = ZERO_CLASS if k == 7 else ("trunc", rid, k)
+            kb.rules.append(TriRule(f"{rid}#{k}", tk, (prev, line_class(terms[k]))))
             prev = tk
 
 
@@ -273,9 +281,24 @@ LONG_SEED_LINES = [Weight(0, 0), Weight(-1, 0), Weight(-2, 0), Weight(-3, 0),
 LONG_SEED_STRINGS = [Weight(-4, 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _compiled(parabolic: ParabolicId, amax: int,
+              bmax: int) -> tuple[tuple[Rule, ...], tuple[str, ...]]:
+    """The full rule set of a box and its skipped notes, built and checked once."""
+    kb = KnowledgeBase(parabolic, amax, bmax)
+    _string_line_rules(kb)
+    for a in range(-amax, amax + 1):
+        for b in range(-bmax, bmax + 1):
+            for gen in (W1, W2):
+                _add_tensor_rules(kb, gen, Weight(a, b))
+    add_koszul_rules(kb)
+    return tuple(kb.rules), tuple(kb.skipped)
+
+
 def seed(parabolic: ParabolicId, amax: int = 16, bmax: int = 12) -> KnowledgeBase:
     """Knowledge base holding the starting classes and the full rule set."""
-    kb = KnowledgeBase(parabolic, amax, bmax)
+    rules, skipped = _compiled(parabolic, amax, bmax)
+    kb = KnowledgeBase(parabolic, amax, bmax, rules=list(rules), skipped=list(skipped))
     kb.known.add(ZERO_CLASS)
     kb.order[ZERO_CLASS] = -1
     lines = SHORT_SEED_LINES if parabolic is ParabolicId.SHORT else LONG_SEED_LINES
@@ -284,12 +307,6 @@ def seed(parabolic: ParabolicId, amax: int = 16, bmax: int = 12) -> KnowledgeBas
         kb.learn(line_class(nu), "seed", ())
     for lam in strings:
         kb.learn(pstring_class(parabolic, lam), "seed", ())
-    _string_line_rules(kb)
-    for a in range(-amax, amax + 1):
-        for b in range(-bmax, bmax + 1):
-            for gen in (W1, W2):
-                _add_tensor_rules(kb, gen, Weight(a, b))
-    add_koszul_rules(kb)
     return kb
 
 
@@ -300,39 +317,41 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
         rng.shuffle(rules)
     watch: dict[ClassId, list[int]] = defaultdict(list)
     for idx, rule in enumerate(rules):
-        if isinstance(rule, ImplRule):
+        if type(rule) is ImplRule:
             watch[rule.src].append(idx)
         else:
             watch[rule.total].append(idx)
             for p in rule.parts:
                 watch[p].append(idx)
 
-    def fire(idx: int) -> list[ClassId]:
-        rule = rules[idx]
-        out = []
-        if isinstance(rule, ImplRule):
-            if rule.src in kb.known and kb.learn(rule.dst, rule.rule_id, (rule.src,)):
-                out.append(rule.dst)
-            return out
-        missing = [p for p in rule.parts if p not in kb.known]
-        if not missing:
-            if kb.learn(rule.total, rule.rule_id, rule.parts):
-                out.append(rule.total)
-        elif len(missing) == 1 and rule.total in kb.known:
-            prem = (rule.total,) + tuple(p for p in rule.parts if p in kb.known)
-            if kb.learn(missing[0], rule.rule_id, prem):
-                out.append(missing[0])
-        return out
-
-    queued = set(range(len(rules)))
+    known, learn = kb.known, kb.learn
+    queued = bytearray(b"\x01") * len(rules)
     work = list(range(len(rules)))
     while work:
         idx = work.pop()
-        queued.discard(idx)
-        for new in fire(idx):
+        queued[idx] = 0
+        rule = rules[idx]
+        if type(rule) is ImplRule:
+            if rule.src not in known:
+                continue
+            new, prem = rule.dst, (rule.src,)
+        else:
+            # all parts known: learn the total; exactly one part missing and
+            # the total known: learn that part
+            new, gaps = rule.total, 0
+            for p in rule.parts:
+                if p not in known:
+                    new, gaps = p, gaps + 1
+            if gaps == 0:
+                prem = rule.parts
+            elif gaps == 1 and rule.total in known:
+                prem = (rule.total,) + tuple(p for p in rule.parts if p in known)
+            else:
+                continue
+        if learn(new, rule.rule_id, prem):
             for j in watch.get(new, ()):
-                if j not in queued:
-                    queued.add(j)
+                if not queued[j]:
+                    queued[j] = 1
                     work.append(j)
     return kb
 

@@ -3,7 +3,12 @@ import json
 
 import pytest
 
-from g2bwb.cli import EXIT_OK, EXIT_USAGE, main
+from g2bwb import cli
+from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from g2bwb.cohomology import EulerMismatch
+from g2bwb.extcollection import AmbiguousTable
+from g2bwb.modchar import InconsistentChoice, Undecided
+from g2bwb.rootdata import ZERO
 
 
 def run(capsys, *argv):
@@ -154,6 +159,41 @@ def test_karoubi_box_below_targets_is_usage_error(capsys):
     for argv in (["--box", "10"], ["--parabolic", "long", "--box", "12"]):
         code, out = run(capsys, "report", "karoubi", *argv)
         assert code == EXIT_OK
+
+
+def test_karoubi_box_above_limit_is_usage_error(capsys):
+    # refused before any rule is compiled, so nothing large stays cached
+    for argv in (["--box", "33"], ["--parabolic", "long", "--box", "200"]):
+        code = main(["report", "karoubi", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "at most 32" in captured.err
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("target, argv, exc, expected", [
+    ("full_collection_report", ["report", "collection"],
+     EulerMismatch("two exact routes disagree"), EXIT_FAILED),
+    ("rank_identity_check", ["report", "rank", "--p", "7"],
+     InconsistentChoice("negative character at (0,0)"), EXIT_FAILED),
+    ("frobenius_report", ["report", "frobenius"],
+     AmbiguousTable("a required splitting vanishing is not certified"), EXIT_AMBIGUOUS),
+    ("ext_table", ["ext", "E(e)", "E(e)"], Undecided(ZERO, 11, {}), EXIT_AMBIGUOUS),
+], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided"])
+def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, expected):
+    monkeypatch.setattr(cli, target, _raiser(exc))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and type(exc).__name__ in err[0]
+    assert "Traceback" not in captured.err
 
 
 RANK_P7_JSON = (

@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from g2bwb import karoubi
 from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1
 from g2bwb.karoubi import (
     KnowledgeBase,
@@ -122,3 +124,51 @@ def test_character_guard_rejects_bad_rule():
             "bogus", line_class(ZERO), [line_class(W1)],
             Character.line(ZERO), [Character.line(W1)],
         )
+
+
+def test_seed_copies_are_independent():
+    # seed hands out private copies of the rule set compiled for the box
+    kb1, kb2 = seed(SHORT, 10, 8), seed(SHORT, 10, 8)
+    assert kb1.rules == kb2.rules and kb1.skipped == kb2.skipped
+    assert kb1.rules is not kb2.rules
+    assert kb1.skipped is not kb2.skipped
+    assert kb1.known is not kb2.known
+    n_rules, n_skipped = len(kb2.rules), len(kb2.skipped)
+    add_tensor_rules(kb1, W1, line_class(ZERO))
+    kb1.skipped.append("extra note")
+    assert len(kb1.rules) > n_rules
+    kb3 = seed(SHORT, 10, 8)
+    assert len(kb3.rules) == n_rules and len(kb3.skipped) == n_skipped
+    assert len(kb2.rules) == n_rules and len(kb2.skipped) == n_skipped
+    known2 = set(kb2.known)
+    close(kb1)
+    assert len(kb1.known) > len(known2)
+    assert kb2.known == known2
+
+
+def _audit_sha(kb) -> str:
+    return hashlib.sha256(kb.audit_log().encode()).hexdigest()
+
+
+# The derivation order that G2BWB_LOG prints, pinned by its sha256.
+@pytest.mark.parametrize("parabolic, box, shuffle, digest", [
+    (SHORT, (10, 8), None, "13b220c04720c89e9e591eb0629924bf3c388855c0f172b576bc94d7b9e8fc0e"),
+    (LONG, (), None, "8ca9da6088778c89e6bff9e7170f895eac6b1ae92d92cb46fed4676cfeac2c5f"),
+    (SHORT, (10, 8), 0, "0266462ac75fe22d399ac5bfcd1eb7a24c9582347ab33d5465ab420bae0367d4"),
+], ids=["short-10-8", "long", "short-10-8-shuffled"])
+def test_audit_log_golden(parabolic, box, shuffle, digest):
+    rng = None if shuffle is None else random.Random(shuffle)
+    kb = close(seed(parabolic, *box), rng)
+    assert kb.replay()
+    assert _audit_sha(kb) == digest
+
+
+def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
+    # a raise, not an assert, so the check also runs under python -O
+    karoubi._compiled.cache_clear()
+    monkeypatch.setattr(karoubi, "exterior_power", lambda v, k: v)
+    try:
+        with pytest.raises(ValueError, match="Koszul"):
+            seed(SHORT, 10, 8)
+    finally:
+        karoubi._compiled.cache_clear()
