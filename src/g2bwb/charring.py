@@ -94,9 +94,6 @@ class Character:
                 out[k] = out.get(k, 0) + v1 * v2
         return Character(out)
 
-    def dual(self) -> "Character":
-        return Character({-k: v for k, v in self.mult.items()})
-
     def stretch(self, n: int) -> "Character":
         """Scale every weight by n (Frobenius-twist style re-grading)."""
         return Character({k.scaled(n): v for k, v in self.mult.items()})
@@ -141,10 +138,6 @@ class Character:
 
     def to_json(self) -> list[list[int]]:
         return [[k.a, k.b, v] for k, v in sorted(self.mult.items())]
-
-    @staticmethod
-    def from_json(data: list[list[int]]) -> "Character":
-        return Character({Weight(a, b): m for a, b, m in data})
 
     def __repr__(self) -> str:
         items = ", ".join(f"{k}:{v}" for k, v in sorted(self.mult.items()))
@@ -193,8 +186,8 @@ def weyl_character(lam: Weight) -> Character:
                 num += 2 * m * inner(mu + alpha.weight.scaled(k), alpha.weight)
                 k += 1
         den = clam - inner(mu + RHO, mu + RHO)
-        assert den > 0, (lam, mu)
-        assert num % den == 0, (lam, mu, num, den)
+        if den <= 0 or num % den:
+            raise ArithmeticError(f"Freudenthal step at {mu} below {lam}: {num}/{den}")
         mults[mu] = num // den
 
     total: dict[Weight, int] = {}
@@ -225,10 +218,6 @@ def exterior_power(x: Character, k: int) -> Character:
                 bumped = Character({w + mu: v for w, v in elems[j - 1].mult.items()})
                 elems[j] = elems[j] + bumped
     return elems[k]
-
-
-def dual_character(x: Character) -> Character:
-    return x.dual()
 
 
 class PString:
@@ -312,26 +301,15 @@ class FilteredPModule:
             self.parabolic, tuple(dual_pstring(s) for s in reversed(self.atoms))
         )
 
-    def drop(self, atom: PString, from_top: bool) -> "FilteredPModule":
-        """Remove one named atom from the quotient or submodule end."""
-        atoms = list(self.atoms)
-        idx = 0 if from_top else len(atoms) - 1
-        if atoms[idx] != atom:
-            raise ValueError(f"atom {atom} is not at the requested end")
-        del atoms[idx]
-        return FilteredPModule(self.parabolic, tuple(atoms))
-
-
-def atom(parabolic: ParabolicId, lam: Weight) -> PString:
-    return PString(parabolic, lam)
-
-
 def module(parabolic: ParabolicId, highs: list[Weight]) -> FilteredPModule:
     return FilteredPModule(parabolic, tuple(PString(parabolic, h) for h in highs))
 
 
+@lru_cache(maxsize=None)
 def clebsch_gordan_P(x: PString, y: PString) -> FilteredPModule:
-    """Costandard filtration of the tensor product of two strings."""
+    """Costandard filtration of the tensor product of two strings.  It does
+    not depend on p, so it is cached, and its character is checked once per
+    pair."""
     if x.parabolic is not y.parabolic:
         raise ValueError("strings live over different parabolics")
     par = x.parabolic
@@ -340,19 +318,9 @@ def clebsch_gordan_P(x: PString, y: PString) -> FilteredPModule:
     top = x.highest + y.highest
     atoms = tuple(PString(par, top - alpha.scaled(k)) for k in range(r + 1))
     out = FilteredPModule(par, atoms)
-    assert out.character() == pstring_character(x).tensor(pstring_character(y))
+    if out.character() != pstring_character(x).tensor(pstring_character(y)):
+        raise ArithmeticError(f"Clebsch-Gordan filtration of {x} (x) {y} is wrong")
     return out
-
-
-def tensor_filtered(x: FilteredPModule, y: FilteredPModule) -> FilteredPModule:
-    """Atomwise Clebsch-Gordan filtration of a tensor of filtered modules."""
-    if x.parabolic is not y.parabolic:
-        raise ValueError("parabolic mismatch")
-    atoms: list[PString] = []
-    for sx in x.atoms:
-        for sy in y.atoms:
-            atoms.extend(clebsch_gordan_P(sx, sy).atoms)
-    return FilteredPModule(x.parabolic, tuple(atoms))
 
 
 class FiltrationError(ValueError):
@@ -372,7 +340,8 @@ def filter_character(char: Character, parabolic: ParabolicId) -> FilteredPModule
         atoms.extend([s] * m)
         rem.isub_scaled(pstring_character(s), m)
     out = FilteredPModule(parabolic, tuple(atoms))
-    assert out.character() == char
+    if out.character() != char:
+        raise ArithmeticError("string filtration does not reproduce the character")
     return out
 
 

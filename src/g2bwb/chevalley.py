@@ -225,10 +225,6 @@ def to_int_matrix(m: Mat, xi=1, zeta=1) -> Mat:
     return out
 
 
-def mat_to_json(m: Mat) -> list[list[str]]:
-    return [[repr(m[r][c]) for c in range(7)] for r in range(7)]
-
-
 # Gram matrix of the quadratic form, antidiagonal ones with central 2.
 GRAM: Mat = madd(
     *[matunit(i, -i) for i in (1, 2, 3, -3, -2, -1)], matunit(0, 0, 2)
@@ -562,14 +558,14 @@ def coroot_diagonal_exponents(i: int) -> list[int]:
     out = []
     for k in range(7):
         entry = m[k][k]
-        assert len(entry.terms) == 1, "coroot is not diagonal"
+        if len(entry.terms) != 1:
+            raise ArithmeticError("coroot is not diagonal")
         (e1, e2), c = next(iter(entry.terms.items()))
-        assert e1 == 0 and c == 1
+        if e1 != 0 or c != 1:
+            raise ArithmeticError(f"diagonal entry {k} of the coroot is not a power of zeta")
         out.append(e2)
-    for r in range(7):
-        for c in range(7):
-            if r != c:
-                assert not m[r][c], "coroot is not diagonal"
+    if any(m[r][c] for r in range(7) for c in range(7) if r != c):
+        raise ArithmeticError("coroot is not diagonal")
     return out
 
 
@@ -739,15 +735,6 @@ def stabilizer_check() -> CheckReport:
     checks.append(("the identity fixes everything",
                    fixes_line(identity_mat()) and preserves_plane(identity_mat())))
     return CheckReport("stabilizers of the distinguished line and plane", tuple(checks))
-
-
-def verify_group_relations(samples: tuple[int, ...] = (1, 2, 3),
-                           primes: tuple[int, ...] = (3, 5, 7, 11, 13)) -> CheckReport:
-    """Symbolic group laws plus their rerun on integer matrices modulo the
-    given primes at the given parameter samples."""
-    sym = verify_subgroups()
-    modp = verify_mod_p(primes, samples)
-    return CheckReport("group relations", sym.checks + modp.checks)
 
 
 def chevalley_verify() -> list[CheckReport]:

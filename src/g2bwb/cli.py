@@ -3,8 +3,8 @@
 Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
 error, 3 ambiguous-but-valid, 4 verification failure; a library exception
-that escapes a command maps to 3 or 4 in ``main``.  Set G2BWB_LOG for
-audit output on stderr.
+that escapes a command maps to 3 or 4 in ``main``.  ``--p`` takes a prime of
+at least ``MIN_P``.  Set G2BWB_LOG for audit output on stderr.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .modchar import (
     Undecided,
     rank_identity_check,
     resolved_oracle,
+    restricted_weight,
     weyl_dim,
 )
 from .chevalley import chevalley_verify
-from .rootdata import ZERO, restricted_split
 from . import weyl
 
 EXIT_OK = 0
@@ -45,6 +45,10 @@ EXIT_FAILED = 4
 # Largest --box of report karoubi: the rule count grows with the box squared,
 # and each compiled rule set stays cached for the life of the process.
 KAROUBI_MAX_BOX = 32
+
+# Smallest supported --p: the rank-p^5 identity first holds at p = 7 > h = 6,
+# the first prime for which 0 is p-regular; below it no report is backed.
+MIN_P = 7
 
 
 def _audit_enabled() -> bool:
@@ -192,7 +196,7 @@ def _cmd_modchar(args) -> int:
     except ValueError:
         print(f"bad word {args.w}", file=sys.stderr)
         return EXIT_USAGE
-    lam0, _ = restricted_split(weyl.dot(w, ZERO), args.p)
+    lam0 = restricted_weight(w, args.p)
     try:
         oracle, decided_by, points = resolved_oracle(args.p)
         ch = oracle.simple(lam0)
@@ -243,13 +247,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(text: str) -> int:
-    """argparse type for --p: a prime number."""
+    """argparse type for --p: a prime number, at least MIN_P."""
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
+    if p < MIN_P:
+        raise argparse.ArgumentTypeError(f"p must be at least {MIN_P}, got {p}")
     return p
 
 
@@ -311,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EulerMismatch, InconsistentChoice) as e:
+    except (EulerMismatch, InconsistentChoice, ArithmeticError) as e:
         print(f"verification failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_FAILED
     except (AmbiguousTable, Undecided) as e:

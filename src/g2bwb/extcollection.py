@@ -27,6 +27,10 @@ intersection still does; the per-weight alternating-sum constraints against
 the Euler characteristic then certify exactness whenever they pin a unique
 solution (``cohomology.combine``).  Ambiguity is propagated, never guessed
 away.
+
+``FROBENIUS_SUMMANDS`` is the one decomposition table of F_*O into summands
+E (x) L(w) on each G/P.  ``frobenius_report`` prints it, and
+``modchar.rank_identity_check`` reads it for the rank-p^5 identity.
 """
 
 from __future__ import annotations
@@ -575,34 +579,37 @@ class FrobeniusReport:
         return "\n".join(lines)
 
 
-_SHORT_SUMMANDS = (
-    ("E(e)", ("L(e)",)),
-    ("E(s2)", ("L(s2)", "L(s1s2s1s2)")),
-    ("E(s1s2)", ("L(s1s2)",)),
-    ("M", ("L(e)",)),
-    ("E(s2s1s2)", ("L(s2s1s2)",)),
-    ("E(s1s2s1s2)", ("L(s1s2s1s2)",)),
-    ("E(s2s1s2s1s2)", ("L(s2s1s2s1s2)", "L(s1s2)")),
-)
-
-_LONG_SUMMANDS = (
-    ("E(e)", ("L(e)",)),
-    ("E(s1)", ("L(s1)",)),
-    ("E(s2s1)", ("L(s2s1)", "L(e)", "L(s1s2s1s2s1)")),
-    ("E(s1s2s1)", ("L(s1s2s1)",)),
-    ("E(s2s1s2s1)", ("L(s2s1s2s1)", "L(s1)")),
-    ("E(s1s2s1s2s1)", ("L(s1s2s1s2s1)", "L(e)")),
-)
+# Each summand sheaf of F_*O on G/P with the Weyl words w of the simple
+# modules L(w) in its multiplicity space, in the order the report prints them.
+FROBENIUS_SUMMANDS: dict[ParabolicId, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    ParabolicId.SHORT: (
+        ("E(e)", ("e",)),
+        ("E(s2)", ("s2", "s1s2s1s2")),
+        ("E(s1s2)", ("s1s2",)),
+        ("M", ("e",)),
+        ("E(s2s1s2)", ("s2s1s2",)),
+        ("E(s1s2s1s2)", ("s1s2s1s2",)),
+        ("E(s2s1s2s1s2)", ("s2s1s2s1s2", "s1s2")),
+    ),
+    ParabolicId.LONG: (
+        ("E(e)", ("e",)),
+        ("E(s1)", ("s1",)),
+        ("E(s2s1)", ("s2s1", "e", "s1s2s1s2s1")),
+        ("E(s1s2s1)", ("s1s2s1",)),
+        ("E(s2s1s2s1)", ("s2s1s2s1", "s1")),
+        ("E(s1s2s1s2s1)", ("s1s2s1s2s1", "e")),
+    ),
+}
 
 
 def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusReport:
     """Summand list of the Frobenius pushforward and its splitting evidence."""
     engine = ExtEngine(parabolic, p)
     coll, m_obj = builtin_collection(parabolic)
-    shape = _SHORT_SUMMANDS if parabolic is ParabolicId.SHORT else _LONG_SUMMANDS
     summands = tuple(
-        FrobeniusSummand(name, object_by_name(parabolic, name).rank(), tuple(mults))
-        for name, mults in shape
+        FrobeniusSummand(name, object_by_name(parabolic, name).rank(),
+                         tuple(f"L({w})" for w in words))
+        for name, words in FROBENIUS_SUMMANDS[parabolic]
     )
 
     checks: list[tuple[str, str, bool]] = []

@@ -17,6 +17,11 @@ enumerates every admissible assignment, keeps those whose characters stay
 nonnegative and which satisfy the identity coefficient by coefficient, and
 passes only if exactly one assignment survives; the identities of both
 parabolics must select the same assignment.
+
+The left-hand side of the identity pairs each L(w) with the summands of F_*O
+whose multiplicity space holds it.  Those pairs come from
+``extcollection.FROBENIUS_SUMMANDS``, the one decomposition table that the
+Frobenius report prints, so the identity certifies the printed table.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
-from .charring import Character, FilteredPModule, module, weyl_character
+from .charring import Character, weyl_character
 from .cohomology import DEFAULT_P, bott_line, lowest_alcove
-from .extcollection import builtin_collection
+from .extcollection import FROBENIUS_SUMMANDS, object_by_name
 from . import weyl
 
 
@@ -41,7 +46,8 @@ def weyl_dim(lam: Weight) -> int:
     for alpha in POSITIVE_ROOTS:
         num *= alpha.pair(x)
         den *= alpha.pair(RHO)
-    assert num % den == 0
+    if num % den:
+        raise ArithmeticError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
     return num // den
 
 
@@ -94,17 +100,10 @@ class InconsistentChoice(Exception):
     """An assignment of open multiplicities produced a non-character."""
 
 
-@dataclass(frozen=True)
-class SimpleLabel:
-    """The simple module attached to a Weyl group element at a prime."""
-
-    w: weyl.WeylElement
-    p: int
-
-    @property
-    def restricted_weight(self) -> Weight:
-        lam0, _ = restricted_split(weyl.dot(self.w, ZERO), self.p)
-        return lam0
+def restricted_weight(w: weyl.WeylElement, p: int) -> Weight:
+    """Highest weight of the simple module L(w) at p: the restricted part
+    of w . 0."""
+    return restricted_split(weyl.dot(w, ZERO), p)[0]
 
 
 class CharacterOracle:
@@ -184,31 +183,21 @@ def simple_character(lam: Weight, p: int = DEFAULT_P) -> Character:
 # socle data of the parabolic Verma module of the Frobenius kernel
 # (multiplicity spaces per Weyl-coset representative, all layers together)
 
-def _socle_modules(parabolic: ParabolicId) -> dict[weyl.WeylElement, list[FilteredPModule]]:
-    coll, m_obj = builtin_collection(parabolic)
-    P = parabolic
-    w = {word: weyl.from_word(word) for word in
-         ("", "s2", "s1s2", "s2s1s2", "s1s2s1s2", "s2s1s2s1s2",
-          "s1", "s2s1", "s1s2s1", "s2s1s2s1", "s1s2s1s2s1")}
-    if parabolic is ParabolicId.SHORT:
-        assert m_obj is not None
-        return {
-            w[""]: [coll[w[""]].filtration, m_obj.filtration],
-            w["s2"]: [coll[w["s2"]].filtration],
-            w["s1s2"]: [coll[w["s1s2"]].filtration, module(P, [Weight(0, -2)])],
-            w["s2s1s2"]: [coll[w["s2s1s2"]].filtration],
-            w["s1s2s1s2"]: [module(P, [Weight(0, -1)]), coll[w["s1s2s1s2"]].filtration],
-            w["s2s1s2s1s2"]: [coll[w["s2s1s2s1s2"]].filtration],
-        }
-    return {
-        w[""]: [coll[w[""]].filtration, module(P, [Weight(-2, 0)]),
-                module(P, [Weight(-4, 0)])],
-        w["s1"]: [coll[w["s1"]].filtration, module(P, [Weight(-3, 0)])],
-        w["s2s1"]: [coll[w["s2s1"]].filtration],
-        w["s1s2s1"]: [coll[w["s1s2s1"]].filtration],
-        w["s2s1s2s1"]: [coll[w["s2s1s2s1"]].filtration],
-        w["s1s2s1s2s1"]: [module(P, [Weight(-2, 0)]), coll[w["s1s2s1s2s1"]].filtration],
-    }
+@lru_cache(maxsize=None)
+def _socle(parabolic: ParabolicId
+           ) -> tuple[tuple[weyl.WeylElement, int, Character], ...]:
+    """For each w in ``weyl.minimal_reps`` order: the total rank and the total
+    character of the F_*O summands whose multiplicity space holds L(w), read
+    from ``extcollection.FROBENIUS_SUMMANDS``."""
+    rank = dict.fromkeys(weyl.minimal_reps(parabolic), 0)
+    char = {w: Character() for w in rank}
+    for name, words in FROBENIUS_SUMMANDS[parabolic]:
+        mod = object_by_name(parabolic, name).filtration
+        for word in words:
+            w = weyl.from_word(word)
+            rank[w] += mod.dimension()
+            char[w] = char[w] + mod.character()
+    return tuple((w, rank[w], char[w]) for w in rank)
 
 
 @lru_cache(maxsize=None)
@@ -228,11 +217,10 @@ def _weighted_dims(parabolic: ParabolicId, oracle: CharacterOracle
                    ) -> tuple[int, dict[str, int]]:
     weighted = 0
     dims: dict[str, int] = {}
-    for w, mods in _socle_modules(parabolic).items():
-        lam0, _ = restricted_split(weyl.dot(w, ZERO), oracle.p)
-        cw = oracle.simple(lam0)
-        weighted += cw.dimension() * sum(m.dimension() for m in mods)
-        dims[str(w)] = cw.dimension()
+    for w, rank, _ in _socle(parabolic):
+        d = oracle.simple(restricted_weight(w, oracle.p)).dimension()
+        weighted += d * rank
+        dims[str(w)] = d
     return weighted, dims
 
 
@@ -240,12 +228,8 @@ def _identity_sides(parabolic: ParabolicId, oracle: CharacterOracle
                     ) -> tuple[Character, Character]:
     rhs = verma_character(parabolic, oracle.p)
     lhs = Character()
-    for w, mods in _socle_modules(parabolic).items():
-        lam0, _ = restricted_split(weyl.dot(w, ZERO), oracle.p)
-        cw = oracle.simple(lam0)
-        soc = Character()
-        for m in mods:
-            soc = soc + m.character()
+    for w, _, soc in _socle(parabolic):
+        cw = oracle.simple(restricted_weight(w, oracle.p))
         lhs = lhs + cw.tensor(soc.stretch(oracle.p))
     return lhs, rhs
 

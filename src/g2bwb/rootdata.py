@@ -12,7 +12,7 @@ integer arithmetic.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Weight(NamedTuple):
@@ -92,19 +92,9 @@ class ParabolicId(Enum):
     def simple_root(self) -> Root:
         return ALPHA1 if self is ParabolicId.SHORT else ALPHA2
 
-    @property
-    def levi_index(self) -> int:
-        return 1 if self is ParabolicId.SHORT else 2
-
     def pair(self, lam: Weight) -> int:
         """Pairing of a weight with the Levi coroot."""
         return lam.a if self is ParabolicId.SHORT else lam.b
-
-    @property
-    def line_direction(self) -> Weight:
-        """Generator of the character lattice of the parabolic Levi torus part."""
-        return W2 if self is ParabolicId.SHORT else W1
-
 
 def pairing(lam: Weight, alpha: Root) -> int:
     """Exact coroot pairing ``<lam, alpha^v>``; linear in ``lam``."""
@@ -139,9 +129,3 @@ def restricted_split(lam: Weight, p: int) -> tuple[Weight, Weight]:
     b0, b1 = lam.b % p, lam.b // p
     return Weight(a0, b0), Weight(a1, b1)
 
-
-def weight_box(amax: int, bmax: int) -> Iterable[Weight]:
-    """All weights with |a| <= amax and |b| <= bmax, in lexicographic order."""
-    for a in range(-amax, amax + 1):
-        for b in range(-bmax, bmax + 1):
-            yield Weight(a, b)

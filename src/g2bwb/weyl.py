@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootdata import (
-    POSITIVE_ROOTS,
     RHO,
     ParabolicId,
     Weight,
@@ -53,12 +52,6 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return _BY_MATRIX[_mul(self.matrix, other.matrix)]
-
-    def inverse(self) -> "WeylElement":
-        m = self.matrix
-        det = m[0] * m[3] - m[1] * m[2]
-        inv = (m[3] // det, -m[1] // det, -m[2] // det, m[0] // det)
-        return _BY_MATRIX[inv]
 
     def __str__(self) -> str:
         return "e" if not self.word else "".join(f"s{i}" for i in self.word)
@@ -135,16 +128,6 @@ def dominant_conjugate(lam: Weight) -> Weight:
         else:
             a, b = a + 3 * b, -b
     return Weight(a, b)
-
-
-def length_by_inversions(w: WeylElement) -> int:
-    """Number of positive roots sent to negative ones; equals word length."""
-    count = 0
-    for alpha in POSITIVE_ROOTS:
-        c1, c2 = root_coords(act(w, alpha.weight))
-        if c1 < 0 or c2 < 0:
-            count += 1
-    return count
 
 
 def _subword(x: tuple[int, ...], y: tuple[int, ...]) -> bool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from g2bwb.rootdata import POSITIVE_ROOTS, Weight
+from g2bwb import chevalley
 from g2bwb.chevalley import (
     E3P,
     F1P,
@@ -16,7 +17,6 @@ from g2bwb.chevalley import (
     det7,
     identity_mat,
     in_orthogonal_lie_algebra,
-    mat_to_json,
     matunit,
     mequal,
     mmul,
@@ -152,6 +152,7 @@ def test_weight_table():
 def test_verify_subgroups_passes():
     rep = verify_subgroups()
     assert rep.passed, rep.failures()
+    assert any("one-parameter law" in label for label, _ in rep.checks)
 
 
 def test_mod_p_report():
@@ -160,6 +161,9 @@ def test_mod_p_report():
     labels = dict(rep.checks)
     assert labels["characteristic 2 stabilizes the central line"]
     assert labels["odd characteristics move the central line"]
+    rep = verify_mod_p(primes=(3, 11), samples=(1, 2))
+    assert rep.passed, rep.failures()
+    assert any("mod 3" in label for label, _ in rep.checks)
 
 
 def test_stabilizers():
@@ -179,15 +183,7 @@ def test_gram_matrix_layout():
     assert INDEX_ORDER == (1, 2, 3, 0, -3, -2, -1)
 
 
-def test_matrix_json():
-    js = mat_to_json(root_subgroup(A2, XI))
-    assert len(js) == 7 and len(js[0]) == 7
-
-
-def test_verify_group_relations_combined():
-    from g2bwb.chevalley import verify_group_relations
-    rep = verify_group_relations(samples=(1, 2), primes=(3, 11))
-    assert rep.passed, rep.failures()
-    labels = [l for l, _ in rep.checks]
-    assert any("mod 3" in l for l in labels)
-    assert any("one-parameter law" in l for l in labels)
+def test_coroot_diagonal_check_raises(monkeypatch):
+    monkeypatch.setattr(chevalley, "coroot", lambda i: root_subgroup(A2, XI))
+    with pytest.raises(ArithmeticError):
+        coroot_diagonal_exponents(1)

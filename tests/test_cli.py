@@ -145,6 +145,12 @@ def test_all_report_jsons_roundtrip(capsys):
     ["ext", "E(e)", "E(e)", "--p", "0"],
     ["report", "rank", "--p", "-3"],
     ["report", "rank", "--p", "4"],
+    # primes below cli.MIN_P
+    ["report", "frobenius", "--p", "5"],
+    ["report", "collection", "--p", "3"],
+    ["report", "rank", "--p", "5"],
+    ["modchar", "--p", "2", "--w", "e"],
+    ["bott", "3", "-2", "--p", "5"],
 ])
 def test_non_prime_p_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -184,7 +190,9 @@ def _raiser(exc):
     ("frobenius_report", ["report", "frobenius"],
      AmbiguousTable("a required splitting vanishing is not certified"), EXIT_AMBIGUOUS),
     ("ext_table", ["ext", "E(e)", "E(e)"], Undecided(ZERO, 11, {}), EXIT_AMBIGUOUS),
-], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided"])
+    ("chevalley_verify", ["report", "chevalley"],
+     ArithmeticError("coroot is not diagonal"), EXIT_FAILED),
+], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided", "ArithmeticError"])
 def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, expected):
     monkeypatch.setattr(cli, target, _raiser(exc))
     code = main(argv)

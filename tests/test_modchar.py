@@ -8,15 +8,18 @@ from g2bwb.charring import (
     weyl_character,
 )
 from g2bwb.cohomology import linked, lowest_alcove
+from g2bwb import modchar
+from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report
 from g2bwb.modchar import (
     CharacterOracle,
-    SimpleLabel,
     Undecided,
-    _socle_modules,
+    _socle,
     _weighted_dims,
     euler_character,
     jantzen_sum,
+    rank_identity_check,
     resolved_oracle,
+    restricted_weight,
     simple_character,
     verma_character,
     weyl_dim,
@@ -105,9 +108,8 @@ def test_oracle_choice_resolution():
 
 
 def test_simple_label():
-    lbl = SimpleLabel(weyl.from_word("s2"), 11)
-    assert lbl.restricted_weight == Weight(3, 9)
-    lam0 = lbl.restricted_weight
+    lam0 = restricted_weight(weyl.from_word("s2"), 11)
+    assert lam0 == Weight(3, 9)
     assert 0 <= lam0.a < 11 and 0 <= lam0.b < 11
 
 
@@ -120,14 +122,36 @@ def test_verma_character_mass_and_support():
 
 
 def test_socle_dimension_vectors():
-    socles = _socle_modules(ParabolicId.SHORT)
-    dims = {str(w): sum(m.dimension() for m in mods) for w, mods in socles.items()}
+    dims = {str(w): rank for w, rank, _ in _socle(ParabolicId.SHORT)}
     assert dims == {"e": 10, "s2": 1, "s1s2": 6, "s2s1s2": 2,
                     "s1s2s1s2": 6, "s2s1s2s1s2": 1}
-    socles_l = _socle_modules(ParabolicId.LONG)
-    dims_l = {str(w): sum(m.dimension() for m in mods) for w, mods in socles_l.items()}
+    dims_l = {str(w): rank for w, rank, _ in _socle(ParabolicId.LONG)}
     assert dims_l == {"e": 3, "s1": 2, "s2s1": 1, "s1s2s1": 4,
                       "s2s1s2s1": 1, "s1s2s1s2s1": 2}
+
+
+def test_frobenius_table_labels_are_the_coset_representatives():
+    for par in ParabolicId:
+        words = {w for _, ws in FROBENIUS_SUMMANDS[par] for w in ws}
+        assert {weyl.from_word(w) for w in words} == set(weyl.minimal_reps(par))
+
+
+def test_frobenius_report_and_rank_identity_share_one_table():
+    # the summands the report prints, weighted by the dimensions the identity
+    # computes, fill the rank-p^5 pushforward exactly
+    p = 7
+    for par in ParabolicId:
+        dims = rank_identity_check(p, par).dims
+        total = sum(s.rank * dims[label[2:-1]]
+                    for s in frobenius_report(par, p).summands
+                    for label in s.multiplicity_labels)
+        assert total == p ** 5
+
+
+def test_weyl_dim_check_raises(monkeypatch):
+    monkeypatch.setattr(modchar, "RHO", Weight(2, 2))  # the quotient is 22680/7680
+    with pytest.raises(ArithmeticError):
+        weyl_dim(W1)
 
 
 def test_euler_character_signs():

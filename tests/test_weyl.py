@@ -1,5 +1,15 @@
-from g2bwb.rootdata import RHO, W2, ZERO, ParabolicId, Weight
+from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W2, ZERO, ParabolicId, Weight, root_coords
 from g2bwb import weyl
+
+
+def length_by_inversions(w: weyl.WeylElement) -> int:
+    """Number of positive roots sent to negative ones; equals word length."""
+    count = 0
+    for alpha in POSITIVE_ROOTS:
+        c1, c2 = root_coords(weyl.act(w, alpha.weight))
+        if c1 < 0 or c2 < 0:
+            count += 1
+    return count
 
 
 def test_group_order_and_longest():
@@ -32,7 +42,7 @@ def test_dot_is_group_action():
 
 def test_length_equals_inversions():
     for w in weyl.ALL_ELEMENTS:
-        assert weyl.length_by_inversions(w) == w.length
+        assert length_by_inversions(w) == w.length
 
 
 def _bruhat_recursive(x: weyl.WeylElement, y: weyl.WeylElement) -> bool:
