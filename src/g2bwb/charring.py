@@ -21,6 +21,8 @@ from functools import lru_cache
 from .rootdata import (
     POSITIVE_ROOTS,
     RHO,
+    W1,
+    W2,
     ZERO,
     ParabolicId,
     Weight,
@@ -104,16 +106,6 @@ class Character:
     def coeff(self, lam: Weight) -> int:
         return self.mult.get(lam, 0)
 
-    def is_w_invariant(self) -> bool:
-        """Invariance under both simple reflections, in closed form: the
-        matrices weyl._S1 and weyl._S2 send (a, b) to (-a, a + b) and to
-        (a + 3b, -b).  A plain tuple looks up the equal Weight key."""
-        get = self.mult.get
-        for (a, b), v in self.mult.items():
-            if get((-a, a + b), 0) != v or get((a + 3 * b, -b), 0) != v:
-                return False
-        return True
-
     def support_max(self) -> Weight:
         """A dominance-maximal support weight, ties broken lexicographically.
 
@@ -163,41 +155,34 @@ def _dominant_cone(lam: Weight) -> list[Weight]:
 
 @lru_cache(maxsize=None)
 def weyl_character(lam: Weight) -> Character:
-    """Character of the costandard module with highest weight lam (Freudenthal)."""
+    """Character of the costandard module with highest weight lam (Freudenthal).
+
+    Each dominant multiplicity is spread over its W-orbit as soon as it is
+    known, so the recursion reads the weights mu + k alpha above mu directly:
+    their dominant conjugates lie strictly higher and come earlier in the cone."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    dom = _dominant_cone(lam)
-    mults: dict[Weight, int] = {lam: 1}
     clam = inner(lam + RHO, lam + RHO)
-
-    def mult_of(nu: Weight) -> int:
-        return mults.get(weyl.dominant_conjugate(nu), 0)
-
-    for mu in dom:
-        if mu == lam:
-            continue
-        num = 0
-        for alpha in POSITIVE_ROOTS:
-            k = 1
-            while True:
-                m = mult_of(mu + alpha.weight.scaled(k))
-                if m == 0:
-                    break
-                num += 2 * m * inner(mu + alpha.weight.scaled(k), alpha.weight)
-                k += 1
-        den = clam - inner(mu + RHO, mu + RHO)
-        if den <= 0 or num % den:
-            raise ArithmeticError(f"Freudenthal step at {mu} below {lam}: {num}/{den}")
-        mults[mu] = num // den
-
+    # each positive root (ra, rb) with its inner product (a, b) -> pa*a + pb*b
+    roots = [(*alpha.weight, inner(W1, alpha.weight), inner(W2, alpha.weight))
+             for alpha in POSITIVE_ROOTS]
     total: dict[Weight, int] = {}
-    for mu, m in mults.items():
-        seen = set()
+    get = total.get
+    for mu in _dominant_cone(lam):
+        m = 1
+        if mu != lam:
+            num = 0
+            for ra, rb, pa, pb in roots:
+                a, b = mu.a + ra, mu.b + rb
+                while k := get((a, b), 0):
+                    num += 2 * k * (pa * a + pb * b)
+                    a, b = a + ra, b + rb
+            den = clam - inner(mu + RHO, mu + RHO)
+            if den <= 0 or num % den:
+                raise ArithmeticError(f"Freudenthal step at {mu} below {lam}: {num}/{den}")
+            m = num // den
         for w in weyl.ALL_ELEMENTS:
-            nu = weyl.act(w, mu)
-            if nu not in seen:
-                seen.add(nu)
-                total[nu] = m
+            total.setdefault(weyl.act(w, mu), m)
     return Character(total)
 
 

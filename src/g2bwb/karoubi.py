@@ -204,16 +204,6 @@ def _string_line_rules(kb: KnowledgeBase) -> None:
             kb.rules.append(ImplRule(f"pull{lam}", line_class(lam), pstring_class(par, lam)))
 
 
-def add_tensor_rules(kb: KnowledgeBase, generator: Weight, target: ClassId) -> None:
-    """Rules for tensoring a known line class by the G-module of the given
-    fundamental highest weight; the target class must already be a member."""
-    if target not in kb.known:
-        raise ValueError(f"target class {class_str(target)} is not known")
-    if target[0] != "line":
-        raise ValueError("tensor rules act on line classes")
-    _add_tensor_rules(kb, generator, target[1])
-
-
 def _add_tensor_rules(kb: KnowledgeBase, generator: Weight, nu: Weight) -> None:
     if generator not in (W1, W2):
         raise ValueError("generator must be one of the two fundamental modules")

@@ -2,31 +2,31 @@
 simple characters for the restricted weights the pushforward bookkeeping
 needs.
 
-``simple_character`` peels composition factors off a costandard character in
-descending dominance order.  The sum formula alone decides a multiplicity
-whenever the factor appears exactly once across the Jantzen layers; a factor
-counted m >= 2 times may sit in the radical with any multiplicity from 1 to
-m, and that situation is surfaced as an ``Undecided`` exception naming the
-choice point, never guessed.
+Simple characters are kept in the Weyl-character basis, each as its
+unitriangular row: a ``Character`` over dominant weights nu that holds the
+coefficient of nabla(nu).  The Jantzen sum arrives in that basis, since the
+Euler characteristic of a weight is a signed nabla (``bott_line``), and
+``radical_counts`` peels composition factors off it in descending dominance
+order over the few dominant weights of a linkage class.  A factor counted
+once across the layers is decided; one counted m >= 2 times may sit in the
+radical with any multiplicity from 1 to m, and that is surfaced as an
+``Undecided`` exception naming the choice point, never guessed.  Steinberg
+products go through Brauer-Klimyk, and a row becomes a torus character only
+where one is read.
 
-``rank_identity_check`` confronts the characters with the torus character
-of the parabolic Verma module of the Frobenius kernel, a product of
-geometric series over the positive roots outside the Levi of total
-dimension p^5.  When the sum formula leaves choice points open, the check
-enumerates every admissible assignment, keeps those whose characters stay
-nonnegative and which satisfy the identity coefficient by coefficient, and
-passes only if exactly one assignment survives; the identities of both
-parabolics must select the same assignment.
-
-The left-hand side of the identity pairs each L(w) with the summands of F_*O
-whose multiplicity space holds it.  Those pairs come from
-``extcollection.FROBENIUS_SUMMANDS``, the one decomposition table that the
-Frobenius report prints, so the identity certifies the printed table.
+``rank_identity_check`` confronts the characters with the torus character of
+the parabolic Verma module of the Frobenius kernel, of total dimension p^5.
+When the sum formula leaves choice points open, every admissible assignment
+is enumerated, and the check passes only if exactly one keeps every
+character nonnegative and satisfies both parabolic identities coefficient by
+coefficient.  The left-hand side pairs each L(w) with the summands of F_*O
+whose multiplicity space holds it, read from
+``extcollection.FROBENIUS_SUMMANDS``, the table the Frobenius report prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
@@ -36,12 +36,12 @@ from .extcollection import FROBENIUS_SUMMANDS, object_by_name
 from . import weyl
 
 
+@lru_cache(maxsize=None)
 def weyl_dim(lam: Weight) -> int:
     """Dimension of the costandard module, by the product formula."""
     if not lam.is_dominant():
         raise ValueError(f"weight must be dominant, got {lam}")
-    num = 1
-    den = 1
+    num = den = 1
     x = lam + RHO
     for alpha in POSITIVE_ROOTS:
         num *= alpha.pair(x)
@@ -51,37 +51,56 @@ def weyl_dim(lam: Weight) -> int:
     return num // den
 
 
+def _add_euler(row: dict[Weight, int], mu: Weight, c: int) -> None:
+    """row += c * chi(mu), where the Euler characteristic chi(mu) of an
+    arbitrary weight is a signed costandard character or zero."""
+    r = bott_line(mu)
+    if not r.vanishes:
+        row[r.weight] = row.get(r.weight, 0) + (-1) ** r.degree * c
+
+
+def _expand(row: Character) -> Character:
+    """Torus character of a combination of costandard characters."""
+    out = Character()
+    for nu, c in row.mult.items():
+        out.isub_scaled(weyl_character(nu), -c)
+    return out
+
+
 def euler_character(mu: Weight) -> Character:
     """Weyl-Euler characteristic of an arbitrary weight, as a virtual character."""
-    r = bott_line(mu)
-    if r.vanishes:
-        return Character()
-    return weyl_character(r.weight).scaled((-1) ** r.degree)
+    row: dict[Weight, int] = {}
+    _add_euler(row, mu, 1)
+    return _expand(Character(row))
 
 
-def _padic_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+@lru_cache(maxsize=None)
+def _dominant_part(nu: Weight) -> tuple[tuple[Weight, int], ...]:
+    """The dominant weights of nabla(nu) with their multiplicities."""
+    return tuple((mu, m) for mu, m in weyl_character(nu).mult.items() if mu.is_dominant())
+
+
+@lru_cache(maxsize=None)
+def _jantzen_row(lam: Weight, p: int) -> Character:
+    """Sum of the Jantzen layers below the top, in the costandard basis."""
+    if not lam.is_dominant():
+        raise ValueError(f"weight must be dominant, got {lam}")
+    row: dict[Weight, int] = {}
+    x = lam + RHO
+    for alpha in POSITIVE_ROOTS:
+        top = alpha.pair(x)
+        q = p  # the reflection at n < top counts v_p(n) times: once per power of p dividing n
+        while q < top:
+            for n in range(q, top, q):
+                _add_euler(row, lam - alpha.weight.scaled(top - n), 1)
+            q *= p
+    return Character(row)
 
 
 @lru_cache(maxsize=None)
 def jantzen_sum(lam: Weight, p: int) -> Character:
     """Sum of the characters of the Jantzen layers below the top."""
-    if not lam.is_dominant():
-        raise ValueError(f"weight must be dominant, got {lam}")
-    out = Character()
-    x = lam + RHO
-    for alpha in POSITIVE_ROOTS:
-        top = alpha.pair(x)
-        m = 1
-        while m * p < top:
-            mu = lam - alpha.weight.scaled(top - m * p)
-            out = out + euler_character(mu).scaled(_padic_valuation(m * p, p))
-            m += 1
-    return out
+    return _expand(_jantzen_row(lam, p))
 
 
 class Undecided(Exception):
@@ -112,7 +131,8 @@ class CharacterOracle:
     ``choices[(lam, mu)] = a`` fixes the radical multiplicity of the factor
     at mu inside the costandard module at lam when the sum formula counts it
     more than once.  With no choices supplied the oracle raises Undecided at
-    the first open point.
+    the first open point.  ``seed_cache`` holds costandard rows computed
+    under a subset of the present choices; they stay valid.
     """
 
     def __init__(self, p: int, choices: dict[tuple[Weight, Weight], int] | None = None,
@@ -121,56 +141,67 @@ class CharacterOracle:
             raise ValueError("p must be a prime at least 2")
         self.p = p
         self.choices = dict(choices or {})
-        # entries computed under a subset of the present choices stay valid
-        self._cache: dict[Weight, Character] = dict(seed_cache or {})
+        self._rows: dict[Weight, Character] = dict(seed_cache or {})
+        self._torus: dict[Weight, Character] = {}
 
     def radical_counts(self, lam: Weight) -> dict[Weight, int]:
         """Composition multiplicities of the radical of the costandard module."""
-        rem = Character(jantzen_sum(lam, self.p).mult)
+        rem = Character(_jantzen_row(lam, self.p).mult)
         counts: dict[Weight, int] = {}
         while rem:
             mu = rem.support_max()
-            if not mu.is_dominant():
-                raise AssertionError(f"Jantzen layers of {lam} are not a character")
             c = rem.coeff(mu)
             if c <= 0:
-                raise AssertionError(f"negative layer count at {mu} below {lam}")
+                raise ArithmeticError(f"negative layer count at {mu} below {lam}")
             counts[mu] = c
-            rem.isub_scaled(self.simple(mu), c)
+            rem.isub_scaled(self._row(mu), c)
         resolved: dict[Weight, int] = {}
         for mu, c in counts.items():
-            if c == 1:
-                resolved[mu] = 1
-            else:
-                key = (lam, mu)
-                if key not in self.choices:
-                    raise Undecided(lam, self.p, counts, key)
-                a = self.choices[key]
-                if not 1 <= a <= c:
-                    raise InconsistentChoice(f"choice {a} for {key} outside [1,{c}]")
-                resolved[mu] = a
+            a = 1 if c == 1 else self.choices.get((lam, mu))
+            if a is None:
+                raise Undecided(lam, self.p, counts, (lam, mu))
+            if not 1 <= a <= c:
+                raise InconsistentChoice(f"choice {a} for {(lam, mu)} outside [1,{c}]")
+            resolved[mu] = a
         return resolved
 
-    def simple(self, lam: Weight) -> Character:
-        if lam in self._cache:
-            return self._cache[lam]
+    def _row(self, lam: Weight) -> Character:
+        """The simple character at lam in the costandard basis."""
+        if lam in self._rows:
+            return self._rows[lam]
         if not lam.is_dominant():
             raise ValueError(f"weight must be dominant, got {lam}")
         lam0, lam1 = restricted_split(lam, self.p)
-        if lam1 != ZERO:
-            out = self.simple(lam0).tensor(self.simple(lam1).stretch(self.p))
-        elif lowest_alcove(lam, self.p):
-            out = weyl_character(lam)
-        else:
-            out = Character(weyl_character(lam).mult)  # a copy: the cached one stays intact
+        out = Character.line(lam)
+        if lam1 != ZERO:  # Brauer-Klimyk: nabla(nu) L(lam1)^[p] = sum m(kappa) chi(nu + p kappa)
+            row0, twist = self._row(lam0), self.simple(lam1)
+            acc: dict[Weight, int] = {}
+            for nu, c in row0.mult.items():
+                for kappa, m in twist.mult.items():
+                    _add_euler(acc, nu + kappa.scaled(self.p), c * m)
+            out = Character(acc)
+        elif not lowest_alcove(lam, self.p):
             for mu, a in self.radical_counts(lam).items():
-                out.isub_scaled(self.simple(mu), a)
-            if any(v < 0 for v in out.mult.values()):
+                out.isub_scaled(self._row(mu), a)
+            dominant: dict[Weight, int] = {}
+            for nu, c in out.mult.items():
+                for mu, m in _dominant_part(nu):
+                    dominant[mu] = dominant.get(mu, 0) + c * m
+            if any(v < 0 for v in dominant.values()):
                 raise InconsistentChoice(f"negative character at {lam}")
-            if out.coeff(lam) != 1 or not out.is_w_invariant():
+            if out.coeff(lam) != 1:
                 raise InconsistentChoice(f"malformed character at {lam}")
-        self._cache[lam] = out
+        self._rows[lam] = out
         return out
+
+    def _dim(self, lam: Weight) -> int:
+        return sum(c * weyl_dim(nu) for nu, c in self._row(lam).mult.items())
+
+    def simple(self, lam: Weight) -> Character:
+        """Torus character of the simple module at lam, expanded once."""
+        if lam not in self._torus:
+            self._torus[lam] = _expand(self._row(lam))
+        return self._torus[lam]
 
 
 def simple_character(lam: Weight, p: int = DEFAULT_P) -> Character:
@@ -218,7 +249,7 @@ def _weighted_dims(parabolic: ParabolicId, oracle: CharacterOracle
     weighted = 0
     dims: dict[str, int] = {}
     for w, rank, _ in _socle(parabolic):
-        d = oracle.simple(restricted_weight(w, oracle.p)).dimension()
+        d = oracle._dim(restricted_weight(w, oracle.p))
         weighted += d * rank
         dims[str(w)] = d
     return weighted, dims
@@ -258,20 +289,10 @@ class RankIdentityReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "parabolic": self.parabolic.name.lower(),
-            "p": self.p,
-            "dims": self.dims,
-            "weighted_sum": self.weighted_sum,
-            "expected": self.expected,
-            "dims_match": self.dims_match,
-            "character_match": self.character_match,
-            "zero_weight_match": self.zero_weight_match,
-            "decided_by": self.decided_by,
-            "choice_points": list(self.choice_points),
-            "surviving_assignments": self.surviving_assignments,
-            "passed": self.passed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(parabolic=self.parabolic.name.lower(),
+                   choice_points=list(self.choice_points), passed=self.passed)
+        return out
 
     def to_text(self) -> str:
         lines = [f"rank identity at p={self.p} ({self.parabolic.name.lower()} root):"]
@@ -300,11 +321,8 @@ def _admissible_oracles(p: int, parabolics: tuple[ParabolicId, ...]):
             dims = [_weighted_dims(par, oracle) for par in parabolics]
         except Undecided as u:
             assert u.choice is not None
-            cmax = u.certificate[u.choice[1]]
-            for a in range(1, cmax + 1):
-                nxt = dict(choices)
-                nxt[u.choice] = a
-                stack.append((nxt, dict(oracle._cache)))
+            for a in range(1, u.certificate[u.choice[1]] + 1):
+                stack.append(({**choices, u.choice: a}, dict(oracle._rows)))
             continue
         except InconsistentChoice:
             continue
@@ -321,13 +339,8 @@ def _resolution(p: int) -> tuple[int, tuple[tuple[tuple[Weight, Weight], int], .
     for choices, oracle, dim_sides in _admissible_oracles(p, both):
         if any(w != expected for w, _ in dim_sides):
             continue  # the cheap dimension count already fails
-        ok = True
-        for par in both:
-            lhs, rhs = _identity_sides(par, oracle)
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
+        sides = (_identity_sides(par, oracle) for par in both)
+        if all(lhs == rhs for lhs, rhs in sides):
             survivors.append(choices)
     if len(survivors) == 1:
         return 1, tuple(sorted(survivors[0].items()))

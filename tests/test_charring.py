@@ -21,6 +21,7 @@ from g2bwb.charring import (
 )
 from g2bwb.modchar import weyl_dim
 from g2bwb import charring, weyl
+from test_properties import is_w_invariant
 
 SHORT = ParabolicId.SHORT
 LONG = ParabolicId.LONG
@@ -57,7 +58,7 @@ def test_weyl_character_dimension_formula_agreement():
 
 def test_weyl_character_w_invariant():
     for lam in (W1, W2, RHO, Weight(2, 1)):
-        assert weyl_character(lam).is_w_invariant()
+        assert is_w_invariant(weyl_character(lam))
 
 
 def test_tensor_adjoint_times_vector():

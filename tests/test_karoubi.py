@@ -7,7 +7,7 @@ from g2bwb import karoubi
 from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1
 from g2bwb.karoubi import (
     KnowledgeBase,
-    add_tensor_rules,
+    _add_tensor_rules,
     close,
     line_class,
     pstring_class,
@@ -55,14 +55,12 @@ def test_closure_derives_first_consequences():
 def test_tensor_rule_parts():
     kb = KnowledgeBase(SHORT, 8, 8)
     kb.learn(line_class(Weight(0, -1)), "seed", ())
-    add_tensor_rules(kb, W1, line_class(Weight(0, -1)))
+    _add_tensor_rules(kb, W1, Weight(0, -1))
     labels = {r.rule_id for r in kb.rules}
     assert any(rid.startswith("strfilt") for rid in labels)
     assert any(rid.startswith("wtfilt") for rid in labels)
     with pytest.raises(ValueError):
-        add_tensor_rules(kb, Weight(2, 0), line_class(Weight(0, -1)))
-    with pytest.raises(ValueError):
-        add_tensor_rules(kb, W1, line_class(Weight(5, 5)))  # not known
+        _add_tensor_rules(kb, Weight(2, 0), Weight(0, -1))
 
 
 def test_closure_monotone_idempotent():
@@ -134,7 +132,7 @@ def test_seed_copies_are_independent():
     assert kb1.skipped is not kb2.skipped
     assert kb1.known is not kb2.known
     n_rules, n_skipped = len(kb2.rules), len(kb2.skipped)
-    add_tensor_rules(kb1, W1, line_class(ZERO))
+    _add_tensor_rules(kb1, W1, ZERO)
     kb1.skipped.append("extra note")
     assert len(kb1.rules) > n_rules
     kb3 = seed(SHORT, 10, 8)

@@ -1,6 +1,6 @@
 import pytest
 
-from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
+from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight, restricted_split
 from g2bwb.charring import (
     Character,
     decompose_costandard,
@@ -8,11 +8,13 @@ from g2bwb.charring import (
     weyl_character,
 )
 from g2bwb.cohomology import linked, lowest_alcove
-from g2bwb import modchar
+from g2bwb import cli, modchar
 from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report
 from g2bwb.modchar import (
     CharacterOracle,
+    InconsistentChoice,
     Undecided,
+    _resolution,
     _socle,
     _weighted_dims,
     euler_character,
@@ -25,6 +27,7 @@ from g2bwb.modchar import (
     weyl_dim,
 )
 from g2bwb import weyl
+from test_properties import is_w_invariant
 
 
 def test_weyl_dim_examples():
@@ -102,7 +105,6 @@ def test_oracle_choice_resolution():
     assert all(v >= 0 for v in ch.mult.values())
     assert ch.coeff(Weight(3, 7)) == 1
     bad = CharacterOracle(11, {(Weight(3, 7), Weight(6, 2)): 5})
-    from g2bwb.modchar import InconsistentChoice
     with pytest.raises(InconsistentChoice):
         bad.simple(Weight(3, 7))
 
@@ -149,9 +151,92 @@ def test_frobenius_report_and_rank_identity_share_one_table():
 
 
 def test_weyl_dim_check_raises(monkeypatch):
+    weyl_dim.cache_clear()  # a cached dimension would skip the check
     monkeypatch.setattr(modchar, "RHO", Weight(2, 2))  # the quotient is 22680/7680
     with pytest.raises(ArithmeticError):
         weyl_dim(W1)
+
+
+def test_layer_count_check_raises(monkeypatch, capsys):
+    # a nonpositive count on top of the Jantzen layers is no sum of layers
+    monkeypatch.setattr(modchar, "_jantzen_row", lambda lam, p: Character.line(ZERO, -1))
+    with pytest.raises(ArithmeticError):
+        CharacterOracle(7).radical_counts(Weight(4, 4))
+    assert cli.main(["report", "rank", "--p", "7"]) == cli.EXIT_FAILED
+    assert "negative layer count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_resolved_choice_points_follow_the_alcove_pattern(p):
+    # the same seven pairs in alcove coordinates at every p, each of
+    # multiplicity 1, as translation and Lusztig's conjecture predict; not a
+    # theorem for every p, so it is checked here and never used as a shortcut
+    count, frozen = _resolution(p)
+    assert count == 1
+    pairs = [((3, p - 4), (p - 5, 2)), ((3, p - 2), (p - 6, 2)), ((3, p - 2), (p - 5, 0)),
+             ((4, p - 4), (p - 6, 2)), ((4, p - 4), (p - 2, 1)), ((4, p - 3), (p - 6, 1)),
+             ((4, p - 3), (p - 5, 2))]
+    assert dict(frozen) == {(Weight(*lam), Weight(*mu)): 1 for lam, mu in pairs}
+
+
+class TorusPeeling:
+    """Reference oracle: the peeling that the costandard rows replaced.
+    Every character is a torus Character, the Jantzen layers are peeled
+    weight by weight, and Steinberg products are plain convolutions."""
+
+    def __init__(self, p, choices):
+        self.p, self.choices, self.cache = p, choices, {}
+
+    def radical_counts(self, lam):
+        rem = Character(jantzen_sum(lam, self.p).mult)
+        counts = {}
+        while rem:
+            mu = rem.support_max()
+            assert mu.is_dominant() and rem.coeff(mu) > 0
+            counts[mu] = rem.coeff(mu)
+            rem.isub_scaled(self.simple(mu), counts[mu])
+        return {mu: 1 if c == 1 else self.choices[(lam, mu)] for mu, c in counts.items()}
+
+    def simple(self, lam):
+        if lam not in self.cache:
+            lam0, lam1 = restricted_split(lam, self.p)
+            if lam1 != ZERO:
+                out = self.simple(lam0).tensor(self.simple(lam1).stretch(self.p))
+            elif lowest_alcove(lam, self.p):
+                out = weyl_character(lam)
+            else:
+                out = Character(weyl_character(lam).mult)
+                for mu, a in self.radical_counts(lam).items():
+                    out.isub_scaled(self.simple(mu), a)
+            self.cache[lam] = out
+        return self.cache[lam]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_rows_match_torus_peeling_reference(p):
+    oracle, _, _ = resolved_oracle(p)
+    for par in ParabolicId:
+        _weighted_dims(par, oracle)
+    # Steinberg products whose restricted factor is no nabla and whose
+    # twisted factor has a weight of multiplicity 2
+    for lam1 in (W2, RHO):
+        oracle.simple(Weight(p - 5, 2) + lam1.scaled(p))
+    reference = TorusPeeling(p, oracle.choices)
+    assert len(oracle._rows) > 10
+    for lam in oracle._rows:
+        ch = reference.simple(lam)
+        assert oracle.simple(lam) == ch, lam
+        assert is_w_invariant(ch), lam
+
+
+def test_nonnegativity_check_matches_torus_reference():
+    # multiplicity 2 at four open points of p = 7 over-subtracts at (4,3)
+    lam = Weight(4, 3)
+    choices = {(Weight(3, 3), Weight(2, 2)): 2, (lam, Weight(5, 1)): 2,
+               (lam, Weight(2, 2)): 2, (lam, Weight(1, 2)): 2}
+    with pytest.raises(InconsistentChoice, match="negative character"):
+        CharacterOracle(7, choices).simple(lam)
+    assert min(TorusPeeling(7, choices).simple(lam).mult.values()) < 0
 
 
 def test_euler_character_signs():
