@@ -186,10 +186,6 @@ def weyl_character(lam: Weight) -> Character:
     return Character(total)
 
 
-def tensor(x: Character, y: Character) -> Character:
-    return x.tensor(y)
-
-
 def exterior_power(x: Character, k: int) -> Character:
     """k-th exterior power of a genuine (nonnegative) character."""
     if k < 0:

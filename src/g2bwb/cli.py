@@ -15,7 +15,7 @@ import os
 import sys
 
 from .rootdata import ParabolicId, Weight
-from .charring import restrict_to_P, tensor, weyl_character, decompose_costandard
+from .charring import restrict_to_P, weyl_character, decompose_costandard
 from .cohomology import DEFAULT_P, EulerMismatch, bott_line
 from .extcollection import (
     AmbiguousTable,
@@ -111,7 +111,7 @@ def _cmd_ext(args) -> int:
 def _cmd_tensor(args) -> int:
     x = weyl_character(Weight(args.a, args.b))
     y = weyl_character(Weight(args.c, args.d))
-    factors = decompose_costandard(tensor(x, y))
+    factors = decompose_costandard(x.tensor(y))
     text = " + ".join(
         (f"nabla({w.a},{w.b})" if m == 1 else f"{m}*nabla({w.a},{w.b})")
         for w, m in factors

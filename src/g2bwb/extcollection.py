@@ -204,25 +204,15 @@ class ExtEngine:
     # says where the piece's own cohomological degree d lands in the table
     # of the presented object (at degree d + placement).
 
-    def _pieces_first(self, X: SheafObject):
-        yield [(X.filtration, 0, X)]
-        for tt in X.two_terms:
-            if tt.kind == "kernel":
-                # triangle X -> T -> Q: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i+1}(Q,-)
-                yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, -1, None)]
-            else:
-                # triangle S -> T -> X: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i-1}(S,-)
-                yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, +1, None)]
-
-    def _pieces_second(self, Y: SheafObject):
-        yield [(Y.filtration, 0, Y)]
-        for tt in Y.two_terms:
-            if tt.kind == "kernel":
-                # triangle Y -> T -> Q: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i-1}(-,Q)
-                yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, +1, None)]
-            else:
-                # triangle S -> T -> Y: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i+1}(-,S)
-                yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, -1, None)]
+    def _pieces(self, obj: SheafObject, first: bool):
+        yield [(obj.filtration, 0, obj)]
+        for tt in obj.two_terms:
+            # first, kernel:   X -> T -> Q: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i+1}(Q,-)
+            # first, cokernel: S -> T -> X: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i-1}(S,-)
+            # second, kernel:   Y -> T -> Q: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i-1}(-,Q)
+            # second, cokernel: S -> T -> Y: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i+1}(-,S)
+            placement = -1 if (tt.kind == "kernel") == first else +1
+            yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, placement, None)]
 
     # -- route assembly ------------------------------------------------------
 
@@ -250,6 +240,12 @@ class ExtEngine:
                 for fw, fm in costandard_factors(*gweights, w):
                     deg.setdefault(d + shift, Counter())[fw] += fm
 
+    def _side(self, content, obj: SheafObject | None) -> SheafObject:
+        """The object a piece stands for: a G-piece's twist line, or a filtration's."""
+        if isinstance(content, GPiece):
+            return _line_object(self.parabolic, content.twist)
+        return obj if obj is not None else _anon(self.parabolic, content.atoms)
+
     def _route_product(self, px, py, caveats: list[str]) -> Bound:
         deg: Degrees = {}
         plain = (
@@ -258,23 +254,12 @@ class ExtEngine:
         )
         for cx, plx, objx in px:
             for cy, ply, objy in py:
-                shift = plx + ply
-                if isinstance(cx, GPiece) and isinstance(cy, GPiece):
-                    sub = self.cell(
-                        _line_object(self.parabolic, cx.twist),
-                        _line_object(self.parabolic, cy.twist),
-                    )
-                    self._tensor_into(deg, sub, (cx.gweight, cy.gweight), shift)
-                elif isinstance(cx, GPiece):
-                    target = objy if objy is not None else _anon(self.parabolic, cy.atoms)
-                    sub = self.cell(_line_object(self.parabolic, cx.twist), target)
-                    self._tensor_into(deg, sub, (cx.gweight,), shift)
-                elif isinstance(cy, GPiece):
-                    source = objx if objx is not None else _anon(self.parabolic, cx.atoms)
-                    sub = self.cell(source, _line_object(self.parabolic, cy.twist))
-                    self._tensor_into(deg, sub, (cy.gweight,), shift)
+                gweights = tuple(c.gweight for c in (cx, cy) if isinstance(c, GPiece))
+                if gweights:
+                    sub = self.cell(self._side(cx, objx), self._side(cy, objy))
+                    self._tensor_into(deg, sub, gweights, plx + ply)
                 else:
-                    self._direct_into(deg, caveats, cx, cy, shift)
+                    self._direct_into(deg, caveats, cx, cy, plx + ply)
         return Bound(deg, plain and not linkage_collision(deg, self.p))
 
     def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> Bound:
@@ -310,8 +295,8 @@ class ExtEngine:
             return self._memo[key]
         caveats: list[str] = []
         routes: list[Bound] = []
-        for px in self._pieces_first(X):
-            for py in self._pieces_second(Y):
+        for px in self._pieces(X, first=True):
+            for py in self._pieces(Y, first=False):
                 routes.append(self._route_product(px, py, caveats))
         if len(X.filtration.atoms) > 1:
             routes.append(self._route_split(X, Y, first=True))
@@ -614,7 +599,6 @@ def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusRep
 
     checks: list[tuple[str, str, bool]] = []
     if parabolic is ParabolicId.SHORT:
-        assert m_obj is not None
         for w in weyl.minimal_reps(parabolic):
             o = coll[w]
             if w.length >= 3:

@@ -16,10 +16,12 @@ where one is read.
 
 ``rank_identity_check`` confronts the characters with the torus character of
 the parabolic Verma module of the Frobenius kernel, of total dimension p^5.
-When the sum formula leaves choice points open, every admissible assignment
-is enumerated, and the check passes only if exactly one keeps every
-character nonnegative and satisfies both parabolic identities coefficient by
-coefficient.  The left-hand side pairs each L(w) with the summands of F_*O
+``_resolution`` runs one depth-first search from the sum-formula oracle: an
+open choice point forks a branch once per admissible multiplicity, a branch
+with a negative character is pruned, and an oracle survives when both
+parabolic identities hold coefficient by coefficient.  The check passes only
+if exactly one survives, and every caller reads that survivor and its rows.
+The left-hand side pairs each L(w) with the summands of F_*O
 whose multiplicity space holds it, read from
 ``extcollection.FROBENIUS_SUMMANDS``, the table the Frobenius report prints.
 """
@@ -132,7 +134,8 @@ class CharacterOracle:
     at mu inside the costandard module at lam when the sum formula counts it
     more than once.  With no choices supplied the oracle raises Undecided at
     the first open point.  ``seed_cache`` holds costandard rows computed
-    under a subset of the present choices; they stay valid.
+    under a subset of the present choices; they stay valid, so each branch of
+    the resolution search starts from its parent's rows.
     """
 
     def __init__(self, p: int, choices: dict[tuple[Weight, Weight], int] | None = None,
@@ -309,59 +312,47 @@ class RankIdentityReport:
         return "\n".join(lines)
 
 
-def _admissible_oracles(p: int, parabolics: tuple[ParabolicId, ...]):
-    """Depth-first enumeration of choice assignments whose characters stay
-    genuine; caches flow into child branches since entries computed under a
-    subset of the choices remain valid."""
-    stack: list[tuple[dict[tuple[Weight, Weight], int], dict[Weight, Character]]] = [({}, {})]
-    while stack:
-        choices, seed_cache = stack.pop()
-        oracle = CharacterOracle(p, choices, seed_cache)
-        try:
-            dims = [_weighted_dims(par, oracle) for par in parabolics]
-        except Undecided as u:
-            assert u.choice is not None
-            for a in range(1, u.certificate[u.choice[1]] + 1):
-                stack.append(({**choices, u.choice: a}, dict(oracle._rows)))
-            continue
-        except InconsistentChoice:
-            continue
-        yield choices, oracle, dims
-
-
 @lru_cache(maxsize=None)
-def _resolution(p: int) -> tuple[int, tuple[tuple[tuple[Weight, Weight], int], ...]]:
-    """Number of assignments satisfying both parabolic identities, and the
-    unique survivor when there is exactly one."""
+def _resolution(p: int) -> tuple[CharacterOracle, ...]:
+    """The oracles whose choice assignments satisfy both parabolic identities,
+    by the depth-first search the module docstring describes; the cheap
+    dimension count runs before the character identity."""
     expected = p ** 5
     both = (ParabolicId.SHORT, ParabolicId.LONG)
     survivors = []
-    for choices, oracle, dim_sides in _admissible_oracles(p, both):
-        if any(w != expected for w, _ in dim_sides):
+    stack = [CharacterOracle(p)]
+    while stack:
+        oracle = stack.pop()
+        try:
+            weighted = [_weighted_dims(par, oracle)[0] for par in both]
+        except Undecided as u:
+            for a in range(1, u.certificate[u.choice[1]] + 1):
+                stack.append(CharacterOracle(p, {**oracle.choices, u.choice: a}, oracle._rows))
+            continue
+        except InconsistentChoice:
+            continue
+        if any(w != expected for w in weighted):
             continue  # the cheap dimension count already fails
-        sides = (_identity_sides(par, oracle) for par in both)
-        if all(lhs == rhs for lhs, rhs in sides):
-            survivors.append(choices)
-    if len(survivors) == 1:
-        return 1, tuple(sorted(survivors[0].items()))
-    return len(survivors), ()
+        if all(lhs == rhs for lhs, rhs in (_identity_sides(par, oracle) for par in both)):
+            survivors.append(oracle)
+    return tuple(survivors)
+
+
+def _decision(oracle: CharacterOracle) -> tuple[str, tuple[str, ...]]:
+    """How a surviving oracle was decided, and the open multiplicities it pins."""
+    points = tuple(f"[nabla{lam}:L{mu}] = {a}" for (lam, mu), a in sorted(oracle.choices.items()))
+    return "identity_resolution" if points else "sum_formula", points
 
 
 def resolved_oracle(p: int = DEFAULT_P) -> tuple[CharacterOracle, str, tuple[str, ...]]:
-    """An oracle whose open multiplicities, if any, are pinned by the
-    rank-p^5 identities; also how it was decided and the resolved points."""
-    try:
-        oracle = CharacterOracle(p)
-        for par in (ParabolicId.SHORT, ParabolicId.LONG):
-            _weighted_dims(par, oracle)
-        return oracle, "sum_formula", ()
-    except Undecided:
-        pass
-    count, frozen = _resolution(p)
-    if count != 1:
+    """The unique oracle that satisfies the rank-p^5 identities, how it was
+    decided, and the open multiplicities it resolved.  The oracle is the
+    survivor ``_resolution`` caches and shares with every caller at p: read
+    it, never change its choices."""
+    survivors = _resolution(p)
+    if len(survivors) != 1:
         raise Undecided(ZERO, p, {}, None)
-    points = tuple(f"[nabla{lam}:L{mu}] = {a}" for (lam, mu), a in frozen)
-    return CharacterOracle(p, dict(frozen)), "identity_resolution", points
+    return (survivors[0], *_decision(survivors[0]))
 
 
 def rank_identity_check(p: int = DEFAULT_P,
@@ -370,18 +361,13 @@ def rank_identity_check(p: int = DEFAULT_P,
     torus-character identity, resolving sum-formula ambiguities through the
     identity itself when necessary."""
     expected = p ** 5
-    try:
-        oracle, decided_by, points = resolved_oracle(p)
-    except Undecided:
-        count, _ = _resolution(p)
+    survivors = _resolution(p)
+    if len(survivors) != 1:
         return RankIdentityReport(
             parabolic, p, {}, -1, expected, False, False, False,
-            "identity_resolution", (), count,
+            "identity_resolution", (), len(survivors),
         )
-    weighted, dims = _weighted_dims(parabolic, oracle)
-    lhs, rhs = _identity_sides(parabolic, oracle)
-    return RankIdentityReport(
-        parabolic, p, dims, weighted, expected,
-        weighted == expected, lhs == rhs, lhs.coeff(ZERO) == rhs.coeff(ZERO),
-        decided_by, points, 1,
-    )
+    # the search kept the survivor only because both identities hold for it
+    weighted, dims = _weighted_dims(parabolic, survivors[0])
+    return RankIdentityReport(parabolic, p, dims, weighted, expected, True, True, True,
+                              *_decision(survivors[0]), 1)

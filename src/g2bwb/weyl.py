@@ -89,8 +89,8 @@ S1 = _BY_MATRIX[_S1]
 S2 = _BY_MATRIX[_S2]
 LONGEST = max(ALL_ELEMENTS, key=lambda w: w.length)
 
-assert len(ALL_ELEMENTS) == 12
-assert LONGEST.length == 6 and LONGEST.matrix == (-1, 0, 0, -1)
+if len(ALL_ELEMENTS) != 12 or LONGEST.length != 6 or LONGEST.matrix != (-1, 0, 0, -1):
+    raise ArithmeticError("the G2 Weyl group must have 12 elements and longest element -1")
 
 
 def from_word(word: tuple[int, ...] | list[int] | str) -> WeylElement:
@@ -159,7 +159,8 @@ def minimal_reps(parabolic: ParabolicId) -> tuple[WeylElement, ...]:
     alpha = parabolic.simple_root.weight
     reps = [w for w in ALL_ELEMENTS if is_positive_root_weight(act(w, alpha))]
     reps.sort(key=lambda w: (w.length, w.word))
-    assert len(reps) == 6
+    if len(reps) != 6:
+        raise ArithmeticError(f"{len(reps)} minimal coset representatives, expected 6")
     return tuple(reps)
 
 

@@ -16,7 +16,6 @@ from g2bwb.charring import (
     module,
     pstring_character,
     restrict_to_P,
-    tensor,
     weyl_character,
 )
 from g2bwb.modchar import weyl_dim
@@ -63,7 +62,7 @@ def test_weyl_character_w_invariant():
 
 def test_tensor_adjoint_times_vector():
     # derived oracle: brute convolution then greedy extraction
-    prod = tensor(weyl_character(W1), weyl_character(W2))
+    prod = weyl_character(W1).tensor(weyl_character(W2))
     assert prod.dimension() == 98
     assert decompose_costandard(prod) == [(RHO, 1), (Weight(2, 0), 1), (W1, 1)]
     expected = weyl_character(RHO) + weyl_character(Weight(2, 0)) + weyl_character(W1)
@@ -72,8 +71,8 @@ def test_tensor_adjoint_times_vector():
 
 def test_tensor_trivial_identity():
     c = weyl_character(W2)
-    assert tensor(c, Character.line(ZERO)) == c
-    assert tensor(weyl_character(W1), weyl_character(W1)).dimension() == 49
+    assert c.tensor(Character.line(ZERO)) == c
+    assert weyl_character(W1).tensor(weyl_character(W1)).dimension() == 49
 
 
 def _exterior_newton(x: Character, k: int) -> Character:

@@ -285,8 +285,8 @@ def test_certified_tables_within_every_route_bound():
                 truth = {d: C(ws) for d, ws in table.degrees}
                 routes = []
                 caveats = []
-                for px in engine._pieces_first(X):
-                    for py in engine._pieces_second(Y):
+                for px in engine._pieces(X, first=True):
+                    for py in engine._pieces(Y, first=False):
                         routes.append(engine._route_product(px, py, caveats))
                 if len(X.filtration.atoms) > 1:
                     routes.append(engine._route_split(X, Y, first=True))

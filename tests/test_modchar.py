@@ -14,6 +14,7 @@ from g2bwb.modchar import (
     CharacterOracle,
     InconsistentChoice,
     Undecided,
+    _jantzen_row,
     _resolution,
     _socle,
     _weighted_dims,
@@ -159,6 +160,7 @@ def test_weyl_dim_check_raises(monkeypatch):
 
 def test_layer_count_check_raises(monkeypatch, capsys):
     # a nonpositive count on top of the Jantzen layers is no sum of layers
+    _resolution.cache_clear()  # a cached search would never read the patched layers
     monkeypatch.setattr(modchar, "_jantzen_row", lambda lam, p: Character.line(ZERO, -1))
     with pytest.raises(ArithmeticError):
         CharacterOracle(7).radical_counts(Weight(4, 4))
@@ -171,12 +173,33 @@ def test_resolved_choice_points_follow_the_alcove_pattern(p):
     # the same seven pairs in alcove coordinates at every p, each of
     # multiplicity 1, as translation and Lusztig's conjecture predict; not a
     # theorem for every p, so it is checked here and never used as a shortcut
-    count, frozen = _resolution(p)
-    assert count == 1
+    (survivor,) = _resolution(p)
     pairs = [((3, p - 4), (p - 5, 2)), ((3, p - 2), (p - 6, 2)), ((3, p - 2), (p - 5, 0)),
              ((4, p - 4), (p - 6, 2)), ((4, p - 4), (p - 2, 1)), ((4, p - 3), (p - 6, 1)),
              ((4, p - 3), (p - 5, 2))]
-    assert dict(frozen) == {(Weight(*lam), Weight(*mu)): 1 for lam, mu in pairs}
+    assert survivor.choices == {(Weight(*lam), Weight(*mu)): 1 for lam, mu in pairs}
+
+
+def test_callers_read_the_surviving_oracle(monkeypatch, capsys):
+    # once the search has run, every caller reads its survivor: no oracle is rebuilt
+    assert resolved_oracle(7)[0] is _resolution(7)[0]
+    built = []
+    init = CharacterOracle.__init__
+    monkeypatch.setattr(CharacterOracle, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    for par in ParabolicId:
+        assert rank_identity_check(7, par).passed
+    assert cli.main(["modchar", "--w", "s1s2", "--p", "7"]) == cli.EXIT_OK
+    assert "identity_resolution" in capsys.readouterr().out
+    assert built == []
+
+
+def test_no_survivor_at_p2():
+    # the sum formula decides every multiplicity at p = 2, yet the identity fails
+    for par in ParabolicId:
+        rep = rank_identity_check(2, par)
+        assert rep.surviving_assignments == 0
+        assert rep.passed is False
 
 
 class TorusPeeling:
@@ -250,18 +273,26 @@ def test_peeling_leaves_cached_characters_intact():
     p = 7
     box = [Weight(a, b) for a in range(p) for b in range(p)]
     weyl_character.cache_clear()
+    _jantzen_row.cache_clear()
     jantzen_sum.cache_clear()
     cached = {lam: weyl_character(lam) for lam in box}
+    rows = {lam: _jantzen_row(lam, p) for lam in box}
     layers = {lam: jantzen_sum(lam, p) for lam in box}
-    oracle, _, _ = resolved_oracle(p)
+    # a fresh oracle with the survivor's choices peels every row again here;
+    # the cached survivor of ``_resolution`` would peel nothing
+    oracle = CharacterOracle(p, resolved_oracle(p)[0].choices)
     for par in ParabolicId:
         _weighted_dims(par, oracle)  # every restricted weight of the socle data
+    assert oracle._rows
     decompose_costandard(weyl_character(RHO).tensor(weyl_character(Weight(2, 1))))
     for par in ParabolicId:
         filter_character(weyl_character(Weight(2, 1)), par)
     assert all(weyl_character(lam) is cached[lam] for lam in box)
+    assert all(_jantzen_row(lam, p) is rows[lam] for lam in box)
     weyl_character.cache_clear()
+    _jantzen_row.cache_clear()
     jantzen_sum.cache_clear()
     for lam in box:
         assert cached[lam] == weyl_character(lam), lam
+        assert rows[lam] == _jantzen_row(lam, p), lam
         assert layers[lam] == jantzen_sum(lam, p), lam

@@ -1,3 +1,5 @@
+import pytest
+
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W2, ZERO, ParabolicId, Weight, root_coords
 from g2bwb import weyl
 
@@ -90,6 +92,13 @@ def test_minimal_reps_defining_property():
         alpha = par.simple_root.weight
         for w in weyl.minimal_reps(par):
             assert weyl.is_positive_root_weight(weyl.act(w, alpha))
+
+
+def test_minimal_reps_count_check_raises(monkeypatch):
+    # a positivity test that keeps every element gives 12 representatives, not 6
+    monkeypatch.setattr(weyl, "is_positive_root_weight", lambda lam: True)
+    with pytest.raises(ArithmeticError, match="12 minimal coset representatives"):
+        weyl.minimal_reps(ParabolicId.SHORT)
 
 
 def test_coset_factorization():
