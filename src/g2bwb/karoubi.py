@@ -18,21 +18,25 @@ Every multi-layer rule is compiled into two-term triangle rules through
 synthetic truncation classes, so a single two-out-of-three inference drives
 the whole closure.  Filtration rules are admitted only after an exact
 character-additivity check.  The rules of a box depend only on
-(parabolic, amax, bmax), so each rule set is compiled and checked once per
-box and shared by every closure over it; a knowledge base holds its own
-copies of the rule and skip lists.  The closure is a worklist saturation
-whose result is independent of rule order; derivations are logged and
-replayable.
+(parabolic, amax, bmax), so each box is compiled and checked once into a
+read-only ``RuleTable`` of flat integer arrays: dense class ids, per-rule
+kind, head and parts, the rule labels, and a CSR index of the rules that read
+each class.  Every closure over the box shares that table; a knowledge base
+holds only a byte of known flags per class and the log of learned facts as
+(class id, rule index) pairs.  The closure is a worklist saturation whose
+result is independent of rule order; derivations are logged and replayable.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass
+from types import MappingProxyType
 
-from .rootdata import W1, W2, ZERO, ParabolicId, Weight
+from .rootdata import W1, W2, ParabolicId, Weight
 from .charring import (
     Character,
     PString,
@@ -76,50 +80,115 @@ def class_str(c: ClassId) -> str:
     return ":".join(str(x) for x in c)
 
 
-@dataclass(frozen=True, slots=True)
-class TriRule:
-    """Two-term triangle: total is an extension of the two parts."""
-
-    rule_id: str
-    total: ClassId
-    parts: tuple[ClassId, ...]
+# Rule kinds.  A rule has a head and one or two parts: an implication learns
+# its head (dst) from its part (src); a triangle's head is the total, an
+# extension of its parts, and it learns any one of the three from the others.
+IMPL, TRI1, TRI2 = 0, 1, 2
+ZERO_ID = 0  # class id of the zero object in every table
 
 
-@dataclass(frozen=True, slots=True)
-class ImplRule:
-    """One-directional membership implication."""
+@dataclass(frozen=True, eq=False)
+class RuleTable:
+    """The compiled rules of one box as flat integer tables, shared and read-only.
 
-    rule_id: str
-    src: ClassId
-    dst: ClassId
+    Classes have dense ids.  ``classes[i]`` is the ClassId of class i, except
+    for a truncation class, where it is the index of the one rule whose head
+    it is.  Rule r has kind ``kind[r]``, head ``head[r]``, parts ``part0[r]``
+    and ``part1[r]`` (-1 if it has one part), and label ``rule_ids[r]``.  The
+    rules that read class c, in rule order, are ``watch[offsets[c]:offsets[c + 1]]``.
+    """
+
+    classes: tuple
+    index: MappingProxyType
+    seeds: tuple[int, ...]
+    kind: bytes
+    head: memoryview
+    part0: memoryview
+    part1: memoryview
+    rule_ids: tuple[str, ...]
+    offsets: memoryview
+    watch: memoryview
+    skipped: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def class_of(self, i: int) -> ClassId:
+        c = self.classes[i]
+        if type(c) is int:
+            base, _, k = self.rule_ids[c].rpartition("#")
+            return ("trunc", base, int(k))
+        return c
+
+    def id_of(self, c: ClassId) -> int | None:
+        """Id of class c, or None if no rule of the box mentions it."""
+        if c[0] != "trunc":
+            return self.index.get(c)
+        try:
+            r = self.rule_ids.index(f"{c[1]}#{c[2]}")
+        except ValueError:
+            return None
+        h = self.head[r]
+        return h if self.classes[h] == r else None
+
+    def premises(self, c: int, r: int) -> tuple[int, ...]:
+        """Ids of the classes rule r used to learn class c: its head and parts
+        other than c, in that order; none for a seed."""
+        if r < 0:
+            return ()
+        return tuple(q for q in (self.head[r], self.part0[r], self.part1[r]) if q >= 0 and q != c)
 
 
-Rule = TriRule | ImplRule
+class _Builder:
+    """Writes the rules of one box straight into table rows."""
 
-
-@dataclass
-class KnowledgeBase:
-    parabolic: ParabolicId
-    amax: int
-    bmax: int
-    known: set[ClassId] = field(default_factory=set)
-    rules: list[Rule] = field(default_factory=list)
-    derivations: dict[ClassId, tuple[str, tuple[ClassId, ...]]] = field(default_factory=dict)
-    order: dict[ClassId, int] = field(default_factory=dict)
-    skipped: list[str] = field(default_factory=list)
-    _counter: int = 0
+    def __init__(self, parabolic: ParabolicId, amax: int, bmax: int):
+        self.parabolic, self.amax, self.bmax = parabolic, amax, bmax
+        self.classes: list = []
+        self.index: dict[ClassId, int] = {}
+        self.kind = bytearray()
+        self.head, self.part0, self.part1 = array("i"), array("i"), array("i")
+        self.rule_ids: list[str] = []
+        self.skipped: list[str] = []
+        self.cid(ZERO_CLASS)
+        short = parabolic is ParabolicId.SHORT
+        lines = SHORT_SEED_LINES if short else LONG_SEED_LINES
+        strings = SHORT_SEED_STRINGS if short else LONG_SEED_STRINGS
+        self.seeds = tuple([self.cid(line_class(nu)) for nu in lines]
+                           + [self.cid(pstring_class(parabolic, lam)) for lam in strings])
 
     def in_box(self, nu: Weight) -> bool:
         return abs(nu.a) <= self.amax and abs(nu.b) <= self.bmax
 
-    def learn(self, c: ClassId, rule_id: str, premises: tuple[ClassId, ...]) -> bool:
-        if c in self.known:
-            return False
-        self.known.add(c)
-        self.derivations[c] = (rule_id, premises)
-        self.order[c] = self._counter
-        self._counter += 1
-        return True
+    def cid(self, c: ClassId) -> int:
+        i = self.index.get(c)
+        if i is None:
+            i = self.index[c] = len(self.classes)
+            self.classes.append(c)
+        return i
+
+    def rule(self, kind: int, rule_id: str, head: int, part0: int, part1: int = -1) -> None:
+        self.kind.append(kind)
+        self.head.append(head)
+        self.part0.append(part0)
+        self.part1.append(part1)
+        self.rule_ids.append(rule_id)
+
+    def implication(self, rule_id: str, src: ClassId, dst: ClassId) -> None:
+        self.rule(IMPL, rule_id, self.cid(dst), self.cid(src))
+
+    def triangles(self, rule_id: str, total: int, parts: list[int]) -> None:
+        """Two-term triangles ``rule_id#k``, k = 1 .. m, through fresh truncation
+        classes: rule k reads the (k-1)-st truncation (parts[0] for k = 1) and
+        parts[k], and its head is the k-th truncation (the total for k = m)."""
+        m, r0, t0 = len(parts) - 1, len(self.kind), len(self.classes)
+        truncs = list(range(t0, t0 + m - 1))
+        self.classes.extend(range(r0, r0 + m - 1))  # ("trunc", rule_id, k) heads rule r0 + k - 1
+        self.kind.extend(bytes([TRI2]) * m)
+        self.head.extend(truncs + [total])
+        self.part0.extend([parts[0]] + truncs)
+        self.part1.extend(parts[1:])
+        self.rule_ids.extend([f"{rule_id}#{k}" for k in range(1, m + 1)])
 
     def add_filtration(self, rule_id: str, total: ClassId,
                        parts: list[ClassId], total_char: Character,
@@ -131,114 +200,171 @@ class KnowledgeBase:
                 acc[k] = acc.get(k, 0) + v
         if Character(acc) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
-        if len(parts) == 1:
-            self.rules.append(TriRule(rule_id, total, (parts[0],)))
-            return
-        prev = parts[0]
-        for k in range(1, len(parts)):
-            tk: ClassId = total if k == len(parts) - 1 else ("trunc", rule_id, k)
-            self.rules.append(TriRule(f"{rule_id}#{k}", tk, (prev, parts[k])))
-            prev = tk
+        ids = [self.cid(p) for p in parts]
+        if len(ids) == 1:
+            self.rule(TRI1, rule_id, self.cid(total), ids[0])
+        else:
+            self.triangles(rule_id, self.cid(total), ids)
+
+    def freeze(self) -> RuleTable:
+        """The table, with the watch index sorted by (class, rule) once."""
+        kind, head, part0, part1 = self.kind, self.head, self.part0, self.part1
+        n = len(kind)
+        keys = sorted([c * n + r for r, c in enumerate(part0)]
+                      + [c * n + r for r, (k, c) in enumerate(zip(kind, head)) if k != IMPL]
+                      + [c * n + r for r, c in enumerate(part1) if c >= 0])
+        watch = array("i", [key % n for key in keys])
+        offsets = array("i", [bisect_left(keys, c * n) for c in range(len(self.classes) + 1)])
+        ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
+        return RuleTable(
+            tuple(self.classes), MappingProxyType(self.index), self.seeds, bytes(kind),
+            ro(head), ro(part0), ro(part1), tuple(self.rule_ids), ro(offsets), ro(watch),
+            tuple(self.skipped),
+        )
+
+
+class _Known:
+    """The known classes of a knowledge base, read as ClassIds."""
+
+    __slots__ = ("_kb",)
+
+    def __init__(self, kb: "KnowledgeBase"):
+        self._kb = kb
+
+    def __contains__(self, c: ClassId) -> bool:
+        i = self._kb.rules.id_of(c)
+        return i is not None and self._kb.flags[i] == 1
+
+    def __len__(self) -> int:
+        return self._kb.flags.count(1)
+
+    def __iter__(self):
+        class_of = self._kb.rules.class_of
+        return (class_of(i) for i, f in enumerate(self._kb.flags) if f)
+
+
+@dataclass
+class KnowledgeBase:
+    """One closure's state over a shared rule table.
+
+    ``flags[i]`` is 1 once class i is known; ``log`` holds the learned facts
+    in order as (class id, rule index) pairs, rule index -1 for a seed."""
+
+    rules: RuleTable
+    flags: bytearray
+    log: array
+
+    @property
+    def known(self) -> _Known:
+        return _Known(self)
+
+    def _fact(self, c: int, r: int) -> str:
+        t = self.rules
+        prem = " ".join(class_str(t.class_of(q)) for q in t.premises(c, r))
+        return f"{class_str(t.class_of(c))} <- {'seed' if r < 0 else t.rule_ids[r]} [{prem}]"
 
     def audit_log(self) -> str:
-        lines = []
-        for c, (rid, prem) in sorted(self.derivations.items(), key=lambda kv: self.order[kv[0]]):
-            ps = " ".join(class_str(p) for p in prem)
-            lines.append(f"{class_str(c)} <- {rid} [{ps}]")
-        return "\n".join(lines)
+        log = self.log
+        return "\n".join(map(self._fact, log[0::2], log[1::2]))
 
     def replay(self) -> bool:
         """Check every derivation only uses classes derived strictly earlier."""
-        for c, (rid, prem) in self.derivations.items():
-            for q in prem:
-                if q == ZERO_CLASS:
-                    continue
-                if q not in self.order or self.order[q] >= self.order[c]:
+        t, log = self.rules, self.log
+        head, part0, part1 = t.head, t.part0, t.part1
+        learned = log[0::2]
+        pos = array("i", [-1]) * len(t.classes)
+        for i, c in enumerate(learned):
+            pos[c] = i
+        for i, (c, r) in enumerate(zip(learned, log[1::2])):
+            if r < 0:
+                continue
+            # the premises of (c, r), as in RuleTable.premises; zero is always known
+            for q in (head[r], part0[r], part1[r]):
+                if q > ZERO_ID and q != c and not 0 <= pos[q] < i:
                     return False
         return True
 
     def chain(self, c: ClassId) -> list[str]:
         """Derivation steps reaching c, in dependency order."""
-        seen: set[ClassId] = set()
-        steps: list[ClassId] = []
+        t, log = self.rules, self.log
+        rule_of = dict(zip(log[0::2], log[1::2]))
+        seen: set[int] = set()
+        steps: list[int] = []
 
-        def visit(x: ClassId) -> None:
-            if x in seen or x not in self.derivations:
+        def visit(x: int) -> None:
+            if x in seen or x not in rule_of:
                 return
             seen.add(x)
-            _, prem = self.derivations[x]
-            for q in prem:
+            for q in t.premises(x, rule_of[x]):
                 visit(q)
             steps.append(x)
 
-        visit(c)
-        return [
-            f"{class_str(x)} <- {self.derivations[x][0]} "
-            f"[{' '.join(class_str(q) for q in self.derivations[x][1])}]"
-            for x in steps
-        ]
+        start = t.id_of(c)
+        if start is not None:
+            visit(start)
+        return [self._fact(x, rule_of[x]) for x in steps]
 
 
-def _string_line_rules(kb: KnowledgeBase) -> None:
-    par = kb.parabolic
+def _string_line_rules(b: _Builder) -> None:
+    par = b.parabolic
     alpha = par.simple_root.weight
-    for a in range(-kb.amax, kb.amax + 1):
-        for b in range(-kb.bmax, kb.bmax + 1):
-            lam = Weight(a, b)
+    for a in range(-b.amax, b.amax + 1):
+        for bb in range(-b.bmax, b.bmax + 1):
+            lam = Weight(a, bb)
             r = par.pair(lam)
             if r <= 0:
                 continue
             s = PString(par, lam)
             lines = [lam - alpha.scaled(k) for k in range(r + 1)]
-            if not all(kb.in_box(nu) for nu in lines):
-                kb.skipped.append(f"string {lam}: layer outside box")
+            if not all(b.in_box(nu) for nu in lines):
+                b.skipped.append(f"string {lam}: layer outside box")
                 continue
-            kb.add_filtration(
+            b.add_filtration(
                 f"bfilt{lam}",
                 pstring_class(par, lam),
                 [line_class(nu) for nu in lines],
                 pstring_character(s),
                 [Character.line(nu) for nu in lines],
             )
-            kb.rules.append(ImplRule(f"push{lam}", pstring_class(par, lam), line_class(lam)))
-            kb.rules.append(ImplRule(f"pull{lam}", line_class(lam), pstring_class(par, lam)))
+            b.implication(f"push{lam}", pstring_class(par, lam), line_class(lam))
+            b.implication(f"pull{lam}", line_class(lam), pstring_class(par, lam))
 
 
-def _add_tensor_rules(kb: KnowledgeBase, generator: Weight, nu: Weight) -> None:
+def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
     if generator not in (W1, W2):
         raise ValueError("generator must be one of the two fundamental modules")
-    par = kb.parabolic
+    par = b.parabolic
     gch = weyl_character(generator)
     total: ClassId = ("total", "tensor", generator, nu)
-    kb.rules.append(ImplRule(f"tensortotal{generator}@{nu}", line_class(nu), total))
+    b.implication(f"tensortotal{generator}@{nu}", line_class(nu), total)
     total_char = gch.tensor(Character.line(nu))
 
     lines = [mu + nu for mu in sorted(gch.mult) for _ in range(gch.mult[mu])]
-    if all(kb.in_box(w) for w in lines):
-        kb.add_filtration(
+    if all(b.in_box(w) for w in lines):
+        b.add_filtration(
             f"wtfilt{generator}@{nu}", total, [line_class(w) for w in lines], total_char,
             [Character.line(w) for w in lines],
         )
     else:
-        kb.skipped.append(f"tensor {generator}@{nu}: weight outside box")
+        b.skipped.append(f"tensor {generator}@{nu}: weight outside box")
 
     if par.pair(nu) == 0:
         atoms = restrict_to_P(generator, par).atoms
         highs = [s.highest + nu for s in atoms]
-        if all(kb.in_box(h) for h in highs):
-            kb.add_filtration(
+        if all(b.in_box(h) for h in highs):
+            b.add_filtration(
                 f"strfilt{generator}@{nu}", total,
                 [pstring_class(par, h) for h in highs],
                 total_char,
                 [pstring_character(PString(par, h)) for h in highs],
             )
         else:
-            kb.skipped.append(f"tensor strings {generator}@{nu}: atom outside box")
+            b.skipped.append(f"tensor strings {generator}@{nu}: atom outside box")
 
 
-def add_koszul_rules(kb: KnowledgeBase, box=None) -> None:
+def _add_koszul_rules(b: _Builder) -> None:
     """Length-eight exact complexes stepping by the first fundamental weight,
-    one per twist in the box (default: the whole universe)."""
+    one per twist in the box."""
     v = weyl_character(W1)
     euler = Character()
     for k in range(8):
@@ -246,21 +372,13 @@ def add_koszul_rules(kb: KnowledgeBase, box=None) -> None:
         euler = euler + term.scaled((-1) ** k)
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
-    if box is None:
-        box = [Weight(a, b)
-               for a in range(-kb.amax, kb.amax + 1)
-               for b in range(-kb.bmax, kb.bmax + 1)]
     steps = [W1.scaled(k) for k in range(8)]
-    for nu in box:
-        terms = [nu - s for s in steps]
-        if not all(kb.in_box(t) for t in terms):
-            continue
-        rid = f"koszul{nu}"
-        prev = line_class(terms[0])
-        for k in range(1, 8):
-            tk: ClassId = ZERO_CLASS if k == 7 else ("trunc", rid, k)
-            kb.rules.append(TriRule(f"{rid}#{k}", tk, (prev, line_class(terms[k]))))
-            prev = tk
+    for a in range(-b.amax, b.amax + 1):
+        for bb in range(-b.bmax, b.bmax + 1):
+            nu = Weight(a, bb)
+            terms = [nu - s for s in steps]
+            if all(b.in_box(t) for t in terms):
+                b.triangles(f"koszul{nu}", ZERO_ID, [b.cid(line_class(t)) for t in terms])
 
 
 SHORT_SEED_LINES = [Weight(0, 0), Weight(0, -1), Weight(1, -2), Weight(2, -2),
@@ -272,77 +390,90 @@ LONG_SEED_STRINGS = [Weight(-4, 1)]
 
 
 @functools.lru_cache(maxsize=None)
-def _compiled(parabolic: ParabolicId, amax: int,
-              bmax: int) -> tuple[tuple[Rule, ...], tuple[str, ...]]:
-    """The full rule set of a box and its skipped notes, built and checked once."""
-    kb = KnowledgeBase(parabolic, amax, bmax)
-    _string_line_rules(kb)
+def _compiled(parabolic: ParabolicId, amax: int, bmax: int) -> RuleTable:
+    """The rule table of a box, built and checked once."""
+    b = _Builder(parabolic, amax, bmax)
+    _string_line_rules(b)
     for a in range(-amax, amax + 1):
-        for b in range(-bmax, bmax + 1):
+        for bb in range(-bmax, bmax + 1):
             for gen in (W1, W2):
-                _add_tensor_rules(kb, gen, Weight(a, b))
-    add_koszul_rules(kb)
-    return tuple(kb.rules), tuple(kb.skipped)
+                _add_tensor_rules(b, gen, Weight(a, bb))
+    _add_koszul_rules(b)
+    return b.freeze()
+
+
+def _seeded(table: RuleTable) -> KnowledgeBase:
+    flags, log = bytearray(len(table.classes)), array("i")
+    flags[ZERO_ID] = 1
+    for i in table.seeds:
+        if not flags[i]:
+            flags[i] = 1
+            log.extend((i, -1))
+    return KnowledgeBase(table, flags, log)
 
 
 def seed(parabolic: ParabolicId, amax: int = 16, bmax: int = 12) -> KnowledgeBase:
-    """Knowledge base holding the starting classes and the full rule set."""
-    rules, skipped = _compiled(parabolic, amax, bmax)
-    kb = KnowledgeBase(parabolic, amax, bmax, rules=list(rules), skipped=list(skipped))
-    kb.known.add(ZERO_CLASS)
-    kb.order[ZERO_CLASS] = -1
-    lines = SHORT_SEED_LINES if parabolic is ParabolicId.SHORT else LONG_SEED_LINES
-    strings = SHORT_SEED_STRINGS if parabolic is ParabolicId.SHORT else LONG_SEED_STRINGS
-    for nu in lines:
-        kb.learn(line_class(nu), "seed", ())
-    for lam in strings:
-        kb.learn(pstring_class(parabolic, lam), "seed", ())
-    return kb
+    """Knowledge base holding the starting classes over the box's rule table."""
+    return _seeded(_compiled(parabolic, amax, bmax))
 
 
 def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
-    """Saturate the inference rules; the fixpoint is order-independent."""
-    rules = list(kb.rules)
-    if rng is not None:
-        rng.shuffle(rules)
-    watch: dict[ClassId, list[int]] = defaultdict(list)
-    for idx, rule in enumerate(rules):
-        if type(rule) is ImplRule:
-            watch[rule.src].append(idx)
-        else:
-            watch[rule.total].append(idx)
-            for p in rule.parts:
-                watch[p].append(idx)
+    """Saturate the inference rules; the fixpoint is order-independent.
 
-    known, learn = kb.known, kb.learn
-    queued = bytearray(b"\x01") * len(rules)
-    work = list(range(len(rules)))
+    The worklist is a stack of rule indices, first in rule order or the rng's
+    shuffle of it; the rules reading a newly learned class are pushed in
+    worklist-position order."""
+    t = kb.rules
+    kind, head, part0, part1 = t.kind, t.head, t.part0, t.part1
+    offsets, watch = t.offsets, t.watch
+    known = kb.flags
+    learn = kb.log.extend
+    work = list(range(len(kind)))
+    position = None
+    if rng is not None:
+        rng.shuffle(work)
+        position = [0] * len(work)
+        for pos, r in enumerate(work):
+            position[r] = pos
+    pop, push = work.pop, work.append
+    queued = bytearray(b"\x01") * len(kind)
     while work:
-        idx = work.pop()
-        queued[idx] = 0
-        rule = rules[idx]
-        if type(rule) is ImplRule:
-            if rule.src not in known:
+        r = pop()
+        queued[r] = 0
+        new, p = head[r], part0[r]
+        k = kind[r]
+        if k == IMPL:
+            if not known[p]:
                 continue
-            new, prem = rule.dst, (rule.src,)
+        elif k == TRI1:
+            # the part known: learn the total; the total known: learn the part
+            if not known[p]:
+                if not known[new]:
+                    continue
+                new = p
         else:
-            # all parts known: learn the total; exactly one part missing and
+            # both parts known: learn the total; exactly one part missing and
             # the total known: learn that part
-            new, gaps = rule.total, 0
-            for p in rule.parts:
-                if p not in known:
-                    new, gaps = p, gaps + 1
-            if gaps == 0:
-                prem = rule.parts
-            elif gaps == 1 and rule.total in known:
-                prem = (rule.total,) + tuple(p for p in rule.parts if p in known)
-            else:
-                continue
-        if learn(new, rule.rule_id, prem):
-            for j in watch.get(new, ()):
-                if not queued[j]:
-                    queued[j] = 1
-                    work.append(j)
+            q = part1[r]
+            if not known[p]:
+                if not (known[q] and known[new]):
+                    continue
+                new = p
+            elif not known[q]:
+                if not known[new]:
+                    continue
+                new = q
+        if known[new]:
+            continue
+        known[new] = 1
+        learn((new, r))
+        readers = watch[offsets[new]:offsets[new + 1]]
+        if position is not None:
+            readers = sorted([j for j in readers if not queued[j]], key=position.__getitem__)
+        for j in readers:
+            if not queued[j]:
+                queued[j] = 1
+                push(j)
     return kb
 
 
@@ -353,6 +484,14 @@ class GenerationReport:
     reached: tuple[Weight, ...]
     unreached: tuple[Weight, ...]
     replay_ok: bool
+
+    @classmethod
+    def of(cls, parabolic: ParabolicId, targets: tuple[Weight, ...],
+           kb: KnowledgeBase) -> "GenerationReport":
+        """Which target line classes a closed knowledge base reached, and its replay."""
+        reached = tuple(w for w in targets if line_class(w) in kb.known)
+        unreached = tuple(w for w in targets if line_class(w) not in kb.known)
+        return cls(parabolic, tuple(targets), reached, unreached, kb.replay())
 
     @property
     def complete(self) -> bool:
@@ -397,6 +536,4 @@ def verify_generation(
     kb = close(seed(parabolic, amax, bmax), rng)
     if targets is None:
         targets = default_targets(parabolic)
-    reached = tuple(w for w in targets if line_class(w) in kb.known)
-    unreached = tuple(w for w in targets if line_class(w) not in kb.known)
-    return GenerationReport(parabolic, tuple(targets), reached, unreached, kb.replay()), kb
+    return GenerationReport.of(parabolic, targets, kb), kb

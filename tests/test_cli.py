@@ -238,3 +238,14 @@ def test_prime_check_agrees_with_trial_division():
         assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))), n
     assert not _is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5 and 7
     assert _is_prime(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("parabolic, digest", [
+    ("short", "11bd338b74ec9244625a751a76fb05ff57f56003cf56e545e15665903ed7eda8"),
+    ("long", "77bbcd7ccc4ce78907b9bdcb2f5c9cd79628313889ed33386ce1802688662399"),
+])
+def test_report_karoubi_box24_json_golden(capsys, parabolic, digest):
+    code, out = run(capsys, "report", "karoubi", "--box", "24", "--parabolic", parabolic,
+                    "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,9 +6,13 @@ import pytest
 from g2bwb import karoubi
 from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1
 from g2bwb.karoubi import (
-    KnowledgeBase,
+    GenerationReport,
+    _add_koszul_rules,
     _add_tensor_rules,
+    _Builder,
+    _string_line_rules,
     close,
+    default_targets,
     line_class,
     pstring_class,
     seed,
@@ -53,14 +57,13 @@ def test_closure_derives_first_consequences():
 
 
 def test_tensor_rule_parts():
-    kb = KnowledgeBase(SHORT, 8, 8)
-    kb.learn(line_class(Weight(0, -1)), "seed", ())
-    _add_tensor_rules(kb, W1, Weight(0, -1))
-    labels = {r.rule_id for r in kb.rules}
+    b = _Builder(SHORT, 8, 8)
+    _add_tensor_rules(b, W1, Weight(0, -1))
+    labels = set(b.freeze().rule_ids)
     assert any(rid.startswith("strfilt") for rid in labels)
     assert any(rid.startswith("wtfilt") for rid in labels)
     with pytest.raises(ValueError):
-        _add_tensor_rules(kb, Weight(2, 0), Weight(0, -1))
+        _add_tensor_rules(b, Weight(2, 0), Weight(0, -1))
 
 
 def test_closure_monotone_idempotent():
@@ -115,33 +118,54 @@ def test_audit_chain_replayable():
 
 
 def test_character_guard_rejects_bad_rule():
-    kb = KnowledgeBase(SHORT, 8, 8)
+    b = _Builder(SHORT, 8, 8)
     from g2bwb.charring import Character
     with pytest.raises(ValueError):
-        kb.add_filtration(
+        b.add_filtration(
             "bogus", line_class(ZERO), [line_class(W1)],
             Character.line(ZERO), [Character.line(W1)],
         )
 
 
 def test_seed_copies_are_independent():
-    # seed hands out private copies of the rule set compiled for the box
+    # knowledge bases seeded from one box share its read-only rule table
     kb1, kb2 = seed(SHORT, 10, 8), seed(SHORT, 10, 8)
-    assert kb1.rules == kb2.rules and kb1.skipped == kb2.skipped
-    assert kb1.rules is not kb2.rules
-    assert kb1.skipped is not kb2.skipped
-    assert kb1.known is not kb2.known
-    n_rules, n_skipped = len(kb2.rules), len(kb2.skipped)
-    _add_tensor_rules(kb1, W1, ZERO)
-    kb1.skipped.append("extra note")
-    assert len(kb1.rules) > n_rules
-    kb3 = seed(SHORT, 10, 8)
-    assert len(kb3.rules) == n_rules and len(kb3.skipped) == n_skipped
-    assert len(kb2.rules) == n_rules and len(kb2.skipped) == n_skipped
-    known2 = set(kb2.known)
+    assert kb1.rules is kb2.rules
+    assert kb1.flags is not kb2.flags and kb1.log is not kb2.log
+    with pytest.raises(AttributeError):
+        kb1.rules.append(kb1.rules.rule_ids[0])
+    with pytest.raises(TypeError):
+        kb1.rules.head[0] = 0
+    known2, log2 = set(kb2.known), kb2.audit_log()
     close(kb1)
     assert len(kb1.known) > len(known2)
-    assert kb2.known == known2
+    assert set(kb2.known) == known2 and kb2.audit_log() == log2
+
+    # one more tensor rule set derives a strict superset
+    def closed_known(extra: bool) -> set:
+        b = _Builder(SHORT, 10, 8)
+        _string_line_rules(b)
+        _add_koszul_rules(b)
+        if extra:
+            _add_tensor_rules(b, W1, Weight(0, -1))
+        return set(close(karoubi._seeded(b.freeze())).known)
+
+    assert closed_known(False) < closed_known(True)
+
+
+def test_replay_rejects_a_fact_learned_before_its_premises():
+    kb = close(seed(SHORT))
+    assert kb.replay()
+    # move the last learned fact to the front of the log, ahead of its premises
+    last = kb.log[-2:]
+    assert kb.rules.premises(*last)
+    del kb.log[-2:]
+    kb.log[0:0] = last
+    assert not kb.replay()
+    # every target is still reached, but the report fails on the replay
+    rep = GenerationReport.of(SHORT, default_targets(SHORT), kb)
+    assert not rep.unreached
+    assert not rep.replay_ok and not rep.complete
 
 
 def _audit_sha(kb) -> str:
@@ -153,7 +177,11 @@ def _audit_sha(kb) -> str:
     (SHORT, (10, 8), None, "13b220c04720c89e9e591eb0629924bf3c388855c0f172b576bc94d7b9e8fc0e"),
     (LONG, (), None, "8ca9da6088778c89e6bff9e7170f895eac6b1ae92d92cb46fed4676cfeac2c5f"),
     (SHORT, (10, 8), 0, "0266462ac75fe22d399ac5bfcd1eb7a24c9582347ab33d5465ab420bae0367d4"),
-], ids=["short-10-8", "long", "short-10-8-shuffled"])
+    (SHORT, (24, 20), None, "61fa139500acd3799271e0184d3f1de57d952168a5042089b3b7ec6d282e71c7"),
+    (LONG, (24, 20), None, "92f9c3ff723be93718c6d098c90233f279ea4f94d776a757c5a5e66316d42346"),
+    (SHORT, (), 1, "7a2288ef228dcd396916db15f21987cb419df5f64e1a7d6cd5d43c2159eaf334"),
+], ids=["short-10-8", "long", "short-10-8-shuffled", "short-24-20", "long-24-20",
+        "short-shuffled"])
 def test_audit_log_golden(parabolic, box, shuffle, digest):
     rng = None if shuffle is None else random.Random(shuffle)
     kb = close(seed(parabolic, *box), rng)
