@@ -268,15 +268,6 @@ class FilteredPModule:
     def dimension(self) -> int:
         return sum(s.dim for s in self.atoms)
 
-    def twisted(self, nu: Weight) -> "FilteredPModule":
-        """Tensor by the one-dimensional P-module of weight nu."""
-        if self.parabolic.pair(nu) != 0:
-            raise ValueError(f"{nu} is not a character of the parabolic")
-        return FilteredPModule(
-            self.parabolic,
-            tuple(PString(self.parabolic, s.highest + nu) for s in self.atoms),
-        )
-
     def dual(self) -> "FilteredPModule":
         return FilteredPModule(
             self.parabolic, tuple(dual_pstring(s) for s in reversed(self.atoms))

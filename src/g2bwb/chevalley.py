@@ -474,49 +474,36 @@ def verify_embedding() -> CheckReport:
 # ---------------------------------------------------------------------------
 # root subgroups (closed forms) and coroots
 
-def _closed_form(terms1: list[tuple[int, int, int]],
-                 terms2: list[tuple[int, int, int]]) -> tuple[Mat, Mat, Mat]:
-    """Coefficient matrices (order 0, 1, 2 in the parameter)."""
-    c1 = zero_mat()
-    for i, j, c in terms1:
-        c1 = madd(c1, matunit(i, j, c))
-    c2 = zero_mat()
-    for i, j, c in terms2:
-        c2 = madd(c2, matunit(i, j, c))
-    return identity_mat(), c1, c2
+# (root weight, positive) -> the (i, j, c) entries of the order-1 and order-2
+# coefficient matrices of the root subgroup in the parameter.
+_SUBGROUP_TERMS: dict[tuple[Weight, bool], tuple[tuple, tuple]] = {
+    (_A1.weight, True): (((1, 2, 1), (3, 0, 2), (0, -3, -1), (-2, -1, -1)), ((3, -3, -1),)),
+    (_A2.weight, True): (((2, 3, 1), (-3, -2, -1)), ()),
+    (_A12.weight, True): (((1, 3, 1), (2, 0, -2), (0, -2, 1), (-3, -1, -1)), ((2, -2, -1),)),
+    (_A112.weight, True): (((1, 0, -2), (2, -3, -1), (3, -2, 1), (0, -1, 1)), ((1, -1, -1),)),
+    (_A1112.weight, True): (((1, -3, -1), (3, -1, 1)), ()),
+    (_A11122.weight, True): (((1, -2, -1), (2, -1, 1)), ()),
+    (_A1.weight, False): (((2, 1, 1), (0, 3, 1), (-3, 0, -2), (-1, -2, -1)), ((-3, 3, -1),)),
+    (_A2.weight, False): (((3, 2, 1), (-2, -3, -1)), ()),
+    (_A12.weight, False): (((3, 1, 1), (0, 2, -1), (-2, 0, 2), (-1, -3, -1)), ((-2, 2, -1),)),
+    (_A112.weight, False): (((0, 1, -1), (-3, 2, -1), (-2, 3, 1), (-1, 0, 2)), ((-1, 1, -1),)),
+    (_A1112.weight, False): (((-3, 1, -1), (-1, 3, 1)), ()),
+    (_A11122.weight, False): (((-2, 1, -1), (-1, 2, 1)), ()),
+}
 
 
-_SUBGROUP_DATA: dict[tuple[Weight, bool], tuple[Mat, Mat, Mat]] = {}
-
-
-def _init_subgroups() -> None:
-    d = _SUBGROUP_DATA
-    if d:
-        return
-    d[(_A1.weight, True)] = _closed_form(
-        [(1, 2, 1), (3, 0, 2), (0, -3, -1), (-2, -1, -1)], [(3, -3, -1)])
-    d[(_A2.weight, True)] = _closed_form([(2, 3, 1), (-3, -2, -1)], [])
-    d[(_A12.weight, True)] = _closed_form(
-        [(1, 3, 1), (2, 0, -2), (0, -2, 1), (-3, -1, -1)], [(2, -2, -1)])
-    d[(_A112.weight, True)] = _closed_form(
-        [(1, 0, -2), (2, -3, -1), (3, -2, 1), (0, -1, 1)], [(1, -1, -1)])
-    d[(_A1112.weight, True)] = _closed_form([(1, -3, -1), (3, -1, 1)], [])
-    d[(_A11122.weight, True)] = _closed_form([(1, -2, -1), (2, -1, 1)], [])
-    d[(_A1.weight, False)] = _closed_form(
-        [(2, 1, 1), (0, 3, 1), (-3, 0, -2), (-1, -2, -1)], [(-3, 3, -1)])
-    d[(_A2.weight, False)] = _closed_form([(3, 2, 1), (-2, -3, -1)], [])
-    d[(_A12.weight, False)] = _closed_form(
-        [(3, 1, 1), (0, 2, -1), (-2, 0, 2), (-1, -3, -1)], [(-2, 2, -1)])
-    d[(_A112.weight, False)] = _closed_form(
-        [(0, 1, -1), (-3, 2, -1), (-2, 3, 1), (-1, 0, 2)], [(-1, 1, -1)])
-    d[(_A1112.weight, False)] = _closed_form([(-3, 1, -1), (-1, 3, 1)], [])
-    d[(_A11122.weight, False)] = _closed_form([(-2, 1, -1), (-1, 2, 1)], [])
+@lru_cache(maxsize=None)
+def _closed_form(weight: Weight, positive: bool) -> tuple[Mat, Mat, Mat]:
+    """Coefficient matrices (order 0, 1, 2 in the parameter) of a root subgroup."""
+    terms1, terms2 = _SUBGROUP_TERMS[(weight, positive)]
+    return (identity_mat(),
+            madd(zero_mat(), *(matunit(i, j, c) for i, j, c in terms1)),
+            madd(zero_mat(), *(matunit(i, j, c) for i, j, c in terms2)))
 
 
 def root_subgroup(alpha: Root, xi, positive: bool = True) -> Mat:
     """Closed-form root subgroup element at an exact or symbolic parameter."""
-    _init_subgroups()
-    c0, c1, c2 = _SUBGROUP_DATA[(alpha.weight, positive)]
+    c0, c1, c2 = _closed_form(alpha.weight, positive)
     x = Poly.coerce(xi)
     return madd(c0, mscale(x, c1), mscale(x * x, c2))
 

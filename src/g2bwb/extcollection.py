@@ -9,9 +9,11 @@ two-term presentations of the shape
 
 with V a self-dual G-module (the 7- or 14-dimensional fundamental one).
 Such presentations are exact character data and are verified as such on
-construction.
+construction.  The objects of both collections, and the extra summand M,
+are rows of one declarative table (``_COLLECTIONS``, ``_M_ROW``).
 
-``ext_table`` bounds Ext^*(X, Y) along every available route:
+``ext_table`` bounds Ext^*(X, Y) along every available route, each read
+from presentation pieces of one shape (``ExtEngine._pieces``):
 
 * the product route expands dual(X) (x) Y atom by atom and evaluates each
   string through the line-bundle cohomology of the flag variety, with the
@@ -66,17 +68,9 @@ from . import weyl
 
 
 @dataclass(frozen=True)
-class GPiece:
-    """The middle term V (x) L(twist) of a two-term presentation."""
-
-    gweight: Weight  # highest weight of V; V is self-dual for G2
-    twist: Weight
-
-
-@dataclass(frozen=True)
 class TwoTerm:
     kind: str  # "kernel" or "cokernel"
-    gweight: Weight
+    gweight: Weight  # highest weight of V; V is self-dual for G2
     twist: Weight
     other: FilteredPModule
 
@@ -200,19 +194,20 @@ class ExtEngine:
         self._memo: dict[tuple, ExtTable] = {}
 
     # -- presentation pieces -------------------------------------------------
-    # Each piece is (content, placement, full_object_or_None); the placement
-    # says where the piece's own cohomological degree d lands in the table
-    # of the presented object (at degree d + placement).
+    # Each piece is (gweights, object, placement): the object tensored by the
+    # G-modules V of highest weights gweights, whose own cohomological degree
+    # d lands at degree d + placement in the table of the presented object.
 
     def _pieces(self, obj: SheafObject, first: bool):
-        yield [(obj.filtration, 0, obj)]
+        yield [((), obj, 0)]
         for tt in obj.two_terms:
             # first, kernel:   X -> T -> Q: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i+1}(Q,-)
             # first, cokernel: S -> T -> X: Ext^i(X,-) <= Ext^i(T,-) + Ext^{i-1}(S,-)
             # second, kernel:   Y -> T -> Q: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i-1}(-,Q)
             # second, cokernel: S -> T -> Y: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i+1}(-,S)
             placement = -1 if (tt.kind == "kernel") == first else +1
-            yield [(GPiece(tt.gweight, tt.twist), 0, None), (tt.other, placement, None)]
+            yield [((tt.gweight,), _line_object(self.parabolic, tt.twist), 0),
+                   ((), _anon(self.parabolic, tt.other.atoms), placement)]
 
     # -- route assembly ------------------------------------------------------
 
@@ -240,26 +235,15 @@ class ExtEngine:
                 for fw, fm in costandard_factors(*gweights, w):
                     deg.setdefault(d + shift, Counter())[fw] += fm
 
-    def _side(self, content, obj: SheafObject | None) -> SheafObject:
-        """The object a piece stands for: a G-piece's twist line, or a filtration's."""
-        if isinstance(content, GPiece):
-            return _line_object(self.parabolic, content.twist)
-        return obj if obj is not None else _anon(self.parabolic, content.atoms)
-
     def _route_product(self, px, py, caveats: list[str]) -> Bound:
         deg: Degrees = {}
-        plain = (
-            len(px) == 1 and len(py) == 1
-            and not isinstance(px[0][0], GPiece) and not isinstance(py[0][0], GPiece)
-        )
-        for cx, plx, objx in px:
-            for cy, ply, objy in py:
-                gweights = tuple(c.gweight for c in (cx, cy) if isinstance(c, GPiece))
-                if gweights:
-                    sub = self.cell(self._side(cx, objx), self._side(cy, objy))
-                    self._tensor_into(deg, sub, gweights, plx + ply)
+        for gx, ox, plx in px:
+            for gy, oy, ply in py:
+                if gx or gy:
+                    self._tensor_into(deg, self.cell(ox, oy), gx + gy, plx + ply)
                 else:
-                    self._direct_into(deg, caveats, cx, cy, plx + ply)
+                    self._direct_into(deg, caveats, ox.filtration, oy.filtration, plx + ply)
+        plain = len(px) == 1 and len(py) == 1 and not px[0][0] and not py[0][0]
         return Bound(deg, plain and not linkage_collision(deg, self.p))
 
     def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> Bound:
@@ -315,48 +299,39 @@ class ExtEngine:
 # ---------------------------------------------------------------------------
 # the built-in objects
 
-def _short_objects() -> tuple[dict[weyl.WeylElement, SheafObject], SheafObject]:
-    P = ParabolicId.SHORT
-    E = {}
-    E[weyl.from_word("")] = SheafObject("E(e)", P, module(P, [ZERO]))
-    E[weyl.from_word("s2")] = SheafObject("E(s2)", P, module(P, [Weight(0, -1)]))
-    E[weyl.from_word("s1s2")] = SheafObject(
-        "E(s1s2)", P, module(P, [Weight(2, -2), Weight(1, -2)]),
-        (TwoTerm("kernel", W1, Weight(0, -1), module(P, [Weight(1, -1)])),),
-    )
-    E[weyl.from_word("s2s1s2")] = SheafObject(
-        "E(s2s1s2)", P, module(P, [Weight(1, -2)]))
-    E[weyl.from_word("s1s2s1s2")] = SheafObject(
-        "E(s1s2s1s2)", P, module(P, [Weight(1, -2), Weight(2, -3)]),
-        (TwoTerm("cokernel", W1, Weight(0, -2), module(P, [Weight(1, -3)])),),
-    )
-    E[weyl.from_word("s2s1s2s1s2")] = SheafObject(
-        "E(s2s1s2s1s2)", P, module(P, [Weight(0, -2)]))
-    m_obj = SheafObject(
-        "M", P,
-        module(P, [Weight(2, -2), Weight(0, -1), Weight(3, -3), Weight(0, -2)]),
-        (TwoTerm("kernel", W2, Weight(0, -1), module(P, [ZERO, Weight(3, -2)])),),
-    )
-    return E, m_obj
+# One row per object: its Weyl word, the atoms' highest weights (quotient end
+# first) and its two-term presentations as (kind, highest weight of V, twist,
+# atoms of the other term).  Rows are in the order ``builtin_collection`` keeps.
+_COLLECTIONS: dict[ParabolicId, tuple[tuple, ...]] = {
+    ParabolicId.SHORT: (
+        ("", [(0, 0)], ()),
+        ("s2", [(0, -1)], ()),
+        ("s1s2", [(2, -2), (1, -2)], (("kernel", W1, (0, -1), [(1, -1)]),)),
+        ("s2s1s2", [(1, -2)], ()),
+        ("s1s2s1s2", [(1, -2), (2, -3)], (("cokernel", W1, (0, -2), [(1, -3)]),)),
+        ("s2s1s2s1s2", [(0, -2)], ()),
+    ),
+    ParabolicId.LONG: (
+        ("", [(0, 0)], ()),
+        ("s1", [(-1, 0)], ()),
+        ("s2s1", [(-2, 0)], ()),
+        ("s1s2s1", [(-2, 0), (-4, 1), (-3, 0)],
+         (("cokernel", W1, (-3, 0), [(-5, 1), (-4, 0)]),)),
+        ("s2s1s2s1", [(-3, 0)], ()),
+        ("s1s2s1s2s1", [(-4, 0)], ()),
+    ),
+}
+# The extra summand M of F_*O on the short-root G/P, in the same row shape.
+_M_ROW = ("M", [(2, -2), (0, -1), (3, -3), (0, -2)],
+          (("kernel", W2, (0, -1), [(0, 0), (3, -2)]),))
 
 
-def _long_objects() -> dict[weyl.WeylElement, SheafObject]:
-    P = ParabolicId.LONG
-    E = {}
-    E[weyl.from_word("")] = SheafObject("E(e)", P, module(P, [ZERO]))
-    E[weyl.from_word("s1")] = SheafObject("E(s1)", P, module(P, [Weight(-1, 0)]))
-    E[weyl.from_word("s2s1")] = SheafObject("E(s2s1)", P, module(P, [Weight(-2, 0)]))
-    E[weyl.from_word("s1s2s1")] = SheafObject(
-        "E(s1s2s1)", P,
-        module(P, [Weight(-2, 0), Weight(-4, 1), Weight(-3, 0)]),
-        (TwoTerm("cokernel", W1, Weight(-3, 0),
-                 module(P, [Weight(-5, 1), Weight(-4, 0)])),),
-    )
-    E[weyl.from_word("s2s1s2s1")] = SheafObject(
-        "E(s2s1s2s1)", P, module(P, [Weight(-3, 0)]))
-    E[weyl.from_word("s1s2s1s2s1")] = SheafObject(
-        "E(s1s2s1s2s1)", P, module(P, [Weight(-4, 0)]))
-    return E
+def _object(parabolic: ParabolicId, name: str, atoms, two_terms) -> SheafObject:
+    def filtration(highs):
+        return module(parabolic, [Weight(*h) for h in highs])
+
+    return SheafObject(name, parabolic, filtration(atoms), tuple(
+        TwoTerm(kind, g, Weight(*nu), filtration(other)) for kind, g, nu, other in two_terms))
 
 
 @lru_cache(maxsize=None)
@@ -364,9 +339,11 @@ def builtin_collection(
     parabolic: ParabolicId,
 ) -> tuple[dict[weyl.WeylElement, SheafObject], SheafObject | None]:
     """The collection objects on G/P, plus the extra summand for the short case."""
+    coll = {weyl.from_word(word): _object(parabolic, f"E({word or 'e'})", atoms, two_terms)
+            for word, atoms, two_terms in _COLLECTIONS[parabolic]}
     if parabolic is ParabolicId.SHORT:
-        return _short_objects()
-    return _long_objects(), None
+        return coll, _object(parabolic, *_M_ROW)
+    return coll, None
 
 
 def object_by_name(parabolic: ParabolicId, name: str) -> SheafObject:
@@ -383,10 +360,10 @@ def object_by_name(parabolic: ParabolicId, name: str) -> SheafObject:
         return coll[max(coll, key=lambda w: w.length)]
     if label in ("e", ""):
         return coll[weyl.IDENTITY]
-    w = weyl.from_word(label)
-    if w not in coll:
-        raise KeyError(f"{name} is not an object of this collection")
-    return coll[w]
+    try:
+        return coll[weyl.from_word(label)]
+    except (ValueError, KeyError):
+        raise KeyError(f"{name} is not an object of this collection") from None
 
 
 def ext_table(X: SheafObject, Y: SheafObject, p: int = DEFAULT_P) -> ExtTable:

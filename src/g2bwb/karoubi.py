@@ -191,13 +191,14 @@ class _Builder:
         self.rule_ids.extend([f"{rule_id}#{k}" for k in range(1, m + 1)])
 
     def add_filtration(self, rule_id: str, total: ClassId,
-                       parts: list[ClassId], total_char: Character,
-                       part_chars: list[Character]) -> None:
-        """Admit a filtration rule; exact character additivity is mandatory."""
+                       parts: list[ClassId], total_char: Character) -> None:
+        """Admit a filtration rule; exact character additivity is mandatory.
+        Each part's character is read from its class: a line has its one
+        weight, a string the weights of its ``PString``."""
         acc: dict[Weight, int] = {}
-        for ch in part_chars:
-            for k, v in ch.mult.items():
-                acc[k] = acc.get(k, 0) + v
+        for kind, lam in parts:
+            for w in [lam] if kind == "line" else PString(self.parabolic, lam).weights():
+                acc[w] = acc.get(w, 0) + 1
         if Character(acc) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         ids = [self.cid(p) for p in parts]
@@ -314,18 +315,13 @@ def _string_line_rules(b: _Builder) -> None:
             r = par.pair(lam)
             if r <= 0:
                 continue
-            s = PString(par, lam)
             lines = [lam - alpha.scaled(k) for k in range(r + 1)]
             if not all(b.in_box(nu) for nu in lines):
                 b.skipped.append(f"string {lam}: layer outside box")
                 continue
-            b.add_filtration(
-                f"bfilt{lam}",
-                pstring_class(par, lam),
-                [line_class(nu) for nu in lines],
-                pstring_character(s),
-                [Character.line(nu) for nu in lines],
-            )
+            b.add_filtration(f"bfilt{lam}", pstring_class(par, lam),
+                             [line_class(nu) for nu in lines],
+                             pstring_character(PString(par, lam)))
             b.implication(f"push{lam}", pstring_class(par, lam), line_class(lam))
             b.implication(f"pull{lam}", line_class(lam), pstring_class(par, lam))
 
@@ -342,9 +338,7 @@ def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
     lines = [mu + nu for mu in sorted(gch.mult) for _ in range(gch.mult[mu])]
     if all(b.in_box(w) for w in lines):
         b.add_filtration(
-            f"wtfilt{generator}@{nu}", total, [line_class(w) for w in lines], total_char,
-            [Character.line(w) for w in lines],
-        )
+            f"wtfilt{generator}@{nu}", total, [line_class(w) for w in lines], total_char)
     else:
         b.skipped.append(f"tensor {generator}@{nu}: weight outside box")
 
@@ -352,12 +346,8 @@ def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
         atoms = restrict_to_P(generator, par).atoms
         highs = [s.highest + nu for s in atoms]
         if all(b.in_box(h) for h in highs):
-            b.add_filtration(
-                f"strfilt{generator}@{nu}", total,
-                [pstring_class(par, h) for h in highs],
-                total_char,
-                [pstring_character(PString(par, h)) for h in highs],
-            )
+            b.add_filtration(f"strfilt{generator}@{nu}", total,
+                             [pstring_class(par, h) for h in highs], total_char)
         else:
             b.skipped.append(f"tensor strings {generator}@{nu}: atom outside box")
 

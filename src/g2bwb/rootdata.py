@@ -75,8 +75,6 @@ POSITIVE_ROOTS: tuple[Root, ...] = (
     Root(Weight(0, 1), False, (1, 2), (3, 2)),
 )
 
-SIMPLE_ROOTS: tuple[Root, Root] = (ALPHA1, ALPHA2)
-
 
 class ParabolicId(Enum):
     """One of the two standard maximal parabolic subgroups of G2.

@@ -193,13 +193,9 @@ def test_filter_character_guard():
 def test_filtered_module_operations():
     m = module(SHORT, [Weight(2, -2), Weight(1, -2)])
     assert m.dimension() == 5
-    t = m.twisted(Weight(0, 2))
-    assert [s.highest for s in t.atoms] == [Weight(2, 0), Weight(1, 0)]
     d = m.dual()
     assert [s.highest for s in d.atoms] == [RHO, Weight(2, 0)]
     assert d.character() == dual(m.character())
-    with pytest.raises(ValueError):
-        m.twisted(W1)
 
 
 def test_character_json_roundtrip():

@@ -176,6 +176,21 @@ def test_karoubi_box_above_limit_is_usage_error(capsys):
         assert "at most 32" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tensor", "-1", "0", "0", "1"], "dominant"),
+    (["tensor", "1", "0", "0", "6"], "at most 5"),
+    (["restrict", "0", "6"], "at most 5"),
+    (["ext", "E(s3)", "M"], "unknown object"),
+], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word"])
+def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
+    # refused before any character is computed
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
 def _raiser(exc):
     def raise_it(*args, **kwargs):
         raise exc
@@ -192,7 +207,10 @@ def _raiser(exc):
     ("ext_table", ["ext", "E(e)", "E(e)"], Undecided(ZERO, 11, {}), EXIT_AMBIGUOUS),
     ("chevalley_verify", ["report", "chevalley"],
      ArithmeticError("coroot is not diagonal"), EXIT_FAILED),
-], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided", "ArithmeticError"])
+    ("resolved_oracle", ["modchar", "--w", "s1s2", "--p", "7"],
+     Undecided(ZERO, 7, {}), EXIT_AMBIGUOUS),
+], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided", "ArithmeticError",
+        "modchar"])
 def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, expected):
     monkeypatch.setattr(cli, target, _raiser(exc))
     code = main(argv)
@@ -229,6 +247,24 @@ def test_report_chevalley_json_golden(capsys):
     code, out = run(capsys, "report", "chevalley", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == CHEVALLEY_JSON_SHA256
+
+
+# stdout of the collection and Frobenius reports in JSON, pinned by sha256
+@pytest.mark.parametrize("kind, p, parabolic, digest", [
+    ("collection", 7, "short", "b974c6aac54b5f16c0306ba582b5d390f744092d810076b0635ecf0d1a2f184c"),
+    ("collection", 7, "long", "19fd6d5e6424254928704210bb23a563244db60c9ae4ab010a05a2b7eca6fb92"),
+    ("collection", 11, "short", "1f619674ea8e0325d931106235ad7cbc3a77df96413313c0c8a7d03f60fb02ab"),
+    ("collection", 11, "long", "f1b69621dfd55b6bce87e54ed56a4faba8bef05a558e7a8fc65b9caed7b16cc6"),
+    ("frobenius", 7, "short", "3b58b472c204b2c28dfe59d667e2cc96a0d26cfa1349cf54a24c3700cbda9c4f"),
+    ("frobenius", 7, "long", "e884bbb6368f057862a266daca50a81861d5a868dd3ee28dd60d78d2d199a7ef"),
+    ("frobenius", 11, "short", "b075456921700df01a17c119ae0a98236446619db50023b7df1cea99178876d2"),
+    ("frobenius", 11, "long", "3d66478afb7ea9a5766517e0dd8919bb514a139d976dcd13697d988828d2213f"),
+])
+def test_report_ext_json_golden(capsys, kind, p, parabolic, digest):
+    code, out = run(capsys, "report", kind, "--p", str(p), "--parabolic", parabolic,
+                    "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_prime_check_agrees_with_trial_division():

@@ -122,8 +122,7 @@ def test_character_guard_rejects_bad_rule():
     from g2bwb.charring import Character
     with pytest.raises(ValueError):
         b.add_filtration(
-            "bogus", line_class(ZERO), [line_class(W1)],
-            Character.line(ZERO), [Character.line(W1)],
+            "bogus", line_class(ZERO), [line_class(W1)], Character.line(ZERO),
         )
 
 
@@ -187,6 +186,21 @@ def test_audit_log_golden(parabolic, box, shuffle, digest):
     kb = close(seed(parabolic, *box), rng)
     assert kb.replay()
     assert _audit_sha(kb) == digest
+
+
+@pytest.mark.parametrize("parabolic", [SHORT, LONG])
+def test_seeds_match_collection_atoms(parabolic):
+    # the hand-written seed lists repeat the atoms of the collection table
+    from g2bwb.extcollection import builtin_collection
+
+    coll, _ = builtin_collection(parabolic)
+    highs = {s.highest for o in coll.values() for s in o.filtration.atoms}
+    lines = {h for h in highs if parabolic.pair(h) == 0}
+    short = parabolic is SHORT
+    seed_lines = set(karoubi.SHORT_SEED_LINES if short else karoubi.LONG_SEED_LINES)
+    seed_strings = set(karoubi.SHORT_SEED_STRINGS if short else karoubi.LONG_SEED_STRINGS)
+    assert seed_strings == {h for h in highs if parabolic.pair(h) > 0}
+    assert lines <= seed_lines <= highs
 
 
 def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
