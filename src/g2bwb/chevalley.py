@@ -8,16 +8,20 @@ are produced by the bracket recipes with their exact 1/2 and 1/3 divisions,
 and the twelve root subgroups are degree-two polynomial matrices equal to
 the truncated exponentials of the images.
 
-Everything runs over exact two-variable Laurent polynomials.  A coefficient
-is an ``int`` when it is integral and a ``Fraction`` only for a true rational
-(a coroot at zeta = 2, say), so every identity (form preservation,
+Everything runs over the integers, as Chevalley's theorem promises: the
+structure constants, the divided powers e^k/k! and so every root-subgroup
+coefficient are integers.  Matrix entries are Laurent polynomials in xi and
+zeta with ``int`` coefficients, each bracket-recipe division is an exact
+integer division that raises ``ArithmeticError`` on a remainder, and the
+coroots are symbolic in zeta.  So every identity (form preservation,
 determinant one, the one-parameter law, torus conjugation, the stabilizer
 statements) is checked as a polynomial identity, not at samples.  One set of
-matrix operations serves both these polynomial matrices and the integer
-matrices ``to_int_matrix`` specializes them to.  The Lie algebra checks run
-on the integer matrices of the (constant) images, with one exact elimination
-for all the brackets; reductions modulo small primes check the group laws on
-integer specializations; the characteristic-2 degeneration of the
+matrix operations, with ``==`` as matrix equality, serves both these
+polynomial matrices and the integer matrices ``to_int_matrix`` specializes
+them to.  The Lie algebra checks run on the integer matrices of the
+(constant) images, with one exact elimination for all the brackets, the only
+place a ``Fraction`` appears; reductions modulo small primes check the group
+laws on integer specializations; the characteristic-2 degeneration of the
 7-dimensional module is detected there.
 """
 
@@ -32,26 +36,22 @@ from .rootdata import POSITIVE_ROOTS, Root, Weight, pairing
 from .charring import weyl_character
 
 # ---------------------------------------------------------------------------
-# exact Laurent polynomials in two variables (xi and zeta)
-
-def _num(v) -> int | Fraction:
-    """The exact value of v: an int when integral, else a Fraction."""
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
+# integer Laurent polynomials in two variables (xi and zeta)
 
 class Poly:
-    """Laurent polynomial in (xi, zeta); int coefficients, Fraction only
-    for a non-integral one.  A Poly is never changed after it is built."""
+    """Laurent polynomial in (xi, zeta) with int coefficients.  A Poly is
+    never changed after it is built."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], int | Fraction] | None = None):
-        self.terms: dict[tuple[int, int], int | Fraction] = {}
+    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
+        self.terms: dict[tuple[int, int], int] = {}
         if terms:
             for k, v in terms.items():
                 if v:
-                    self.terms[k] = v if type(v) is int else _num(v)
+                    if type(v) is not int:
+                        raise TypeError(f"Poly coefficients are ints, got {v!r}")
+                    self.terms[k] = v
 
     @staticmethod
     def const(c) -> "Poly":
@@ -85,7 +85,7 @@ class Poly:
 
     def __mul__(self, other):
         other = Poly.coerce(other)
-        out: dict[tuple[int, int], int | Fraction] = {}
+        out: dict[tuple[int, int], int] = {}
         for (a1, b1), v1 in self.terms.items():
             for (a2, b2), v2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
@@ -103,12 +103,12 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_integral(self) -> bool:
-        return all(type(v) is int for v in self.terms.values())
-
-    def subs(self, xi, zeta) -> int | Fraction:
-        xi, zeta = Fraction(xi), Fraction(zeta)
-        return _num(sum(v * xi ** i * zeta ** j for (i, j), v in self.terms.items()))
+    def subs(self, xi: int) -> int:
+        """The value at the integer xi of a polynomial in xi alone;
+        ArithmeticError on a zeta term or a negative power of xi."""
+        if any(j or i < 0 for i, j in self.terms):
+            raise ArithmeticError(f"{self!r} is not a polynomial in xi alone")
+        return sum(v * xi ** i for (i, _), v in self.terms.items())
 
     def scale_var(self, e1: int, e2: int) -> "Poly":
         """Multiply by xi^e1 * zeta^e2."""
@@ -134,7 +134,8 @@ ZETA_INV = Poly({(0, -1): 1})
 ONE = Poly.const(1)
 
 # ---------------------------------------------------------------------------
-# 7x7 matrices over Poly or over plain ints; every operation below serves both
+# 7x7 matrices over Poly or over plain ints; every operation below serves
+# both, and == compares two matrices entry by entry
 
 INDEX_ORDER = (1, 2, 3, 0, -3, -2, -1)
 POS = {label: k for k, label in enumerate(INDEX_ORDER)}
@@ -187,14 +188,6 @@ def bracket(a: Mat, b: Mat) -> Mat:
     return msub(mmul(a, b), mmul(b, a))
 
 
-def mequal(a: Mat, b: Mat) -> bool:
-    return all(a[r][c] == b[r][c] for r in range(7) for c in range(7))
-
-
-def is_zero_mat(m: Mat) -> bool:
-    return all(not m[r][c] for r in range(7) for c in range(7))
-
-
 def det7(m: Mat) -> Poly | int:
     """Determinant by minor expansion with memo on column subsets."""
     cols = tuple(range(7))
@@ -217,12 +210,9 @@ def det7(m: Mat) -> Poly | int:
     return minor(0, cols)
 
 
-def to_int_matrix(m: Mat, xi=1, zeta=1) -> Mat:
-    """The integer matrix m(xi, zeta); ArithmeticError on a non-integral entry."""
-    out = tuple(tuple(e.subs(xi, zeta) for e in row) for row in m)
-    if any(type(v) is not int for row in out for v in row):
-        raise ArithmeticError("the specialized matrix is not integral")
-    return out
+def to_int_matrix(m: Mat, xi: int = 1) -> Mat:
+    """The integer matrix m(xi); ArithmeticError on an entry involving zeta."""
+    return tuple(tuple(e.subs(xi) for e in row) for row in m)
 
 
 # Gram matrix of the quadratic form, antidiagonal ones with central 2.
@@ -232,11 +222,11 @@ GRAM: Mat = madd(
 
 
 def preserves_form(g: Mat) -> bool:
-    return mequal(mmul(mtrans(g), mmul(GRAM, g)), GRAM)
+    return mmul(mtrans(g), mmul(GRAM, g)) == GRAM
 
 
 def in_orthogonal_lie_algebra(x: Mat) -> bool:
-    return is_zero_mat(madd(mmul(mtrans(x), GRAM), mmul(GRAM, x)))
+    return mmul(mtrans(x), GRAM) == mneg(mmul(GRAM, x))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +256,13 @@ def so7_basis() -> list[Mat]:
     return out
 
 
-def _exact_scale(c: Fraction, m: Mat) -> Mat:
-    out = mscale(c, m)
-    for r in range(7):
-        for k in range(7):
-            if not out[r][k].is_integral():
-                raise ArithmeticError("non-exact division in a Chevalley bracket")
-    return out
+def _exact_div(m: Mat, d: int) -> Mat:
+    """The polynomial matrix m divided by the integer d; ArithmeticError
+    unless d divides every coefficient."""
+    if any(v % d for row in m for e in row for v in e.terms.values()):
+        raise ArithmeticError(f"non-exact division by {d}")
+    return tuple(tuple(Poly({k: v // d for k, v in e.terms.items()}) for e in row)
+                 for row in m)
 
 
 # ordering of the positive roots as in rootdata.POSITIVE_ROOTS
@@ -288,12 +278,12 @@ def theta() -> dict[tuple[str, object], Mat]:
     f1 = madd(F1P, F3P)
     f2 = F2P
     e12 = bracket(e1, e2)
-    e112 = _exact_scale(Fraction(1, 2), bracket(e1, e12))
-    e1112 = _exact_scale(Fraction(1, 3), bracket(e1, e112))
+    e112 = _exact_div(bracket(e1, e12), 2)
+    e1112 = _exact_div(bracket(e1, e112), 3)
     e11122 = bracket(e2, e1112)
     f12 = mneg(bracket(f1, f2))
-    f112 = _exact_scale(Fraction(-1, 2), bracket(f1, f12))
-    f1112 = _exact_scale(Fraction(-1, 3), bracket(f1, f112))
+    f112 = _exact_div(bracket(f1, f12), -2)
+    f1112 = _exact_div(bracket(f1, f112), -3)
     f11122 = mneg(bracket(f2, f1112))
     h1 = bracket(e1, f1)
     h2 = bracket(e2, f2)
@@ -387,7 +377,8 @@ def _solve_in_span(basis: list[Mat], targets: list[Mat]
             continue
         sol = [0] * cols
         for r, col in enumerate(pivots):
-            sol[col] = _num(aug[r][t])
+            v = aug[r][t]
+            sol[col] = v.numerator if v.denominator == 1 else v
         coords.append(sol)
     return rank, coords
 
@@ -412,7 +403,7 @@ def verify_embedding() -> CheckReport:
     reference = _reference_images()
     checks.append((
         "bracket-generated images match the closed-form constants",
-        all(mequal(th[k], m) for k, m in reference.items()),
+        all(th[k] == m for k, m in reference.items()),
     ))
 
     # the images are constant, so the rest runs on their integer matrices
@@ -502,7 +493,7 @@ def _closed_form(weight: Weight, positive: bool) -> tuple[Mat, Mat, Mat]:
 
 
 def root_subgroup(alpha: Root, xi, positive: bool = True) -> Mat:
-    """Closed-form root subgroup element at an exact or symbolic parameter."""
+    """Closed-form root subgroup element at an integer or symbolic parameter."""
     c0, c1, c2 = _closed_form(alpha.weight, positive)
     x = Poly.coerce(xi)
     return madd(c0, mscale(x, c1), mscale(x * x, c2))
@@ -511,24 +502,18 @@ def root_subgroup(alpha: Root, xi, positive: bool = True) -> Mat:
 def nilpotent_exponential(n: Mat, xi) -> Mat:
     """exp(xi n) for n with n^3 = 0; the half division must be exact."""
     n2 = mmul(n, n)
-    if not is_zero_mat(mmul(n2, n)):
+    if mmul(n2, n) != zero_mat():
         raise ValueError("matrix is not nilpotent of order <= 3")
     x = Poly.coerce(xi)
-    half = _exact_scale(Fraction(1, 2), n2)
-    return madd(identity_mat(), mscale(x, n), mscale(x * x, half))
+    return madd(identity_mat(), mscale(x, n), mscale(x * x, _exact_div(n2, 2)))
 
 
-def coroot(i: int, zeta=None) -> Mat:
-    """alpha_i^v(zeta) built from the Chevalley n-elements; zeta symbolic by default."""
+def coroot(i: int, z: Poly = ZETA, zinv: Poly = ZETA_INV) -> Mat:
+    """alpha_i^v(z) built from the Chevalley n-elements; zinv is the inverse of z."""
     if i not in (1, 2):
         raise ValueError("coroot index must be 1 or 2")
-    z = ZETA if zeta is None else Poly.coerce(zeta)
-    if not z:
-        raise ZeroDivisionError("the coroot needs an invertible argument")
-    if zeta is None:
-        zinv = ZETA_INV
-    else:
-        zinv = Poly.const(1 / Fraction(zeta))
+    if z * zinv != ONE:
+        raise ValueError("zinv must be the inverse of z")
     alpha = POSITIVE_ROOTS[i - 1]
 
     def n_alpha(t, tinv):
@@ -536,7 +521,7 @@ def coroot(i: int, zeta=None) -> Mat:
         b = root_subgroup(alpha, -tinv, False)
         return mmul(mmul(a, b), a)
 
-    return mmul(n_alpha(z, zinv), n_alpha(Poly.const(-1), Poly.const(-1)))
+    return mmul(n_alpha(z, zinv), n_alpha(-ONE, -ONE))
 
 
 def coroot_diagonal_exponents(i: int) -> list[int]:
@@ -591,7 +576,7 @@ def verify_subgroups() -> CheckReport:
         for positive in (True, False):
             y = th[("e" if positive else "f", alpha)]
             g = root_subgroup(alpha, XI, positive)
-            if not mequal(g, nilpotent_exponential(y, XI)):
+            if g != nilpotent_exponential(y, XI):
                 exp_ok = False
             if not preserves_form(g):
                 form_ok = False
@@ -600,7 +585,7 @@ def verify_subgroups() -> CheckReport:
             # one-parameter law with two independent symbols
             gz = root_subgroup(alpha, ZETA, positive)
             gxz = root_subgroup(alpha, XI + ZETA, positive)
-            if not mequal(mmul(g, gz), gxz):
+            if mmul(g, gz) != gxz:
                 add_ok = False
     checks.append(("closed forms equal the truncated exponentials", exp_ok))
     checks.append(("g^t B g = B for all twelve subgroups, symbolically", form_ok))
@@ -609,12 +594,7 @@ def verify_subgroups() -> CheckReport:
 
     conj_ok = True
     for i in (1, 2):
-        t = coroot(i)
-        tinv = tuple(
-            tuple(Poly({(e1, -e2): c for (e1, e2), c in t[r][k].terms.items()})
-                  for k in range(7))
-            for r in range(7)
-        )
+        t, tinv = coroot(i), coroot(i, ZETA_INV, ZETA)
         for alpha in POSITIVE_ROOTS:
             for positive in (True, False):
                 k = pairing(alpha.weight, POSITIVE_ROOTS[i - 1])
@@ -622,7 +602,7 @@ def verify_subgroups() -> CheckReport:
                     k = -k
                 lhs = mmul(mmul(t, root_subgroup(alpha, XI, positive)), tinv)
                 rhs = root_subgroup(alpha, XI.scale_var(0, k), positive)
-                if not mequal(lhs, rhs):
+                if lhs != rhs:
                     conj_ok = False
     checks.append(("torus conjugation rescales by zeta^<beta, alpha^v>", conj_ok))
 

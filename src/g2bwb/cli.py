@@ -4,7 +4,8 @@ Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
 error, 3 ambiguous-but-valid, 4 verification failure; a library exception
 that escapes a command maps to 3 or 4 in ``main``.  ``--p`` takes a prime of
-at least ``MIN_P``.  Set G2BWB_LOG for audit output on stderr.
+at least ``MIN_P``, and at most ``RANK_MAX_P`` for ``report rank`` and
+``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ MAX_WEIGHT = 5
 # the first prime for which 0 is p-regular; below it no report is backed.
 MIN_P = 7
 
+# Largest --p of report rank and modchar, which resolve the simple characters
+# through the rank-p^5 identity: their time and memory grow steeply with p (on
+# 2 cores, cold, p = 43 takes about 7.6 s and 64 MB, p = 47 about 10 s and
+# p = 53 about 14 s and 91 MB).  The other commands take any prime.
+RANK_MAX_P = 43
+
 
 def _audit_enabled() -> bool:
     return bool(os.environ.get("G2BWB_LOG"))
@@ -72,6 +79,14 @@ def _emit(args, payload_json: dict, payload_text: str, payload_latex: str | None
         print(payload_latex)
     else:
         print(payload_text)
+
+
+def _rank_p_refused(p: int) -> bool:
+    """Print why report rank or modchar refuses its prime; True if it does."""
+    if p > RANK_MAX_P:
+        print(f"--p must be at most {RANK_MAX_P} for the rank identity", file=sys.stderr)
+        return True
+    return False
 
 
 def _weights_refused(*weights: Weight) -> bool:
@@ -200,6 +215,8 @@ def _cmd_report(args) -> int:
         )
         return EXIT_OK if ok else EXIT_FAILED
     if kind == "rank":
+        if _rank_p_refused(args.p):
+            return EXIT_USAGE
         rep = rank_identity_check(args.p, _parabolic(args.parabolic))
         _emit(args, rep.to_json(), rep.to_text())
         return EXIT_OK if rep.passed else EXIT_FAILED
@@ -208,6 +225,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_modchar(args) -> int:
+    if _rank_p_refused(args.p):
+        return EXIT_USAGE
     try:
         w = weyl.from_word(args.w if args.w != "e" else "")
     except ValueError:

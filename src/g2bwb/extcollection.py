@@ -353,17 +353,16 @@ def object_by_name(parabolic: ParabolicId, name: str) -> SheafObject:
         if m_obj is None:
             raise KeyError("M exists only for the short-root parabolic")
         return m_obj
-    label = name
-    if label.startswith("E(") and label.endswith(")"):
-        label = label[2:-1]
+    label = name[2:-1] if name.startswith("E(") and name.endswith(")") else name
     if label in ("wP", "w^P"):
         return coll[max(coll, key=lambda w: w.length)]
-    if label in ("e", ""):
-        return coll[weyl.IDENTITY]
-    try:
-        return coll[weyl.from_word(label)]
-    except (ValueError, KeyError):
-        raise KeyError(f"{name} is not an object of this collection") from None
+    # only the words of the collection table name objects: a word that merely
+    # reduces to one of them (say s1s1s2) does not
+    wanted = f"E({label or 'e'})"
+    for obj in coll.values():
+        if obj.name == wanted:
+            return obj
+    raise KeyError(f"{name} is not an object of this collection")
 
 
 def ext_table(X: SheafObject, Y: SheafObject, p: int = DEFAULT_P) -> ExtTable:

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from g2bwb.rootdata import POSITIVE_ROOTS, Weight
@@ -11,6 +9,7 @@ from g2bwb.chevalley import (
     INDEX_ORDER,
     ONE,
     XI,
+    ZETA,
     Poly,
     coroot,
     coroot_diagonal_exponents,
@@ -18,7 +17,6 @@ from g2bwb.chevalley import (
     identity_mat,
     in_orthogonal_lie_algebra,
     matunit,
-    mequal,
     mmul,
     mscale,
     msub,
@@ -41,15 +39,17 @@ A1, A2, A12, A112, A1112, A11122 = POSITIVE_ROOTS
 def test_poly_arithmetic():
     x, one = XI, ONE
     assert (x + 1) * (x - 1) == x * x - 1
-    assert (x * x).subs(3, 1) == 9
-    p = Poly({(0, -2): Fraction(5)})
-    assert p.subs(1, 2) == Fraction(5, 4)
+    assert (x * x).subs(3) == 9
     assert (x - x) == 0 and not (x - x)
+    with pytest.raises(ArithmeticError):
+        (x + ZETA).subs(1)  # a zeta term has no integer value
+    with pytest.raises(TypeError):
+        Poly.const(0.5)
 
 
 def test_generator_matrices():
-    assert mequal(E3P, msub(mscale(2, matunit(3, 0)), matunit(0, -3)))
-    assert mequal(F1P, msub(matunit(2, 1), matunit(-1, -2)))
+    assert E3P == msub(mscale(2, matunit(3, 0)), matunit(0, -3))
+    assert F1P == msub(matunit(2, 1), matunit(-1, -2))
 
 
 def test_so7_basis_in_orthogonal_algebra():
@@ -61,15 +61,9 @@ def test_so7_basis_in_orthogonal_algebra():
 
 def test_theta_images_match_reference_forms():
     th = theta()
-    assert mequal(
-        th[("e", A12)],
-        msub(msub(matunit(1, 3), matunit(-3, -1)),
-             msub(mscale(2, matunit(2, 0)), matunit(0, -2))),
-    )
-    assert mequal(
-        th[("f", A1112)],
-        mscale(-1, msub(matunit(-3, 1), matunit(-1, 3))),
-    )
+    assert th[("e", A12)] == msub(msub(matunit(1, 3), matunit(-3, -1)),
+                                  msub(mscale(2, matunit(2, 0)), matunit(0, -2)))
+    assert th[("f", A1112)] == mscale(-1, msub(matunit(-3, 1), matunit(-1, 3)))
 
 
 def test_cartan_image_is_expected_diagonal():
@@ -90,20 +84,19 @@ def test_verify_embedding_passes():
 def test_bracket_example():
     th = theta()
     from g2bwb.chevalley import bracket
-    assert mequal(bracket(th[("e", A1)], th[("e", A2)]), th[("e", A12)])
-    assert mequal(bracket(th[("e", A1)], th[("f", A2)]),
-                  mscale(0, identity_mat()))
+    assert bracket(th[("e", A1)], th[("e", A2)]) == th[("e", A12)]
+    assert bracket(th[("e", A1)], th[("f", A2)]) == mscale(0, identity_mat())
 
 
 def test_root_subgroup_examples():
     g = root_subgroup(A2, XI)
     expected = madd(identity_mat(), mscale(XI, msub(matunit(2, 3), matunit(-3, -2))))
-    assert mequal(g, expected)
+    assert g == expected
     g0 = root_subgroup(A1, 0)
-    assert mequal(g0, identity_mat())
+    assert g0 == identity_mat()
     # quadratic entry present for the short simple root
     g1 = root_subgroup(A1, XI)
-    assert g1[2][4] == Poly({(2, 0): Fraction(-1)})
+    assert g1[2][4] == Poly({(2, 0): -1})
 
 
 def test_subgroup_exponential_agreement():
@@ -111,15 +104,14 @@ def test_subgroup_exponential_agreement():
     for alpha in POSITIVE_ROOTS:
         for positive in (True, False):
             y = th[("e" if positive else "f", alpha)]
-            assert mequal(root_subgroup(alpha, XI, positive),
-                          nilpotent_exponential(y, XI))
+            assert root_subgroup(alpha, XI, positive) == nilpotent_exponential(y, XI)
 
 
 def test_one_parameter_law_sample():
     a = root_subgroup(A1, 1)
     b = root_subgroup(A1, 2)
     c = root_subgroup(A1, 3)
-    assert mequal(mmul(a, b), c)
+    assert mmul(a, b) == c
 
 
 def test_form_preserved_and_det_one():
@@ -130,15 +122,12 @@ def test_form_preserved_and_det_one():
 
 
 def test_coroot_values():
-    m = coroot(1, 2)
-    diag = [m[k][k].subs(0, 0) for k in range(7)]
-    assert diag == [2, Fraction(1, 2), 4, 1, Fraction(1, 4), 2, Fraction(1, 2)]
-    assert mequal(coroot(1, 1), identity_mat())
-    assert mequal(coroot(2, 1), identity_mat())
-    with pytest.raises(ZeroDivisionError):
-        coroot(1, 0)
+    assert coroot(1, ONE, ONE) == identity_mat()
+    assert coroot(2, ONE, ONE) == identity_mat()
     with pytest.raises(ValueError):
-        coroot(3, 1)
+        coroot(3)
+    with pytest.raises(ValueError):
+        coroot(1, ZETA, ZETA)  # zinv is not the inverse of z
 
 
 def test_weight_table():
@@ -175,7 +164,7 @@ def test_gram_matrix_layout():
     # antidiagonal ones with the doubled central entry
     for r in range(7):
         for c in range(7):
-            v = GRAM[r][c].subs(0, 0)
+            v = GRAM[r][c].subs(0)
             if r + c == 6:
                 assert v == (2 if r == 3 else 1)
             else:

@@ -1,5 +1,6 @@
 """The exact matrix layer of g2bwb.chevalley: the integer specialization, the
-one eliminator, and the nilpotency guard of the truncated exponential.
+one eliminator, the exact integer division, and the nilpotency guard of the
+truncated exponential.
 
 The eliminator is checked against data it does not produce itself: every
 bracket is rebuilt from the returned coordinates, and the ranks and
@@ -14,12 +15,13 @@ from g2bwb.chevalley import (
     E3P,
     F1P,
     XI,
+    _exact_div,
     _solve_in_span,
     bracket,
     coroot,
     identity_mat,
     madd,
-    mequal,
+    matunit,
     mscale,
     nilpotent_exponential,
     root_subgroup,
@@ -36,13 +38,24 @@ def test_nilpotent_exponential_rejects_non_nilpotent():
         nilpotent_exponential(identity_mat(), XI)
 
 
+def test_exact_div_refuses_a_remainder():
+    assert _exact_div(mscale(6, identity_mat()), -3) == mscale(-2, identity_mat())
+    with pytest.raises(ArithmeticError):
+        _exact_div(identity_mat(), 2)
+    with pytest.raises(ArithmeticError):
+        _exact_div(madd(identity_mat(), mscale(3 * XI, identity_mat())), 3)
+    # n^3 = 0 but n^2 / 2 is not integral, so exp(xi n) has no integer form
+    with pytest.raises(ArithmeticError):
+        nilpotent_exponential(madd(matunit(1, 2), matunit(2, 3)), XI)
+
+
 def test_to_int_matrix():
     g = to_int_matrix(root_subgroup(A1, XI), 2)
     assert all(type(v) is int for row in g for v in row)
-    assert mequal(g, to_int_matrix(root_subgroup(A1, 2)))
+    assert g == to_int_matrix(root_subgroup(A1, 2))
     assert g[2][4] == -4  # the quadratic entry -xi^2 at xi = 2
     with pytest.raises(ArithmeticError):
-        to_int_matrix(coroot(1, 2))  # diagonal entries 1/2 and 1/4
+        to_int_matrix(coroot(1))  # diagonal entries are powers of zeta
 
 
 def _g2_bases():
@@ -58,7 +71,7 @@ def test_solve_in_span_rebuilds_every_bracket():
     for (i, j), c in zip(pairs, coords):
         assert c is not None and all(type(x) is int for x in c)
         rebuilt = madd(*(mscale(ck, basis[k]) for k, ck in enumerate(c)))
-        assert mequal(rebuilt, bracket(basis[i], basis[j])), (i, j)
+        assert rebuilt == bracket(basis[i], basis[j]), (i, j)
 
 
 def test_solve_in_span_rank_and_outside_span():

@@ -181,7 +181,16 @@ def test_karoubi_box_above_limit_is_usage_error(capsys):
     (["tensor", "1", "0", "0", "6"], "at most 5"),
     (["restrict", "0", "6"], "at most 5"),
     (["ext", "E(s3)", "M"], "unknown object"),
-], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word"])
+    # words that only reduce to collection elements name no object
+    (["ext", "E(s1s1)", "M"], "unknown object"),
+    (["ext", "E(s1s1)", "E(s2s2s2)"], "unknown object"),
+    (["ext", "E(e)", "E(s2s1s1s1)", "--parabolic", "long"], "unknown object"),
+    (["report", "rank", "--p", "997"], f"at most {cli.RANK_MAX_P}"),
+    (["report", "rank", "--p", "47", "--parabolic", "long"], f"at most {cli.RANK_MAX_P}"),
+    (["modchar", "--w", "s1s2", "--p", "997"], f"at most {cli.RANK_MAX_P}"),
+], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word",
+        "ext-non-reduced", "ext-both-non-reduced", "ext-non-reduced-long", "rank-p-above-bound",
+        "rank-long-p-above-bound", "modchar-p-above-bound"])
 def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
     # refused before any character is computed
     code = main(argv)
@@ -222,6 +231,19 @@ def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, exp
     assert "Traceback" not in captured.err
 
 
+def test_rank_bound_refuses_only_rank_and_modchar(capsys, monkeypatch):
+    # at the bound, and on the other reports far above it, the library is reached
+    assert cli.RANK_MAX_P >= 41
+    p = str(cli.RANK_MAX_P)
+    for target, argv in (("rank_identity_check", ["report", "rank", "--p", p]),
+                         ("resolved_oracle", ["modchar", "--w", "e", "--p", p]),
+                         ("full_collection_report", ["report", "collection", "--p", "997"]),
+                         ("frobenius_report", ["report", "frobenius", "--p", "997"])):
+        monkeypatch.setattr(cli, target, _raiser(InconsistentChoice("reached")))
+        assert main(argv) == EXIT_FAILED, argv
+        assert "reached" in capsys.readouterr().err
+
+
 RANK_P7_JSON = (
     '{"character_match": true, "choice_points": ["[nabla(3,3):L(2,2)] = 1", '
     '"[nabla(3,5):L(1,2)] = 1", "[nabla(3,5):L(2,0)] = 1", "[nabla(4,3):L(1,2)] = 1", '
@@ -247,6 +269,16 @@ def test_report_chevalley_json_golden(capsys):
     code, out = run(capsys, "report", "chevalley", "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == CHEVALLEY_JSON_SHA256
+
+
+CHEVALLEY_TEXT_SHA256 = "dd83a6a494adf580a0e3b80449351394956c505e64e3666db4091e0a2462809e"
+
+
+def test_report_chevalley_text_golden(capsys):
+    # pins the text layout of CheckReport.to_text as well
+    code, out = run(capsys, "report", "chevalley")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CHEVALLEY_TEXT_SHA256
 
 
 # stdout of the collection and Frobenius reports in JSON, pinned by sha256
