@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .rootdata import ParabolicId, Weight
 from .charring import restrict_to_P, weyl_character, decompose_costandard
@@ -71,14 +72,16 @@ def _parabolic(name: str) -> ParabolicId:
     return ParabolicId.SHORT if name == "short" else ParabolicId.LONG
 
 
-def _emit(args, payload_json: dict, payload_text: str, payload_latex: str | None = None) -> None:
-    """Print one payload; ``--format latex`` is offered only where there is one."""
+def _emit(args, to_json, to_text, to_latex=None) -> None:
+    """Render and print the requested format only.  Each payload is a
+    callable without arguments; ``--format latex`` is offered only where
+    there is one."""
     if args.format == "json":
-        print(json.dumps(payload_json, sort_keys=True))
+        print(json.dumps(to_json(), sort_keys=True))
     elif args.format == "latex":
-        print(payload_latex)
+        print(to_latex())
     else:
-        print(payload_text)
+        print(to_text())
 
 
 def _rank_p_refused(p: int) -> bool:
@@ -103,13 +106,13 @@ def _weights_refused(*weights: Weight) -> bool:
 def _cmd_bott(args) -> int:
     r = bott_line(Weight(args.a, args.b), args.p)
     if r.vanishes:
-        _emit(args, {"vanishes": True}, "VANISHES")
+        _emit(args, lambda: {"vanishes": True}, lambda: "VANISHES")
     else:
         _emit(
             args,
-            {"vanishes": False, "degree": r.degree, "weight": [r.weight.a, r.weight.b],
-             "caveat": r.caveat},
-            f"H^{r.degree} = nabla({r.weight.a},{r.weight.b})"
+            lambda: {"vanishes": False, "degree": r.degree, "weight": [r.weight.a, r.weight.b],
+                     "caveat": r.caveat},
+            lambda: f"H^{r.degree} = nabla({r.weight.a},{r.weight.b})"
             + ("   [char-p caveat]" if r.caveat else ""),
         )
     return EXIT_OK
@@ -124,17 +127,21 @@ def _cmd_ext(args) -> int:
         print(f"unknown object: {e}", file=sys.stderr)
         return EXIT_USAGE
     t = ext_table(X, Y, args.p)
-    latex_rows = []
-    for d, entries in t.labelled():
-        terms = " \\oplus ".join(
-            ("L" if lbl == "L" else "\\nabla") + f"({w.a},{w.b})" for lbl, w in entries
-        )
-        latex_rows.append(f"\\mathrm{{Ext}}^{{{d}}} \\simeq {terms}")
+
+    def latex() -> str:
+        latex_rows = []
+        for d, entries in t.labelled():
+            terms = " \\oplus ".join(
+                ("L" if lbl == "L" else "\\nabla") + f"({w.a},{w.b})" for lbl, w in entries
+            )
+            latex_rows.append(f"\\mathrm{{Ext}}^{{{d}}} \\simeq {terms}")
+        return "\\\\\n".join(latex_rows) if latex_rows else "0"
+
     _emit(
         args,
-        {"x": X.name, "y": Y.name, "p": args.p, **t.to_json()},
-        f"Ext({X.name},{Y.name}) = {t.render()}",
-        "\\\\\n".join(latex_rows) if latex_rows else "0",
+        lambda: {"x": X.name, "y": Y.name, "p": args.p, **t.to_json()},
+        lambda: f"Ext({X.name},{Y.name}) = {t.render()}",
+        latex,
     )
     return EXIT_OK if t.exact else EXIT_AMBIGUOUS
 
@@ -153,7 +160,8 @@ def _cmd_tensor(args) -> int:
         f"\\nabla({w.a},{w.b})" + (f"^{{\\oplus {m}}}" if m > 1 else "")
         for w, m in factors
     )
-    _emit(args, {"factors": [[w.a, w.b, m] for w, m in factors]}, text, latex)
+    _emit(args, lambda: {"factors": [[w.a, w.b, m] for w, m in factors]},
+          lambda: text, lambda: latex)
     return EXIT_OK
 
 
@@ -171,9 +179,10 @@ def _cmd_restrict(args) -> int:
             names.append(f"nablaP({s.highest.a},{s.highest.b})")
     _emit(
         args,
-        {"parabolic": args.parabolic, "atoms": [[s.highest.a, s.highest.b] for s in mod.atoms]},
-        " / ".join(names),
-        filtration_to_latex(mod),
+        lambda: {"parabolic": args.parabolic,
+                 "atoms": [[s.highest.a, s.highest.b] for s in mod.atoms]},
+        lambda: " / ".join(names),
+        lambda: filtration_to_latex(mod),
     )
     return EXIT_OK
 
@@ -182,11 +191,11 @@ def _cmd_report(args) -> int:
     kind = args.kind
     if kind == "collection":
         rep = full_collection_report(_parabolic(args.parabolic), args.p)
-        _emit(args, rep.to_json(), rep.to_text())
+        _emit(args, rep.to_json, rep.to_text)
         return EXIT_OK if rep.passed else EXIT_FAILED
     if kind == "frobenius":
         rep = frobenius_report(_parabolic(args.parabolic), args.p)
-        _emit(args, rep.to_json(), rep.to_text())
+        _emit(args, rep.to_json, rep.to_text)
         return EXIT_OK if rep.passed else EXIT_FAILED
     if kind == "karoubi":
         par = _parabolic(args.parabolic)
@@ -203,22 +212,22 @@ def _cmd_report(args) -> int:
         rep, kb = verify_generation(par, amax=amax, bmax=bmax)
         if _audit_enabled():
             print(kb.audit_log(), file=sys.stderr)
-        _emit(args, rep.to_json(), rep.to_text())
+        _emit(args, rep.to_json, rep.to_text)
         return EXIT_OK if rep.complete else EXIT_FAILED
     if kind == "chevalley":
         reps = chevalley_verify()
         ok = all(r.passed for r in reps)
         _emit(
             args,
-            {"reports": [r.to_json() for r in reps], "passed": ok},
-            "\n\n".join(r.to_text() for r in reps),
+            lambda: {"reports": [r.to_json() for r in reps], "passed": ok},
+            lambda: "\n\n".join(r.to_text() for r in reps),
         )
         return EXIT_OK if ok else EXIT_FAILED
     if kind == "rank":
         if _rank_p_refused(args.p):
             return EXIT_USAGE
         rep = rank_identity_check(args.p, _parabolic(args.parabolic))
-        _emit(args, rep.to_json(), rep.to_text())
+        _emit(args, rep.to_json, rep.to_text)
         return EXIT_OK if rep.passed else EXIT_FAILED
     print(f"unknown report kind {kind}", file=sys.stderr)
     return EXIT_USAGE
@@ -237,10 +246,10 @@ def _cmd_modchar(args) -> int:
     ch = oracle.simple(lam0)
     _emit(
         args,
-        {"w": args.w, "p": args.p, "weight": [lam0.a, lam0.b],
-         "dim": ch.dimension(), "support": len(ch.mult),
-         "costandard_dim": weyl_dim(lam0), "decided_by": decided_by},
-        f"L({args.w}) = L({lam0.a},{lam0.b}): dim {ch.dimension()}, "
+        lambda: {"w": args.w, "p": args.p, "weight": [lam0.a, lam0.b],
+                 "dim": ch.dimension(), "support": len(ch.mult),
+                 "costandard_dim": weyl_dim(lam0), "decided_by": decided_by},
+        lambda: f"L({args.w}) = L({lam0.a},{lam0.b}): dim {ch.dimension()}, "
         f"support {len(ch.mult)} weights, inside nabla of dim {weyl_dim(lam0)} "
         f"[{decided_by}]",
     )
@@ -343,9 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EulerMismatch, InconsistentChoice, ArithmeticError) as e:

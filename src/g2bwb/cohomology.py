@@ -4,7 +4,9 @@ that certifies the Ext tables of sheaves on its two P1-fibrations.
 ``bott_line`` evaluates the cohomology of a line bundle on the full flag
 variety: it vanishes when the rho-shift is singular and otherwise sits in a
 single degree, the number of positive coroots made negative.  ``linked`` and
-``affine_normal_form`` decide the p-dot linkage classes.
+``affine_normal_form`` decide the p-dot linkage classes.  ``p_threshold`` is
+the prime from which ``affine_normal_form`` of a weight, and ``lowest_alcove``
+of a dominant one, no longer depend on p.
 
 A table maps each degree to a multiset of dominant weights, the Weyl-character
 factors in that degree.  Evaluating a filtered sheaf atom by atom gives an
@@ -70,9 +72,18 @@ def lowest_alcove(lam: Weight, p: int = DEFAULT_P) -> bool:
     return all(0 < alpha.pair(x) <= p for alpha in POSITIVE_ROOTS)
 
 
+def p_threshold(x: Weight) -> int:
+    """The largest <y, alpha^v> over the positive roots, y the dominant
+    conjugate of x: the least p from which ``affine_normal_form(x, p)`` is y,
+    and, for dominant x, from which ``lowest_alcove(x - rho, p)`` holds."""
+    return _beta_pair(weyl.dominant_conjugate(x))
+
+
 def affine_normal_form(x: Weight, p: int) -> Weight:
     """Unique representative of the p-dilated affine Weyl orbit of x in the
     closed dominant fundamental domain."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     while True:
         x = weyl.dominant_conjugate(x)
         t = _beta_pair(x)
@@ -83,8 +94,6 @@ def affine_normal_form(x: Weight, p: int) -> Weight:
 
 def linked(lam: Weight, mu: Weight, p: int = DEFAULT_P) -> bool:
     """True iff the two weights lie in one p-dot affine Weyl orbit."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
     return affine_normal_form(lam + RHO, p) == affine_normal_form(mu + RHO, p)
 
 

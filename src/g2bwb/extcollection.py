@@ -30,6 +30,25 @@ the Euler characteristic then certify exactness whenever they pin a unique
 solution (``cohomology.combine``).  Ambiguity is propagated, never guessed
 away.
 
+Every engine reads and fills one process-wide memo of cells (``_CELLS``)
+that serves every prime.  The prime enters a cell only where a p-free
+pairing is compared with p:
+
+* ``lowest_alcove`` in the caveat of a ``bott_line`` result of degree < 2,
+  which holds exactly from max <w+rho, alpha^v> on (Jantzen, RAGS II.5:
+  Bott's theorem holds in the closure of the bottom alcove);
+* ``affine_normal_form`` of each weight that ``linkage_collision`` and the
+  split route compare, which is the dominant conjugate x+ of the weight from
+  <x+, alpha_0^v> on (RAGS II.6: the linkage classes stop changing);
+* a sub-cell, through its own bound.
+
+While a cell is computed, the engine records the largest of these values,
+p0 (``cohomology.p_threshold``).  Above p0 every comparison gives the same
+answer, so the cell computed at any p >= p0 is the cell at every p >= p0:
+it is stored once and served at a later prime with only its ``p`` replaced,
+which the labels L/nabla are rendered from.  A cell computed at p < p0 is
+stored for that prime alone.
+
 ``FROBENIUS_SUMMANDS`` is the one decomposition table of F_*O into summands
 E (x) L(w) on each G/P.  ``frobenius_report`` prints it, and
 ``modchar.rank_identity_check`` reads it for the rank-p^5 identity.
@@ -38,7 +57,7 @@ E (x) L(w) on each G/P.  ``frobenius_report`` prints it, and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .rootdata import W1, W2, ZERO, ParabolicId, Weight
@@ -62,6 +81,7 @@ from .cohomology import (
     euler_characteristic,
     linkage_collision,
     lowest_alcove,
+    p_threshold,
 )
 from .rootdata import RHO
 from . import weyl
@@ -90,6 +110,11 @@ class SheafObject:
             lhs = middle - tt.other.character()
             if lhs != self.filtration.character():
                 raise ValueError(f"{self.name}: inconsistent {tt.kind} presentation")
+
+    def __hash__(self) -> int:
+        # the cell memo hashes objects on every lookup; equal objects share
+        # a name, and a string caches its own hash
+        return hash(self.name)
 
     @property
     def key(self) -> tuple:
@@ -185,13 +210,28 @@ class AmbiguousTable(RuntimeError):
     """A report required an exact table but only a bound was certified."""
 
 
+# The cells of the whole process, across primes: (X, Y) -> (p0, table) for a
+# table valid at every p >= p0, and (X, Y, p) -> (p0, table) for a table
+# computed at a prime p < p0, valid at p alone.
+_CELLS: dict[tuple, tuple[int, ExtTable]] = {}
+
+
 class ExtEngine:
-    """Memoized Ext-table computation for one parabolic and one prime."""
+    """Ext-table computation for one parabolic at one prime, over the
+    process-wide cell memo."""
 
     def __init__(self, parabolic: ParabolicId, p: int = DEFAULT_P):
+        if p < 2:
+            raise ValueError(f"p must be at least 2, got {p}")
         self.parabolic = parabolic
         self.p = p
-        self._memo: dict[tuple, ExtTable] = {}
+        # the p0 of each cell under computation, innermost last
+        self._p0 = [0]
+
+    def _needs(self, bound: int) -> None:
+        """Record that the cell under computation compared bound with p."""
+        if bound > self._p0[-1]:
+            self._p0[-1] = bound
 
     # -- presentation pieces -------------------------------------------------
     # Each piece is (gweights, object, placement): the object tensored by the
@@ -219,6 +259,8 @@ class ExtEngine:
                     r = bott_line(s.highest, self.p)
                     if r.vanishes:
                         continue
+                    if r.degree < 2:  # lowest_alcove in the caveat
+                        self._needs(p_threshold(r.weight + RHO))
                     d = r.degree + shift
                     if d < 0:
                         continue
@@ -243,8 +285,11 @@ class ExtEngine:
                     self._tensor_into(deg, self.cell(ox, oy), gx + gy, plx + ply)
                 else:
                     self._direct_into(deg, caveats, ox.filtration, oy.filtration, plx + ply)
-        plain = len(px) == 1 and len(py) == 1 and not px[0][0] and not py[0][0]
-        return Bound(deg, plain and not linkage_collision(deg, self.p))
+        if not (len(px) == 1 and len(py) == 1 and not px[0][0] and not py[0][0]):
+            return Bound(deg, False)
+        # affine_normal_form of every weight in linkage_collision
+        self._needs(max((p_threshold(w + RHO) for cnt in deg.values() for w in cnt), default=0))
+        return Bound(deg, not linkage_collision(deg, self.p))
 
     def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> Bound:
         """Bound Ext(X, Y) by the certified tables of one side's atoms."""
@@ -259,6 +304,7 @@ class ExtEngine:
             for d, ws in sub.degrees:
                 for w in ws:
                     deg.setdefault(d, Counter())[w] += 1
+                    self._needs(p_threshold(w + RHO))
                     nf = affine_normal_form(w + RHO, self.p)
                     placements.setdefault(nf, set()).add((idx, d))
         # cancellation is only possible between adjacent degrees coming from
@@ -274,26 +320,36 @@ class ExtEngine:
     # -- the cell ------------------------------------------------------------
 
     def cell(self, X: SheafObject, Y: SheafObject) -> ExtTable:
-        key = (X.key, Y.key)
-        if key in self._memo:
-            return self._memo[key]
-        caveats: list[str] = []
-        routes: list[Bound] = []
-        for px in self._pieces(X, first=True):
-            for py in self._pieces(Y, first=False):
-                routes.append(self._route_product(px, py, caveats))
-        if len(X.filtration.atoms) > 1:
-            routes.append(self._route_split(X, Y, first=True))
-        if len(Y.filtration.atoms) > 1:
-            routes.append(self._route_split(X, Y, first=False))
+        p = self.p
+        hit = _CELLS.get((X, Y))
+        if hit is None or hit[0] > p:
+            hit = _CELLS.get((X, Y, p)) or self._compute(X, Y)
+        p0, table = hit
+        self._needs(p0)
+        return table if table.p == p else replace(table, p=p)
+
+    def _compute(self, X: SheafObject, Y: SheafObject) -> tuple[int, ExtTable]:
+        self._p0.append(0)
+        try:
+            caveats: list[str] = []
+            routes: list[Bound] = []
+            for px in self._pieces(X, first=True):
+                for py in self._pieces(Y, first=False):
+                    routes.append(self._route_product(px, py, caveats))
+            if len(X.filtration.atoms) > 1:
+                routes.append(self._route_split(X, Y, first=True))
+            if len(Y.filtration.atoms) > 1:
+                routes.append(self._route_split(X, Y, first=False))
+        finally:
+            p0 = self._p0.pop()
 
         # The first route is the plain product at shift 0: it evaluates every
         # atom of dual(X) (x) Y once and drops none, so its alternating sum is
         # the Euler characteristic of RHom(X, Y).
         degrees, exact = combine(routes, euler_characteristic(routes[0].by_degree))
         table = ExtTable(degrees, exact, self.p, tuple(dict.fromkeys(caveats)))
-        self._memo[key] = table
-        return table
+        _CELLS[(X, Y) if p0 <= self.p else (X, Y, self.p)] = (p0, table)
+        return p0, table
 
 
 # ---------------------------------------------------------------------------

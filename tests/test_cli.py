@@ -317,3 +317,48 @@ def test_report_karoubi_box24_json_golden(capsys, parabolic, digest):
                     "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds its parser once; a usage error in between leaves it as it was
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g2bwb
+
+    runs = [["report", "collection", "--p", "13", "--format", "json"],
+            ["report", "rank", "--p", "4"],
+            ["ext", "M", "E(s2s1s2)", "--p", "7"],
+            ["bott", "x", "2"],
+            ["report", "frobenius", "--parabolic", "long", "--p", "11"],
+            ["bott", "3", "-2", "--format", "json"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(g2bwb.__file__).parents[1]))
+    assert cli._parser() is cli._parser()
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr().out
+        alone = subprocess.run([sys.executable, "-m", "g2bwb", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (code, out) == (alone.returncode, alone.stdout), argv
+        codes.append(code)
+    assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+
+@pytest.mark.parametrize("fmt, other", [("json", "to_text"), ("text", "to_json")])
+def test_report_renders_only_the_requested_format(capsys, monkeypatch, fmt, other):
+    from g2bwb import extcollection
+
+    def refuse(self):
+        raise AssertionError(f"{other} rendered for --format {fmt}")
+
+    for report in (extcollection.CollectionReport, extcollection.FrobeniusReport):
+        monkeypatch.setattr(report, other, refuse)
+    for kind in ("collection", "frobenius"):
+        code, out = run(capsys, "report", kind, "--p", "13", "--format", fmt)
+        assert code == EXIT_OK and out

@@ -265,3 +265,11 @@ def test_linkage_class_type():
         assert linked(ZERO, weyl.dot(w, ZERO), 11)
     assert not linked(ZERO, W2, 11)
     assert affine_normal_form(Weight(3, -2) + RHO, 11) == RHO
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_normal_form_refuses_primes_below_two(p):
+    # the affine reduction would never end at p <= 0
+    for call in (lambda: affine_normal_form(Weight(5, 3), p), lambda: linked(ZERO, W2, p)):
+        with pytest.raises(ValueError, match=f"p must be at least 2, got {p}"):
+            call()

@@ -372,3 +372,70 @@ def test_presentation_invariance(par, floor):
                     exact_cells += 1
                     assert full.exact and full.degrees == bare.degrees, (X.name, Y.name)
     assert exact_cells >= floor  # stripped cells that are exact at p = 11
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_primes_below_two_are_refused(p):
+    M = object_by_name(SHORT, "M")
+    calls = (lambda: full_collection_report(SHORT, p), lambda: full_collection_report(LONG, p),
+             lambda: frobenius_report(SHORT, p), lambda: frobenius_report(LONG, p),
+             lambda: ext_table(M, M, p), lambda: ExtEngine(LONG, p))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"p must be at least 2, got {p}"):
+            call()
+
+
+# Below 13 some cells differ from their large-p tables; 997 and 9973 lie far
+# above every cell's bound.
+_PRIME_SAMPLE = (7, 11, 13, 17, 29, 997, 9973)
+
+
+def _all_tables(p):
+    out = {}
+    for par in (SHORT, LONG):
+        engine = ExtEngine(par, p)
+        for X in _objects(par):
+            for Y in _objects(par):
+                out[(par, X.name, Y.name)] = engine.cell(X, Y)
+    return out
+
+
+def test_tables_do_not_depend_on_the_order_of_primes():
+    import g2bwb.extcollection as ec
+
+    ec._CELLS.clear()
+    ascending = {p: _all_tables(p) for p in _PRIME_SAMPLE}
+    ec._CELLS.clear()
+    descending = {p: _all_tables(p) for p in reversed(_PRIME_SAMPLE)}
+    cleared = {}
+    for p in _PRIME_SAMPLE:
+        ec._CELLS.clear()
+        cleared[p] = _all_tables(p)
+    assert ascending == descending == cleared
+    for p, tables in ascending.items():
+        assert all(t.p == p for t in tables.values())
+    # the sample reaches cells that depend on p
+    top = ascending[9973]
+    for p in (7, 11):
+        assert any((t.degrees, t.caveats) != (top[k].degrees, top[k].caveats)
+                   for k, t in ascending[p].items())
+
+
+def test_a_cell_is_computed_once_above_its_bound(monkeypatch):
+    import g2bwb.extcollection as ec
+
+    ec._CELLS.clear()
+    _all_tables(13)
+    computed = []
+    compute = ExtEngine._compute
+
+    def counted(self, X, Y):
+        computed.append((self.p, X.name, Y.name))
+        return compute(self, X, Y)
+
+    monkeypatch.setattr(ExtEngine, "_compute", counted)
+    for p in (17, 997, 104729):
+        _all_tables(p)
+    assert computed == []
+    _all_tables(11)
+    assert computed and {p for p, _, _ in computed} == {11}

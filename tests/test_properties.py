@@ -19,7 +19,7 @@ from g2bwb.charring import (
     pstring_character,
     weyl_character,
 )
-from g2bwb.cohomology import affine_normal_form, bott_line, linked
+from g2bwb.cohomology import affine_normal_form, bott_line, linked, lowest_alcove, p_threshold
 from g2bwb import weyl
 
 coords = st.integers(min_value=-8, max_value=8)
@@ -188,3 +188,25 @@ def test_is_w_invariant_matches_group_reference(mult, lam, bump):
     assert is_w_invariant(perturbed) == _w_invariant_reference(perturbed)
     raw = Character(mult)
     assert is_w_invariant(raw) == _w_invariant_reference(raw)
+
+
+_PRIMES = [n for n in range(2, 200) if all(n % d for d in range(2, n))]
+
+
+@given(weights, st.sampled_from(_PRIMES))
+def test_normal_form_is_the_dominant_conjugate_from_the_threshold(x, p):
+    dom = weyl.dominant_conjugate(x)
+    bound = max(alpha.pair(dom) for alpha in POSITIVE_ROOTS)
+    assert p_threshold(x) == bound
+    if p >= bound:
+        assert affine_normal_form(x, p) == dom
+    else:
+        # the normal form lies in the closed alcove, below dom on the top wall
+        assert affine_normal_form(x, p) != dom
+
+
+@given(st.builds(Weight, st.integers(0, 12), st.integers(0, 12)), st.integers(2, 80))
+def test_lowest_alcove_exactly_from_the_threshold(w, p):
+    bound = max(alpha.pair(w + RHO) for alpha in POSITIVE_ROOTS)
+    assert lowest_alcove(w, p) == (p >= bound)
+    assert p_threshold(w + RHO) == bound
