@@ -3,7 +3,9 @@ that certifies the Ext tables of sheaves on its two P1-fibrations.
 
 ``bott_line`` evaluates the cohomology of a line bundle on the full flag
 variety: it vanishes when the rho-shift is singular and otherwise sits in a
-single degree, the number of positive coroots made negative.  ``linked`` and
+single degree, the number of positive coroots made negative.  So
+``costandard_times`` can multiply a costandard-basis row by a torus character
+(Brauer-Klimyk, Jantzen RAGS II.5).  ``linked`` and
 ``affine_normal_form`` decide the p-dot linkage classes.  ``p_threshold`` is
 the prime from which ``affine_normal_form`` of a weight, and ``lowest_alcove``
 of a dominant one, no longer depend on p.
@@ -27,9 +29,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .rootdata import POSITIVE_ROOTS, RHO, Weight, ZERO
+from .charring import Character
 from . import weyl
 
 DEFAULT_P = 11
+
+MIN_P = 7  # no report is backed below the first prime > h = 6, where 0 is p-regular
 
 # The wall used for affine reduction: the positive root with highest coroot.
 _BETA = Weight(1, 0)  # 2*alpha1 + alpha2 as a weight
@@ -64,6 +69,19 @@ def bott_line(lam: Weight, p: int = DEFAULT_P) -> BottResult:
     out = weyl.dominant_conjugate(x) - RHO
     caveat = degree >= 2 or not lowest_alcove(out, p)
     return BottResult(vanishes=False, degree=degree, weight=out, caveat=caveat)
+
+
+def costandard_times(row: Character, char: Character) -> Character:
+    """The costandard-basis row of row (x) char, for char a torus character:
+    nabla(nu) (x) e^kappa is the Euler characteristic of nu + kappa, a signed
+    costandard character or zero."""
+    acc: dict[Weight, int] = {}
+    for nu, c in row.mult.items():
+        for kappa, m in char.mult.items():
+            r = bott_line(nu + kappa)
+            if not r.vanishes:
+                acc[r.weight] = acc.get(r.weight, 0) + (-1) ** r.degree * c * m
+    return Character(acc)
 
 
 def lowest_alcove(lam: Weight, p: int = DEFAULT_P) -> bool:

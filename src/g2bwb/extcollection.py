@@ -20,9 +20,13 @@ from presentation pieces of one shape (``ExtEngine._pieces``):
   homological placement dictated by the triangle the presentation encodes;
 * the pieces of shape V (x) L(nu) contribute the certified table of the
   twisting line against the opposite object, tensored by the character of V
-  (the tensor identity for G-module coefficients);
+  (the tensor identity for G-module coefficients, by Brauer-Klimyk);
 * splitting one side into its atoms and summing the certified tables of the
   atoms is a further bound.
+
+The plain product route, and the split route when all its atoms' tables are
+exact, are exact unless ``linkage_collision`` finds a linkage class in two
+degrees; a boundary map only joins adjacent degrees, so that is safe.
 
 All routes bound the same composition-factor table, so their degreewise
 intersection still does; the per-weight alternating-sum constraints against
@@ -37,9 +41,9 @@ pairing is compared with p:
 * ``lowest_alcove`` in the caveat of a ``bott_line`` result of degree < 2,
   which holds exactly from max <w+rho, alpha^v> on (Jantzen, RAGS II.5:
   Bott's theorem holds in the closure of the bottom alcove);
-* ``affine_normal_form`` of each weight that ``linkage_collision`` and the
-  split route compare, which is the dominant conjugate x+ of the weight from
-  <x+, alpha_0^v> on (RAGS II.6: the linkage classes stop changing);
+* ``affine_normal_form`` of each weight that ``linkage_collision`` compares,
+  which is the dominant conjugate x+ of the weight from <x+, alpha_0^v> on
+  (RAGS II.6: the linkage classes stop changing);
 * a sub-cell, through its own bound.
 
 While a cell is computed, the engine records the largest of these values,
@@ -60,30 +64,29 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .rootdata import W1, W2, ZERO, ParabolicId, Weight
+from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
 from .charring import (
     Character,
     FilteredPModule,
     PString,
     clebsch_gordan_P,
-    decompose_costandard,
     module,
     weyl_character,
 )
 from .cohomology import (
     DEFAULT_P,
+    MIN_P,
     Bound,
     Degrees,
     Frozen,
-    affine_normal_form,
     bott_line,
     combine,
+    costandard_times,
     euler_characteristic,
     linkage_collision,
     lowest_alcove,
     p_threshold,
 )
-from .rootdata import RHO
 from . import weyl
 
 
@@ -129,20 +132,22 @@ def _anon(parabolic: ParabolicId, atoms: tuple[PString, ...]) -> SheafObject:
     return SheafObject(f"<{label}>", parabolic, FilteredPModule(parabolic, atoms))
 
 
-def _line_object(parabolic: ParabolicId, nu: Weight) -> SheafObject:
-    return _anon(parabolic, (PString(parabolic, nu),))
-
-
 # ---------------------------------------------------------------------------
 # character-level helpers
 
 @lru_cache(maxsize=None)
-def costandard_factors(*weights: Weight) -> tuple[tuple[Weight, int], ...]:
-    """Weyl-character factors of a product of costandard characters."""
-    ch = Character.line(ZERO)
-    for w in weights:
-        ch = ch.tensor(weyl_character(w))
-    return tuple(decompose_costandard(ch))
+def costandard_factors(first: Weight, *rest: Weight) -> tuple[tuple[Weight, int], ...]:
+    """Weyl-character factors of a product of costandard characters, in the
+    order ``decompose_costandard`` peels them: a row and its torus character
+    have the same maximal weights."""
+    row = Character.line(first)
+    for w in rest:
+        row = costandard_times(row, weyl_character(w))
+    out = []
+    while row:
+        mu = row.support_max()
+        out.append((mu, row.mult.pop(mu)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +238,11 @@ class ExtEngine:
         if bound > self._p0[-1]:
             self._p0[-1] = bound
 
+    def _no_collision(self, deg: Degrees) -> bool:
+        """``not linkage_collision(deg, p)``, recording the bound of each weight it compares."""
+        self._needs(max((p_threshold(w + RHO) for cnt in deg.values() for w in cnt), default=0))
+        return not linkage_collision(deg, self.p)
+
     # -- presentation pieces -------------------------------------------------
     # Each piece is (gweights, object, placement): the object tensored by the
     # G-modules V of highest weights gweights, whose own cohomological degree
@@ -246,7 +256,7 @@ class ExtEngine:
             # second, kernel:   Y -> T -> Q: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i-1}(-,Q)
             # second, cokernel: S -> T -> Y: Ext^i(-,Y) <= Ext^i(-,T) + Ext^{i+1}(-,S)
             placement = -1 if (tt.kind == "kernel") == first else +1
-            yield [((tt.gweight,), _line_object(self.parabolic, tt.twist), 0),
+            yield [((tt.gweight,), _anon(self.parabolic, (PString(self.parabolic, tt.twist),)), 0),
                    ((), _anon(self.parabolic, tt.other.atoms), placement)]
 
     # -- route assembly ------------------------------------------------------
@@ -274,8 +284,7 @@ class ExtEngine:
             if d + shift < 0:
                 continue
             for w in ws:
-                for fw, fm in costandard_factors(*gweights, w):
-                    deg.setdefault(d + shift, Counter())[fw] += fm
+                deg.setdefault(d + shift, Counter()).update(dict(costandard_factors(w, *gweights)))
 
     def _route_product(self, px, py, caveats: list[str]) -> Bound:
         deg: Degrees = {}
@@ -285,37 +294,21 @@ class ExtEngine:
                     self._tensor_into(deg, self.cell(ox, oy), gx + gy, plx + ply)
                 else:
                     self._direct_into(deg, caveats, ox.filtration, oy.filtration, plx + ply)
-        if not (len(px) == 1 and len(py) == 1 and not px[0][0] and not py[0][0]):
-            return Bound(deg, False)
-        # affine_normal_form of every weight in linkage_collision
-        self._needs(max((p_threshold(w + RHO) for cnt in deg.values() for w in cnt), default=0))
-        return Bound(deg, not linkage_collision(deg, self.p))
+        plain = len(px) == len(py) == 1 and not (px[0][0] or py[0][0])
+        return Bound(deg, plain and self._no_collision(deg))
 
     def _route_split(self, X: SheafObject, Y: SheafObject, first: bool) -> Bound:
         """Bound Ext(X, Y) by the certified tables of one side's atoms."""
         atoms = X.filtration.atoms if first else Y.filtration.atoms
         deg: Degrees = {}
         all_exact = True
-        placements: dict[Weight, set[tuple[int, int]]] = {}
-        for idx, s in enumerate(atoms):
+        for s in atoms:
             piece = _anon(self.parabolic, (s,))
             sub = self.cell(piece, Y) if first else self.cell(X, piece)
             all_exact = all_exact and sub.exact
             for d, ws in sub.degrees:
-                for w in ws:
-                    deg.setdefault(d, Counter())[w] += 1
-                    self._needs(p_threshold(w + RHO))
-                    nf = affine_normal_form(w + RHO, self.p)
-                    placements.setdefault(nf, set()).add((idx, d))
-        # cancellation is only possible between adjacent degrees coming from
-        # different filtration pieces
-        exact = all_exact
-        for spots in placements.values():
-            for i, d in spots:
-                for j, dd in spots:
-                    if dd == d + 1 and j != i:
-                        exact = False
-        return Bound(deg, exact)
+                deg.setdefault(d, Counter()).update(ws)
+        return Bound(deg, self._no_collision(deg) and all_exact)  # p0 counts inexact atoms too
 
     # -- the cell ------------------------------------------------------------
 
@@ -489,9 +482,16 @@ class CollectionReport:
         return "\n".join(lines)
 
 
+def _report_engine(parabolic: ParabolicId, p: int) -> ExtEngine:
+    engine = ExtEngine(parabolic, p)
+    if p < MIN_P:
+        raise ValueError(f"no report is backed below p = {MIN_P}, got {p}")
+    return engine
+
+
 def full_collection_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> CollectionReport:
     """Every Ext table of the collection plus the three structural verdicts."""
-    engine = ExtEngine(parabolic, p)
+    engine = _report_engine(parabolic, p)
     coll, m_obj = builtin_collection(parabolic)
     order = weyl.minimal_reps(parabolic)
     cells: dict[tuple[str, str], ExtTable] = {}
@@ -621,7 +621,7 @@ FROBENIUS_SUMMANDS: dict[ParabolicId, tuple[tuple[str, tuple[str, ...]], ...]] =
 
 def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusReport:
     """Summand list of the Frobenius pushforward and its splitting evidence."""
-    engine = ExtEngine(parabolic, p)
+    engine = _report_engine(parabolic, p)
     coll, m_obj = builtin_collection(parabolic)
     summands = tuple(
         FrobeniusSummand(name, object_by_name(parabolic, name).rank(),

@@ -10,9 +10,9 @@ Euler characteristic of a weight is a signed nabla (``bott_line``), and
 order over the few dominant weights of a linkage class.  A factor counted
 once across the layers is decided; one counted m >= 2 times may sit in the
 radical with any multiplicity from 1 to m, and that is surfaced as an
-``Undecided`` exception naming the choice point, never guessed.  Steinberg
-products go through Brauer-Klimyk, and a row becomes a torus character only
-where one is read.
+``Undecided`` exception naming the choice point, never guessed.  Jantzen sums
+and Steinberg products are rows built by ``cohomology.costandard_times``
+(Brauer-Klimyk), and a row becomes a torus character only where one is read.
 
 ``rank_identity_check`` confronts the characters with the torus character of
 the parabolic Verma module of the Frobenius kernel, of total dimension p^5.
@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
-from .charring import Character, weyl_character
-from .cohomology import DEFAULT_P, bott_line, lowest_alcove
+from .charring import TRIVIAL, Character, weyl_character
+from .cohomology import DEFAULT_P, costandard_times, lowest_alcove
 from .extcollection import FROBENIUS_SUMMANDS, object_by_name
 from . import weyl
 
@@ -53,14 +53,6 @@ def weyl_dim(lam: Weight) -> int:
     return num // den
 
 
-def _add_euler(row: dict[Weight, int], mu: Weight, c: int) -> None:
-    """row += c * chi(mu), where the Euler characteristic chi(mu) of an
-    arbitrary weight is a signed costandard character or zero."""
-    r = bott_line(mu)
-    if not r.vanishes:
-        row[r.weight] = row.get(r.weight, 0) + (-1) ** r.degree * c
-
-
 def _expand(row: Character) -> Character:
     """Torus character of a combination of costandard characters."""
     out = Character()
@@ -71,9 +63,7 @@ def _expand(row: Character) -> Character:
 
 def euler_character(mu: Weight) -> Character:
     """Weyl-Euler characteristic of an arbitrary weight, as a virtual character."""
-    row: dict[Weight, int] = {}
-    _add_euler(row, mu, 1)
-    return _expand(Character(row))
+    return _expand(costandard_times(TRIVIAL, Character.line(mu)))
 
 
 @lru_cache(maxsize=None)
@@ -87,16 +77,17 @@ def _jantzen_row(lam: Weight, p: int) -> Character:
     """Sum of the Jantzen layers below the top, in the costandard basis."""
     if not lam.is_dominant():
         raise ValueError(f"weight must be dominant, got {lam}")
-    row: dict[Weight, int] = {}
+    layers: dict[Weight, int] = {}
     x = lam + RHO
     for alpha in POSITIVE_ROOTS:
         top = alpha.pair(x)
         q = p  # the reflection at n < top counts v_p(n) times: once per power of p dividing n
         while q < top:
             for n in range(q, top, q):
-                _add_euler(row, lam - alpha.weight.scaled(top - n), 1)
+                mu = lam - alpha.weight.scaled(top - n)
+                layers[mu] = layers.get(mu, 0) + 1
             q *= p
-    return Character(row)
+    return costandard_times(TRIVIAL, Character(layers))
 
 
 @lru_cache(maxsize=None)
@@ -176,13 +167,8 @@ class CharacterOracle:
             raise ValueError(f"weight must be dominant, got {lam}")
         lam0, lam1 = restricted_split(lam, self.p)
         out = Character.line(lam)
-        if lam1 != ZERO:  # Brauer-Klimyk: nabla(nu) L(lam1)^[p] = sum m(kappa) chi(nu + p kappa)
-            row0, twist = self._row(lam0), self.simple(lam1)
-            acc: dict[Weight, int] = {}
-            for nu, c in row0.mult.items():
-                for kappa, m in twist.mult.items():
-                    _add_euler(acc, nu + kappa.scaled(self.p), c * m)
-            out = Character(acc)
+        if lam1 != ZERO:  # Steinberg: L(lam) = L(lam0) (x) L(lam1)^[p]
+            out = costandard_times(self._row(lam0), self.simple(lam1).stretch(self.p))
         elif not lowest_alcove(lam, self.p):
             for mu, a in self.radical_counts(lam).items():
                 out.isub_scaled(self._row(mu), a)

@@ -75,6 +75,12 @@ def test_tensor_command(capsys):
     assert out.strip() == "nabla(1,1) + nabla(2,0) + nabla(1,0)"
     code, out = run(capsys, "tensor", "1", "0", "0", "1", "--format", "latex")
     assert "\\nabla(1,1)" in out
+    # factors print in peeling order: repeated support_max of what is left
+    code, out = run(capsys, "tensor", "1", "1", "1", "1")
+    assert out.strip() == (
+        "nabla(2,2) + nabla(5,0) + nabla(0,3) + 2*nabla(3,1) + nabla(1,2) + 2*nabla(4,0)"
+        " + 3*nabla(2,1) + 2*nabla(0,2) + 3*nabla(3,0) + 2*nabla(1,1) + 2*nabla(2,0)"
+        " + 2*nabla(0,1) + nabla(1,0) + nabla(0,0)")
 
 
 def test_restrict_command(capsys):

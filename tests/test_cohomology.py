@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight
-from g2bwb.charring import module
+from g2bwb.charring import Character, decompose_costandard, module, weyl_character
 from g2bwb.cohomology import (
     Bound,
     EulerMismatch,
@@ -11,6 +11,7 @@ from g2bwb.cohomology import (
     bott_line,
     certify,
     combine,
+    costandard_times,
     euler_characteristic,
     linkage_collision,
     linked,
@@ -273,3 +274,16 @@ def test_normal_form_refuses_primes_below_two(p):
     for call in (lambda: affine_normal_form(Weight(5, 3), p), lambda: linked(ZERO, W2, p)):
         with pytest.raises(ValueError, match=f"p must be at least 2, got {p}"):
             call()
+
+
+def test_brauer_klimyk_matches_peeling_the_torus_product():
+    dominant = [Weight(a, b) for a in range(4) for b in range(4)]
+    for lam in dominant:
+        for mu in dominant:
+            peeled = decompose_costandard(weyl_character(lam).tensor(weyl_character(mu)))
+            row = costandard_times(Character.line(mu), weyl_character(lam))
+            assert row.mult == dict(peeled), (lam, mu)
+    signed = Character({W1: 2, W2: -3, Weight(2, 1): 1})
+    torus = weyl_character(W1).scaled(2) - weyl_character(W2).scaled(3) + weyl_character(Weight(2, 1))
+    peeled = decompose_costandard(torus.tensor(weyl_character(Weight(1, 1))))
+    assert costandard_times(signed, weyl_character(Weight(1, 1))).mult == dict(peeled)

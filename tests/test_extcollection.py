@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
+from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight
 from g2bwb.charring import Character, clebsch_gordan_P, module, weyl_character
 from g2bwb.cohomology import bott_line
 from g2bwb.extcollection import (
@@ -385,6 +385,14 @@ def test_primes_below_two_are_refused(p):
             call()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reports_refuse_primes_below_seven(p):
+    for report in (full_collection_report, frobenius_report):
+        for par in (SHORT, LONG):
+            with pytest.raises(ValueError, match=f"no report is backed below p = 7, got {p}"):
+                report(par, p)
+
+
 # Below 13 some cells differ from their large-p tables; 997 and 9973 lie far
 # above every cell's bound.
 _PRIME_SAMPLE = (7, 11, 13, 17, 29, 997, 9973)
@@ -439,3 +447,55 @@ def test_a_cell_is_computed_once_above_its_bound(monkeypatch):
     assert computed == []
     _all_tables(11)
     assert computed and {p for p, _, _ in computed} == {11}
+
+
+def _threshold(x):
+    # computed from the roots, not through cohomology.p_threshold
+    return max(alpha.pair(weyl.dominant_conjugate(x)) for alpha in POSITIVE_ROOTS)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 997])
+def test_each_cell_bound_covers_every_comparison_with_p(monkeypatch, p):
+    # every weight compared with p while a cell is computed, in a nested
+    # sub-cell too, has its threshold at or below the cell's recorded p0
+    import g2bwb.cohomology as co
+    import g2bwb.extcollection as ec
+
+    frames = []  # the largest threshold seen by each cell under computation
+    needed = {}  # (X, Y) -> the largest threshold its computation saw
+
+    def see(t):
+        for f in frames:
+            f[0] = max(f[0], t)
+
+    normal_form, bott, cell = co.affine_normal_form, ec.bott_line, ExtEngine.cell
+
+    def seen_normal_form(x, q):
+        see(_threshold(x))
+        return normal_form(x, q)
+
+    def seen_bott(lam, q):
+        r = bott(lam, q)
+        if not r.vanishes and r.degree < 2:  # lowest_alcove decides the caveat
+            see(_threshold(r.weight + RHO))
+        return r
+
+    def seen_cell(self, X, Y):
+        frames.append([0])
+        try:
+            table = cell(self, X, Y)
+        finally:
+            needed.setdefault((X, Y), frames.pop()[0])  # the memo is cold at first
+        see(needed[(X, Y)])
+        return table
+
+    monkeypatch.setattr(co, "affine_normal_form", seen_normal_form)
+    monkeypatch.setattr(ec, "bott_line", seen_bott)
+    monkeypatch.setattr(ExtEngine, "cell", seen_cell)
+    ec._CELLS.clear()
+    for par in (SHORT, LONG):
+        full_collection_report(par, p)
+        frobenius_report(par, p)
+    assert len(ec._CELLS) == len(needed)
+    for key, (p0, _) in ec._CELLS.items():
+        assert p0 >= needed[key[:2]], (key, p0)
