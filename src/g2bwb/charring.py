@@ -15,6 +15,7 @@ submodule end.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -260,10 +261,7 @@ class FilteredPModule:
                 raise ValueError("atom parabolic mismatch")
 
     def character(self) -> Character:
-        out = Character()
-        for s in self.atoms:
-            out = out + pstring_character(s)
-        return out
+        return Character(Counter(w for s in self.atoms for w in s.weights()))
 
     def dimension(self) -> int:
         return sum(s.dim for s in self.atoms)

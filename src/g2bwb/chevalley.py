@@ -18,11 +18,16 @@ determinant one, the one-parameter law, torus conjugation, the stabilizer
 statements) is checked as a polynomial identity, not at samples.  One set of
 matrix operations, with ``==`` as matrix equality, serves both these
 polynomial matrices and the integer matrices ``to_int_matrix`` specializes
-them to.  The Lie algebra checks run on the integer matrices of the
-(constant) images, with one exact elimination for all the brackets, the only
-place a ``Fraction`` appears; reductions modulo small primes check the group
-laws on integer specializations; the characteristic-2 degeneration of the
-7-dimensional module is detected there.
+them to.  Every G2 image has at most six nonzero entries of 49, so the
+kernels skip zeros: a product adds x * (row k of b) only for the nonzero
+entries x = a[r][k], and the determinant expands only along nonzero entries;
+a matrix keeps the entry type (``Poly`` or ``int``) of its operands.  The Lie
+algebra checks run on the integer matrices of the (constant) images, with one
+exact elimination for all the brackets.  It stays in ints while each pivot is
+1 or -1, and a ``Fraction`` appears only at any other pivot, the one place
+the layer leaves the integers.  Reductions modulo small primes check the
+group laws on integer specializations; the characteristic-2 degeneration of
+the 7-dimensional module is detected there.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, neg, sub
 
 from .rootdata import POSITIVE_ROOTS, Root, Weight, pairing
 from .charring import weyl_character
@@ -159,25 +164,38 @@ def identity_mat() -> Mat:
     )
 
 
-def madd(*ms: Mat) -> Mat:
-    return tuple(tuple(sum(m[r][c] for m in ms) for c in range(7)) for r in range(7))
+def madd(first: Mat, *rest: Mat) -> Mat:
+    for m in rest:
+        first = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(first, m))
+    return first
 
 
 def mneg(m: Mat) -> Mat:
-    return tuple(tuple(-m[r][c] for c in range(7)) for r in range(7))
+    return tuple(tuple(map(neg, row)) for row in m)
 
 
 def msub(a: Mat, b: Mat) -> Mat:
-    return madd(a, mneg(b))
+    return tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(a, b))
 
 
 def mscale(c, m: Mat) -> Mat:
-    return tuple(tuple(c * m[r][k] for k in range(7)) for r in range(7))
+    return tuple(tuple([c * v for v in row]) for row in m)
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
+    """Row r of the product is the sum of x * b[k] over the nonzero entries
+    x = a[r][k]; an all-zero row of a gives a zero row of the product's
+    entry type."""
+    zero_row = (a[0][0] * b[0][0] * 0,) * 7
+    out = []
+    for ra in a:
+        row = None
+        for x, rb in zip(ra, b):
+            if x:
+                t = [x * y for y in rb]
+                row = t if row is None else list(map(add, row, t))
+        out.append(zero_row if row is None else tuple(row))
+    return tuple(out)
 
 
 def mtrans(m: Mat) -> Mat:
@@ -189,7 +207,8 @@ def bracket(a: Mat, b: Mat) -> Mat:
 
 
 def det7(m: Mat) -> Poly | int:
-    """Determinant by minor expansion with memo on column subsets."""
+    """Determinant by minor expansion along the rows, skipping zero entries,
+    with memo on column subsets."""
     cols = tuple(range(7))
 
     memo: dict[tuple[int, tuple[int, ...]], Poly | int] = {}
@@ -200,10 +219,11 @@ def det7(m: Mat) -> Poly | int:
         key = (r, cs)
         if key in memo:
             return memo[key]
-        acc = 0
+        acc = m[r][0] * 0
         for idx, c in enumerate(cs):
-            term = m[r][c] * minor(r + 1, cs[:idx] + cs[idx + 1:])
-            acc = acc + (term if idx % 2 == 0 else -term)
+            if m[r][c]:
+                term = m[r][c] * minor(r + 1, cs[:idx] + cs[idx + 1:])
+                acc = acc + (term if idx % 2 == 0 else -term)
         memo[key] = acc
         return acc
 
@@ -351,7 +371,10 @@ def _solve_in_span(basis: list[Mat], targets: list[Mat]
     coordinates in their rational span, or None when it lies outside.
 
     One Gauss-Jordan elimination of [basis | targets] answers every target;
-    the coordinates of a target are read off the pivot rows."""
+    the coordinates of a target are read off the pivot rows.  A pivot row is
+    divided by its pivot only when that is not 1 or -1, so the entries stay
+    ints until then, and each elimination step touches only the columns where
+    the pivot row is nonzero."""
     cols = len(basis)
     flat = [[v for row in m for v in row] for m in (*basis, *targets)]
     aug = [list(entries) for entries in zip(*flat)]  # 49 rows, one column per matrix
@@ -362,12 +385,20 @@ def _solve_in_span(basis: list[Mat], targets: list[Mat]
         if sel is None:
             continue
         aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = Fraction(1, aug[rank][col])
-        aug[rank] = [x * inv for x in aug[rank]]
+        prow = aug[rank]
+        piv = prow[col]
+        if piv == -1:
+            prow = aug[rank] = [-x for x in prow]
+        elif piv != 1:
+            inv = Fraction(1, piv)
+            prow = aug[rank] = [x * inv for x in prow]
+        support = [c for c, x in enumerate(prow) if x]
         for r in range(49):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
+            f = aug[r][col]
+            if f and r != rank:
+                row = aug[r]
+                for c in support:
+                    row[c] -= f * prow[c]
         pivots.append(col)
         rank += 1
     coords: list[list[int | Fraction] | None] = []

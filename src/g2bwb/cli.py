@@ -50,8 +50,8 @@ EXIT_FAILED = 4
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of
-# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.35 s,
-# 6 6 0.8 s and 8 8 about 4 s, while tensor 5 5 5 5 takes 0.12 s).
+# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.3 s,
+# 6 6 0.45 s and 8 8 about 1.6 s, while tensor 5 5 5 5 takes 0.2 s).
 MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters

@@ -1,10 +1,17 @@
-"""The exact matrix layer of g2bwb.chevalley: the integer specialization, the
-one eliminator, the exact integer division, and the nilpotency guard of the
-truncated exponential.
+"""The exact matrix layer of g2bwb.chevalley: the kernels, the integer
+specialization, the one eliminator, the exact integer division, and the
+nilpotency guard of the truncated exponential.
 
-The eliminator is checked against data it does not produce itself: every
-bracket is rebuilt from the returned coordinates, and the ranks and
-non-membership come from the shape of the so7 basis and the torus weights."""
+The kernels, which skip zero entries, are checked against dense definitions
+written here: a triple loop for the product and a sum over permutations for
+the determinant.  The eliminator is checked against data it does not produce
+itself: every bracket is rebuilt from the returned coordinates, and the ranks
+and non-membership come from the shape of the so7 basis and the torus
+weights."""
+
+import random
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,15 +21,21 @@ from g2bwb.chevalley import (
     E2P,
     E3P,
     F1P,
+    F2P,
     XI,
+    Poly,
     _exact_div,
     _solve_in_span,
     bracket,
     coroot,
+    det7,
     identity_mat,
     madd,
     matunit,
+    mmul,
+    mneg,
     mscale,
+    msub,
     nilpotent_exponential,
     root_subgroup,
     so7_basis,
@@ -31,6 +44,92 @@ from g2bwb.chevalley import (
 )
 
 A1 = POSITIVE_ROOTS[0]
+
+
+# -- dense reference definitions ---------------------------------------------
+
+def _ref_mul(a, b):
+    out = [[a[r][0] * b[0][c] for c in range(7)] for r in range(7)]
+    for r in range(7):
+        for c in range(7):
+            for k in range(1, 7):
+                out[r][c] = out[r][c] + a[r][k] * b[k][c]
+    return tuple(tuple(row) for row in out)
+
+
+def _ref_entrywise(f, *ms):
+    return tuple(tuple(f(*(m[r][c] for m in ms)) for c in range(7)) for r in range(7))
+
+
+def _ref_det(m):
+    total = m[0][0] * 0
+    for perm in permutations(range(7)):
+        inversions = sum(perm[i] > perm[j] for i in range(7) for j in range(i + 1, 7))
+        term = m[0][perm[0]]
+        for r in range(1, 7):
+            term = term * m[r][perm[r]]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+def _sparse_int_matrices(seed, count):
+    rng = random.Random(seed)
+    out = [tuple(tuple(0 for _ in range(7)) for _ in range(7))]  # the zero matrix
+    for _ in range(count):
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        rows = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(7)]
+                for _ in range(7)]
+        rows[rng.randrange(7)] = [0] * 7  # a zero row
+        dead = rng.randrange(7)
+        for row in rows:  # and a zero column
+            row[dead] = 0
+        out.append(tuple(tuple(row) for row in rows))
+    return out
+
+
+def _entry_types(m):
+    return {type(v) for row in m for v in row}
+
+
+def _check_kernels(a, b, c, entry):
+    for m in (mmul(a, b), madd(a, b), madd(a, b, c), msub(a, b), mneg(a),
+              mscale(3, a), bracket(a, b)):
+        assert _entry_types(m) == {entry} and all(type(row) is tuple for row in m)
+    assert mmul(a, b) == _ref_mul(a, b)
+    assert madd(a, b) == _ref_entrywise(lambda x, y: x + y, a, b)
+    assert madd(a, b, c) == _ref_entrywise(lambda x, y, z: x + y + z, a, b, c)
+    assert msub(a, b) == _ref_entrywise(lambda x, y: x - y, a, b)
+    assert mneg(a) == _ref_entrywise(lambda x: -x, a)
+    assert mscale(-2, a) == _ref_entrywise(lambda x: -2 * x, a)
+    assert bracket(a, b) == msub(_ref_mul(a, b), _ref_mul(b, a))
+
+
+def test_kernels_match_dense_definitions_on_sparse_int_matrices():
+    ms = _sparse_int_matrices(seed=14, count=12)
+    for i, a in enumerate(ms):
+        b, c = ms[(i + 1) % len(ms)], ms[(i + 5) % len(ms)]
+        _check_kernels(a, b, c, int)
+        _check_kernels(a, a, a, int)
+        d = det7(a)
+        assert type(d) is int and d == _ref_det(a)
+    # a nonsingular sparse matrix, so the determinant check is not all zeros
+    perm = tuple(tuple(2 if c == (3 * r + 1) % 7 else (1 if c == r else 0)
+                       for c in range(7)) for r in range(7))
+    assert det7(perm) == _ref_det(perm) != 0
+
+
+def test_kernels_match_dense_definitions_on_poly_matrices():
+    ms = [root_subgroup(alpha, XI, positive) for alpha in POSITIVE_ROOTS[:3]
+          for positive in (True, False)] + [coroot(1)]
+    for i, a in enumerate(ms):
+        b, c = ms[(i + 1) % len(ms)], ms[(i + 3) % len(ms)]
+        _check_kernels(a, b, c, Poly)
+        _check_kernels(a, mscale(0, a), b, Poly)  # a zero right factor
+        _check_kernels(mscale(0, a), a, b, Poly)  # a zero left factor
+    for g in (ms[0], ms[-1]):
+        d = det7(g)
+        assert type(d) is Poly and d == _ref_det(g)
+    assert type(det7(mscale(0, ms[0]))) is Poly
 
 
 def test_nilpotent_exponential_rejects_non_nilpotent():
@@ -85,3 +184,15 @@ def test_solve_in_span_rank_and_outside_span():
     assert coords[1] is not None  # E2P is the image of e2
     m = to_int_matrix(E3P)
     assert _solve_in_span([m, to_int_matrix(F1P), m], [])[0] == 2
+
+
+def test_solve_in_span_fraction_and_negative_pivots():
+    e, f = to_int_matrix(E2P), to_int_matrix(F2P)
+    target = madd(e, f)
+    rank, coords = _solve_in_span([mscale(2, e), mscale(3, f)], [target])
+    assert rank == 2 and coords == [[Fraction(1, 2), Fraction(1, 3)]]
+    # the first nonzero entry of -E2P is -1, a unit pivot: no Fraction appears
+    rank, coords = _solve_in_span([mneg(e), f], [madd(e, mscale(2, f)), to_int_matrix(E1P)])
+    assert rank == 2
+    assert coords[0] == [-1, 2] and all(type(x) is int for x in coords[0])
+    assert coords[1] is None

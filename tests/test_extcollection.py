@@ -499,3 +499,38 @@ def test_each_cell_bound_covers_every_comparison_with_p(monkeypatch, p):
     assert len(ec._CELLS) == len(needed)
     for key, (p0, _) in ec._CELLS.items():
         assert p0 >= needed[key[:2]], (key, p0)
+
+
+def test_a_sub_cell_bound_reaches_its_parent(monkeypatch):
+    # a sub-cell valid only from a large p0 makes the cell that reads it valid
+    # only from that p0 too, so the parent is stored for its prime alone
+    import g2bwb.extcollection as ec
+
+    p, big = 7, 10 ** 6
+    X = Y = object_by_name(SHORT, "E(s1s2)")  # two atoms, so the split route reads sub-cells
+    stack, reads = [], []
+    cell = ExtEngine.cell
+
+    def seen_cell(self, A, B):
+        if stack:
+            reads.append((stack[-1], (A, B)))
+        stack.append((A, B))
+        try:
+            return cell(self, A, B)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(ec, "_CELLS", {})  # the memo is restored after the test
+    monkeypatch.setattr(ExtEngine, "cell", seen_cell)
+    ext_table(X, Y, p)
+    monkeypatch.setattr(ExtEngine, "cell", cell)
+    subs = [sub for parent, sub in reads if parent == (X, Y) and sub != (X, Y)]
+    assert subs
+    Xs, Ys = subs[0]
+    sub_table = (ec._CELLS.get((Xs, Ys)) or ec._CELLS[(Xs, Ys, p)])[1]
+
+    ec._CELLS.clear()
+    ec._CELLS[(Xs, Ys, p)] = (big, sub_table)
+    ext_table(X, Y, p)
+    assert (X, Y) not in ec._CELLS
+    assert ec._CELLS[(X, Y, p)][0] >= big
