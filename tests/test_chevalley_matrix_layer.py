@@ -101,7 +101,7 @@ def _check_kernels(a, b, c, entry):
     assert msub(a, b) == _ref_entrywise(lambda x, y: x - y, a, b)
     assert mneg(a) == _ref_entrywise(lambda x: -x, a)
     assert mscale(-2, a) == _ref_entrywise(lambda x: -2 * x, a)
-    assert bracket(a, b) == msub(_ref_mul(a, b), _ref_mul(b, a))
+    assert bracket(a, b) == _ref_entrywise(lambda x, y: x - y, _ref_mul(a, b), _ref_mul(b, a))
 
 
 def test_kernels_match_dense_definitions_on_sparse_int_matrices():
