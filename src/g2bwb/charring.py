@@ -208,10 +208,8 @@ class PString:
     __slots__ = ("parabolic", "highest")
 
     def __init__(self, parabolic: ParabolicId, highest: Weight):
-        if parabolic.pair(highest) < 0:
-            raise ValueError(
-                f"invalid string: <{highest}, alpha_P^v> = {parabolic.pair(highest)} < 0"
-            )
+        if (r := parabolic.pair(highest)) < 0:
+            raise ValueError(f"invalid string: <{highest}, alpha_P^v> = {r} < 0")
         self.parabolic = parabolic
         self.highest = highest
 
@@ -220,15 +218,12 @@ class PString:
         return self.parabolic.pair(self.highest) + 1
 
     def weights(self) -> list[Weight]:
-        alpha = self.parabolic.simple_root.weight
-        return [self.highest - alpha.scaled(k) for k in range(self.dim)]
+        (aa, ab), (ha, hb) = self.parabolic.simple_root.weight, self.highest
+        return [Weight(ha - k * aa, hb - k * ab) for k in range(self.dim)]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PString)
-            and self.parabolic is other.parabolic
-            and self.highest == other.highest
-        )
+        return (isinstance(other, PString) and self.parabolic is other.parabolic
+                and self.highest == other.highest)
 
     def __hash__(self) -> int:
         return hash((self.parabolic, self.highest))
@@ -243,9 +238,7 @@ def pstring_character(s: PString) -> Character:
 
 def dual_pstring(s: PString) -> PString:
     """Dual string: highest weight is minus the lowest weight."""
-    alpha = s.parabolic.simple_root.weight
-    lowest = s.highest - alpha.scaled(s.parabolic.pair(s.highest))
-    return PString(s.parabolic, -lowest)
+    return PString(s.parabolic, -s.weights()[-1])
 
 
 @dataclass(frozen=True)
@@ -267,9 +260,7 @@ class FilteredPModule:
         return sum(s.dim for s in self.atoms)
 
     def dual(self) -> "FilteredPModule":
-        return FilteredPModule(
-            self.parabolic, tuple(dual_pstring(s) for s in reversed(self.atoms))
-        )
+        return FilteredPModule(self.parabolic, tuple(map(dual_pstring, reversed(self.atoms))))
 
 def module(parabolic: ParabolicId, highs: list[Weight]) -> FilteredPModule:
     return FilteredPModule(parabolic, tuple(PString(parabolic, h) for h in highs))
@@ -277,16 +268,13 @@ def module(parabolic: ParabolicId, highs: list[Weight]) -> FilteredPModule:
 
 @lru_cache(maxsize=None)
 def clebsch_gordan_P(x: PString, y: PString) -> FilteredPModule:
-    """Costandard filtration of the tensor product of two strings.  It does
-    not depend on p, so it is cached, and its character is checked once per
-    pair."""
+    """Costandard filtration of the tensor product of two strings.  It does not depend
+    on p, so it is cached, and its character is checked once per pair."""
     if x.parabolic is not y.parabolic:
         raise ValueError("strings live over different parabolics")
     par = x.parabolic
-    alpha = par.simple_root.weight
     r = min(par.pair(x.highest), par.pair(y.highest))
-    top = x.highest + y.highest
-    atoms = tuple(PString(par, top - alpha.scaled(k)) for k in range(r + 1))
+    atoms = tuple(PString(par, h) for h in PString(par, x.highest + y.highest).weights()[:r + 1])
     out = FilteredPModule(par, atoms)
     if out.character() != pstring_character(x).tensor(pstring_character(y)):
         raise ArithmeticError(f"Clebsch-Gordan filtration of {x} (x) {y} is wrong")

@@ -45,13 +45,13 @@ EXIT_USAGE = 2
 EXIT_AMBIGUOUS = 3
 EXIT_FAILED = 4
 
-# Largest --box of report karoubi: the rule count grows with the box squared,
-# and each compiled rule set stays cached for the life of the process.
+# Largest --box of report karoubi: the rule count grows with the box squared, and each
+# compiled rule set stays cached (cold, --box 32 takes about 0.9 s on 2 cores).
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of
 # restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.3 s,
-# 6 6 0.45 s and 8 8 about 1.6 s, while tensor 5 5 5 5 takes 0.2 s).
+# 6 6 0.4 s and 8 8 about 1.0 s, while tensor 5 5 5 5 takes 0.2 s).
 MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters

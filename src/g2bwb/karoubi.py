@@ -6,8 +6,7 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 
 * the B-weight filtration of a string (knowing all layers but one and the
   total yields the last layer),
-* the pushforward correspondence between a string class and its highest
-  line,
+* the pushforward correspondence between a string class and its highest line,
 * tensoring a known line by one of the two fundamental G-modules, with
   either the weight filtration or, for twists trivial on the Levi, the
   string filtration of the product,
@@ -16,15 +15,16 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 
 Every multi-layer rule is compiled into two-term triangle rules through
 synthetic truncation classes, so a single two-out-of-three inference drives
-the whole closure.  Filtration rules are admitted only after an exact
-character-additivity check.  The rules of a box depend only on
-(parabolic, amax, bmax), so each box is compiled and checked once into a
-read-only ``RuleTable`` of flat integer arrays: dense class ids, per-rule
-kind, head and parts, the rule labels, and a CSR index of the rules that read
-each class.  Every closure over the box shares that table; a knowledge base
-holds only a byte of known flags per class and the log of learned facts as
-(class id, rule index) pairs.  The closure is a worklist saturation whose
-result is independent of rule order; derivations are logged and replayable.
+the whole closure.  Each box is compiled once, on (a, b) integer pairs, into a
+read-only ``RuleTable`` of flat integer arrays: dense class ids (line and
+string ids from grids over the box), per-rule kind, head and parts, the rule
+labels, and a CSR index of the rules that read each class.  The tensor rules
+at a twist move one cached template per generator, and each filtration rule
+is admitted only after an exact character-additivity check.  Every closure
+over the box shares the table; a knowledge base holds only a byte of known
+flags per class and the log of learned facts as (class id, rule index) pairs.
+The closure is a worklist saturation whose result is independent of rule
+order; derivations are logged and replayable.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ from __future__ import annotations
 import functools
 import random
 from array import array
-from bisect import bisect_left
+from collections import Counter
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .rootdata import W1, W2, ParabolicId, Weight
-from .charring import (
-    Character,
-    PString,
-    exterior_power,
-    pstring_character,
-    restrict_to_P,
-    weyl_character,
-)
+from .charring import (Character, PString, exterior_power, pstring_character, restrict_to_P,
+                       weyl_character)
 
 # A class is a hashable token:
 #   ("line", Weight)            line bundle on the flag variety
@@ -140,10 +135,12 @@ class RuleTable:
 
 
 class _Builder:
-    """Writes the rules of one box straight into table rows."""
+    """Writes the rules of one box straight into table rows.  Line and string class
+    ids sit in two grids, one cell per weight (a, b) of the box, -1 until first used."""
 
     def __init__(self, parabolic: ParabolicId, amax: int, bmax: int):
         self.parabolic, self.amax, self.bmax = parabolic, amax, bmax
+        self.grids = {k: [-1] * ((2 * amax + 1) * (2 * bmax + 1)) for k in ("line", "pstring")}
         self.classes: list = []
         self.index: dict[ClassId, int] = {}
         self.kind = bytearray()
@@ -157,8 +154,11 @@ class _Builder:
         self.seeds = tuple([self.cid(line_class(nu)) for nu in lines]
                            + [self.cid(pstring_class(parabolic, lam)) for lam in strings])
 
-    def in_box(self, nu: Weight) -> bool:
-        return abs(nu.a) <= self.amax and abs(nu.b) <= self.bmax
+    def fits(self, bounds: tuple[int, int, int, int], a: int, b: int) -> bool:
+        """Whether weights with bounds (min a, max a, min b, max b), moved by (a, b), fit."""
+        alo, ahi, blo, bhi = bounds
+        return (-self.amax <= alo + a and ahi + a <= self.amax
+                and -self.bmax <= blo + b and bhi + b <= self.bmax)
 
     def cid(self, c: ClassId) -> int:
         i = self.index.get(c)
@@ -167,15 +167,19 @@ class _Builder:
             self.classes.append(c)
         return i
 
+    def grid_id(self, kind: str, a: int, b: int) -> int:
+        """Id of the class (kind, Weight(a, b)) of a weight in the box."""
+        grid, k = self.grids[kind], (a + self.amax) * (2 * self.bmax + 1) + b + self.bmax
+        if grid[k] < 0:
+            grid[k] = self.cid((kind, Weight(a, b)))
+        return grid[k]
+
     def rule(self, kind: int, rule_id: str, head: int, part0: int, part1: int = -1) -> None:
         self.kind.append(kind)
         self.head.append(head)
         self.part0.append(part0)
         self.part1.append(part1)
         self.rule_ids.append(rule_id)
-
-    def implication(self, rule_id: str, src: ClassId, dst: ClassId) -> None:
-        self.rule(IMPL, rule_id, self.cid(dst), self.cid(src))
 
     def triangles(self, rule_id: str, total: int, parts: list[int]) -> None:
         """Two-term triangles ``rule_id#k``, k = 1 .. m, through fresh truncation
@@ -190,38 +194,39 @@ class _Builder:
         self.part1.extend(parts[1:])
         self.rule_ids.extend([f"{rule_id}#{k}" for k in range(1, m + 1)])
 
+    def filtration(self, rule_id: str, parts: list[int], total: int, total_char: dict) -> None:
+        """Admit a filtration rule; exact character additivity is mandatory.  Each
+        part's character is read from its class: a line has its one weight, a string
+        the weights of its ``PString``; counted as (a, b) pairs they must be total_char's."""
+        weights = [w for kind, lam in map(self.classes.__getitem__, parts)
+                   for w in ([lam] if kind == "line" else PString(self.parabolic, lam).weights())]
+        if Counter(weights) != total_char:
+            raise ValueError(f"rule {rule_id}: character additivity fails")
+        if len(parts) == 1:
+            self.rule(TRI1, rule_id, total, parts[0])
+        else:
+            self.triangles(rule_id, total, parts)
+
     def add_filtration(self, rule_id: str, total: ClassId,
                        parts: list[ClassId], total_char: Character) -> None:
-        """Admit a filtration rule; exact character additivity is mandatory.
-        Each part's character is read from its class: a line has its one
-        weight, a string the weights of its ``PString``."""
-        acc: dict[Weight, int] = {}
-        for kind, lam in parts:
-            for w in [lam] if kind == "line" else PString(self.parabolic, lam).weights():
-                acc[w] = acc.get(w, 0) + 1
-        if Character(acc) != total_char:
-            raise ValueError(f"rule {rule_id}: character additivity fails")
-        ids = [self.cid(p) for p in parts]
-        if len(ids) == 1:
-            self.rule(TRI1, rule_id, self.cid(total), ids[0])
-        else:
-            self.triangles(rule_id, self.cid(total), ids)
+        """``filtration`` of classes given as ClassIds."""
+        self.filtration(rule_id, [self.cid(p) for p in parts], self.cid(total), total_char.mult)
 
     def freeze(self) -> RuleTable:
-        """The table, with the watch index sorted by (class, rule) once."""
-        kind, head, part0, part1 = self.kind, self.head, self.part0, self.part1
-        n = len(kind)
-        keys = sorted([c * n + r for r, c in enumerate(part0)]
-                      + [c * n + r for r, (k, c) in enumerate(zip(kind, head)) if k != IMPL]
-                      + [c * n + r for r, c in enumerate(part1) if c >= 0])
-        watch = array("i", [key % n for key in keys])
-        offsets = array("i", [bisect_left(keys, c * n) for c in range(len(self.classes) + 1)])
+        """The table, with the rules that read each class bucketed in rule order."""
+        readers: list[list[int]] = [[] for _ in self.classes]
+        for r, (k, h, p, q) in enumerate(zip(self.kind, self.head, self.part0, self.part1)):
+            readers[p].append(r)
+            if k != IMPL:
+                readers[h].append(r)
+            if q >= 0:
+                readers[q].append(r)
+        watch = array("i", chain.from_iterable(readers))
+        offsets = array("i", accumulate(map(len, readers), initial=0))
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
-        return RuleTable(
-            tuple(self.classes), MappingProxyType(self.index), self.seeds, bytes(kind),
-            ro(head), ro(part0), ro(part1), tuple(self.rule_ids), ro(offsets), ro(watch),
-            tuple(self.skipped),
-        )
+        return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
+                         bytes(self.kind), ro(self.head), ro(self.part0), ro(self.part1),
+                         tuple(self.rule_ids), ro(offsets), ro(watch), tuple(self.skipped))
 
 
 class _Known:
@@ -306,50 +311,59 @@ class KnowledgeBase:
         return [self._fact(x, rule_of[x]) for x in steps]
 
 
+@functools.lru_cache(maxsize=None)
+def _tensor_template(generator: Weight, parabolic: ParabolicId) -> tuple:
+    """Tensor rules of a generator at twist 0 (twist nu moves every weight by nu): its
+    character, its weights sorted with multiplicity, its string-atom highs, and their bounds."""
+    def bounds(ws: tuple) -> tuple[int, int, int, int]:
+        a, b = zip(*ws)
+        return min(a), max(a), min(b), max(b)
+
+    gch = weyl_character(generator)
+    lines = tuple(mu for mu in sorted(gch.mult) for _ in range(gch.mult[mu]))
+    highs = tuple(s.highest for s in restrict_to_P(generator, parabolic).atoms)
+    return gch.mult, lines, bounds(lines), highs, bounds(highs)
+
+
 def _string_line_rules(b: _Builder) -> None:
     par = b.parabolic
-    alpha = par.simple_root.weight
+    aa, ab = par.simple_root.weight
     for a in range(-b.amax, b.amax + 1):
         for bb in range(-b.bmax, b.bmax + 1):
             lam = Weight(a, bb)
             r = par.pair(lam)
             if r <= 0:
                 continue
-            lines = [lam - alpha.scaled(k) for k in range(r + 1)]
-            if not all(b.in_box(nu) for nu in lines):
+            if not b.fits((0, 0, 0, 0), a - r * aa, bb - r * ab):  # the box is convex, holds lam
                 b.skipped.append(f"string {lam}: layer outside box")
                 continue
-            b.add_filtration(f"bfilt{lam}", pstring_class(par, lam),
-                             [line_class(nu) for nu in lines],
-                             pstring_character(PString(par, lam)))
-            b.implication(f"push{lam}", pstring_class(par, lam), line_class(lam))
-            b.implication(f"pull{lam}", line_class(lam), pstring_class(par, lam))
+            ids = [b.grid_id("line", a - k * aa, bb - k * ab) for k in range(r + 1)]
+            s = b.grid_id("pstring", a, bb)
+            b.filtration(f"bfilt{lam}", ids, s, pstring_character(PString(par, lam)).mult)
+            b.rule(IMPL, f"push{lam}", ids[0], s)
+            b.rule(IMPL, f"pull{lam}", s, ids[0])
 
 
 def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
     if generator not in (W1, W2):
         raise ValueError("generator must be one of the two fundamental modules")
-    par = b.parabolic
-    gch = weyl_character(generator)
-    total: ClassId = ("total", "tensor", generator, nu)
-    b.implication(f"tensortotal{generator}@{nu}", line_class(nu), total)
-    total_char = gch.tensor(Character.line(nu))
-
-    lines = [mu + nu for mu in sorted(gch.mult) for _ in range(gch.mult[mu])]
-    if all(b.in_box(w) for w in lines):
-        b.add_filtration(
-            f"wtfilt{generator}@{nu}", total, [line_class(w) for w in lines], total_char)
+    gch, lines, line_bounds, highs, high_bounds = _tensor_template(generator, b.parabolic)
+    na, nb = nu
+    tag = f"{generator}@{nu}"
+    t = b.cid(("total", "tensor", generator, nu))
+    b.rule(IMPL, "tensortotal" + tag, t, b.grid_id("line", na, nb))
+    total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
+    if b.fits(line_bounds, na, nb):
+        ids = [b.grid_id("line", a + na, c + nb) for a, c in lines]
+        b.filtration("wtfilt" + tag, ids, t, total_char)
     else:
-        b.skipped.append(f"tensor {generator}@{nu}: weight outside box")
-
-    if par.pair(nu) == 0:
-        atoms = restrict_to_P(generator, par).atoms
-        highs = [s.highest + nu for s in atoms]
-        if all(b.in_box(h) for h in highs):
-            b.add_filtration(f"strfilt{generator}@{nu}", total,
-                             [pstring_class(par, h) for h in highs], total_char)
+        b.skipped.append(f"tensor {tag}: weight outside box")
+    if b.parabolic.pair(nu) == 0:
+        if b.fits(high_bounds, na, nb):
+            b.filtration("strfilt" + tag, [b.cid(pstring_class(b.parabolic, h + nu))
+                                           for h in highs], t, total_char)
         else:
-            b.skipped.append(f"tensor strings {generator}@{nu}: atom outside box")
+            b.skipped.append(f"tensor strings {tag}: atom outside box")
 
 
 def _add_koszul_rules(b: _Builder) -> None:
@@ -363,12 +377,10 @@ def _add_koszul_rules(b: _Builder) -> None:
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
     steps = [W1.scaled(k) for k in range(8)]
-    for a in range(-b.amax, b.amax + 1):
+    for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
         for bb in range(-b.bmax, b.bmax + 1):
-            nu = Weight(a, bb)
-            terms = [nu - s for s in steps]
-            if all(b.in_box(t) for t in terms):
-                b.triangles(f"koszul{nu}", ZERO_ID, [b.cid(line_class(t)) for t in terms])
+            b.triangles(f"koszul({a},{bb})", ZERO_ID,
+                        [b.grid_id("line", a - sa, bb - sb) for sa, sb in steps])
 
 
 SHORT_SEED_LINES = [Weight(0, 0), Weight(0, -1), Weight(1, -2), Weight(2, -2),

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from g2bwb import karoubi
-from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1
+from g2bwb.charring import Character, FilteredPModule, restrict_to_P, weyl_character
+from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1, W2
 from g2bwb.karoubi import (
     GenerationReport,
     _add_koszul_rules,
@@ -212,3 +213,49 @@ def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
             seed(SHORT, 10, 8)
     finally:
         karoubi._compiled.cache_clear()
+
+
+def _table_sha(t) -> str:
+    """sha256 of a fixed serialization of every field of a compiled rule table."""
+    parts = ["\n".join(karoubi.class_str(t.class_of(i)) for i in range(len(t.classes)))]
+    parts += [",".join(map(str, x)) for x in (t.seeds, t.kind, t.head, t.part0, t.part1,
+                                               t.offsets, t.watch)]
+    parts += ["\n".join(t.rule_ids), "\n".join(t.skipped)]
+    return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
+
+
+# The whole compiled table of a box, pinned by its sha256: class ids and their
+# order, rule rows and labels, seeds, the watch index and the skipped list.
+@pytest.mark.parametrize("parabolic, box, digest", [
+    (SHORT, (10, 8), "0cf06f25bec7abf6a2a0110a2d3fc8687aa48938b8e71085ea2f57a5b3bd6cc6"),
+    (LONG, (16, 12), "3db316c913cf37bdbc6947129d14b880449265d65603aede52bc5d8b9c36c293"),
+    (SHORT, (24, 20), "81ca5034cf7b932df229b63e8ad0c7ef3e38088db34ee90b3226a5677457d247"),
+], ids=["short-10-8", "long-16-12", "short-24-20"])
+def test_rule_table_golden(parabolic, box, digest):
+    assert _table_sha(seed(parabolic, *box).rules) == digest
+
+
+def _drop_last_atom(lam, parabolic):
+    m = restrict_to_P(lam, parabolic)
+    return FilteredPModule(m.parabolic, m.atoms[:-1])
+
+
+def _extra_weight(lam):
+    ch = weyl_character(lam)
+    return Character({**ch.mult, ZERO: ch.coeff(ZERO) + 1}) if lam == W2 else ch
+
+
+@pytest.mark.parametrize("name, fake", [("restrict_to_P", _drop_last_atom),
+                                        ("weyl_character", _extra_weight)])
+def test_additivity_check_rejects_a_wrong_template(monkeypatch, name, fake):
+    # the tensor rules of every twist come from one cached template per
+    # generator; a wrong template must still fail the per-rule check
+    monkeypatch.setattr(karoubi, name, fake)
+    karoubi._compiled.cache_clear()
+    karoubi._tensor_template.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="additivity"):
+            seed(SHORT, 10, 8)
+    finally:
+        karoubi._compiled.cache_clear()
+        karoubi._tensor_template.cache_clear()

@@ -210,3 +210,15 @@ def test_lowest_alcove_exactly_from_the_threshold(w, p):
     bound = max(alpha.pair(w + RHO) for alpha in POSITIVE_ROOTS)
     assert lowest_alcove(w, p) == (p >= bound)
     assert p_threshold(w + RHO) == bound
+
+
+@given(st.sampled_from([ParabolicId.SHORT, ParabolicId.LONG]), weights)
+def test_pstring_weights_match_the_two_operation_definition(par, lam):
+    if par.pair(lam) < 0:
+        lam = -lam
+    s = PString(par, lam)
+    alpha = par.simple_root.weight
+    expected = [lam - alpha.scaled(k) for k in range(par.pair(lam) + 1)]
+    got = s.weights()
+    assert got == expected
+    assert all(type(w) is Weight for w in got)
