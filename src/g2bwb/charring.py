@@ -19,17 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootdata import (
-    POSITIVE_ROOTS,
-    RHO,
-    W1,
-    W2,
-    ZERO,
-    ParabolicId,
-    Weight,
-    dominance_leq,
-    root_coords,
-)
+from .rootdata import (POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight,
+                       dominance_leq, root_coords)
 from . import weyl
 
 
@@ -254,7 +245,11 @@ class FilteredPModule:
                 raise ValueError("atom parabolic mismatch")
 
     def character(self) -> Character:
-        return Character(Counter(w for s in self.atoms for w in s.weights()))
+        """Each distinct atom is expanded once, times its multiplicity."""
+        out: Counter = Counter()
+        for s, m in Counter(self.atoms).items():
+            out.update(dict.fromkeys(s.weights(), m))
+        return Character(out)
 
     def dimension(self) -> int:
         return sum(s.dim for s in self.atoms)

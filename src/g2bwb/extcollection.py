@@ -65,28 +65,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
-from .charring import (
-    Character,
-    FilteredPModule,
-    PString,
-    clebsch_gordan_P,
-    module,
-    weyl_character,
-)
-from .cohomology import (
-    DEFAULT_P,
-    MIN_P,
-    Bound,
-    Degrees,
-    Frozen,
-    bott_line,
-    combine,
-    costandard_times,
-    euler_characteristic,
-    linkage_collision,
-    lowest_alcove,
-    p_threshold,
-)
+from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, module,
+                       weyl_character)
+from .cohomology import (DEFAULT_P, MIN_P, Bound, Degrees, Frozen, bott_line, combine,
+                         costandard_times, euler_characteristic, linkage_collision,
+                         lowest_alcove, p_threshold)
 from . import weyl
 
 

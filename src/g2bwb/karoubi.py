@@ -17,14 +17,15 @@ Every multi-layer rule is compiled into two-term triangle rules through
 synthetic truncation classes, so a single two-out-of-three inference drives
 the whole closure.  Each box is compiled once, on (a, b) integer pairs, into a
 read-only ``RuleTable`` of flat integer arrays: dense class ids (line and
-string ids from grids over the box), per-rule kind, head and parts, the rule
-labels, and a CSR index of the rules that read each class.  The tensor rules
-at a twist move one cached template per generator, and each filtration rule
-is admitted only after an exact character-additivity check.  Every closure
-over the box shares the table; a knowledge base holds only a byte of known
-flags per class and the log of learned facts as (class id, rule index) pairs.
-The closure is a worklist saturation whose result is independent of rule
-order; derivations are logged and replayable.
+string ids from grids over the box), per-rule kind, head and parts, one label
+per group of rules (an implication, or the triangles of a filtration), and a CSR
+index of the rules that read each class, by counting sort.  The tensor rules at
+a twist move one cached template per generator, and each filtration rule is
+admitted only after an exact character-additivity check.  Every closure over
+the box shares the table; a knowledge base holds only a byte of known flags per
+class and the log of learned facts as (class id, rule index) pairs.  The closure
+is a worklist saturation whose result is independent of rule order; derivations
+are logged and replayable.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import functools
 import random
 from array import array
 from collections import Counter
-from itertools import accumulate, chain
+from collections.abc import Sequence
+from itertools import accumulate
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -78,8 +80,28 @@ def class_str(c: ClassId) -> str:
 # Rule kinds.  A rule has a head and one or two parts: an implication learns
 # its head (dst) from its part (src); a triangle's head is the total, an
 # extension of its parts, and it learns any one of the three from the others.
-IMPL, TRI1, TRI2 = 0, 1, 2
+IMPL, TRI2 = 0, 2
 ZERO_ID = 0  # class id of the zero object in every table
+
+
+@dataclass(frozen=True, eq=False)
+class RuleLabels(Sequence):
+    """The rule labels, stored once per group.  Rule r is in group g = ``group[r]``,
+    which starts at rule ``first[g]`` (``first`` ends with the rule count) and is one
+    rule labelled ``bases[g]`` or, if ``numbered[g]``, the triangles ``bases[g]#k``."""
+
+    bases: tuple[str, ...]
+    first: memoryview
+    numbered: bytes
+    group: memoryview
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, r: int) -> str:
+        g = self.group[r]
+        base = self.bases[g]
+        return f"{base}#{r % len(self) - self.first[g] + 1}" if self.numbered[g] else base
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +111,7 @@ class RuleTable:
     Classes have dense ids.  ``classes[i]`` is the ClassId of class i, except
     for a truncation class, where it is the index of the one rule whose head
     it is.  Rule r has kind ``kind[r]``, head ``head[r]``, parts ``part0[r]``
-    and ``part1[r]`` (-1 if it has one part), and label ``rule_ids[r]``.  The
+    and ``part1[r]`` (-1 for an implication), and label ``rule_ids[r]``.  The
     rules that read class c, in rule order, are ``watch[offsets[c]:offsets[c + 1]]``.
     """
 
@@ -100,7 +122,7 @@ class RuleTable:
     head: memoryview
     part0: memoryview
     part1: memoryview
-    rule_ids: tuple[str, ...]
+    rule_ids: RuleLabels
     offsets: memoryview
     watch: memoryview
     skipped: tuple[str, ...]
@@ -111,20 +133,21 @@ class RuleTable:
     def class_of(self, i: int) -> ClassId:
         c = self.classes[i]
         if type(c) is int:
-            base, _, k = self.rule_ids[c].rpartition("#")
-            return ("trunc", base, int(k))
+            g = self.rule_ids.group[c]
+            return ("trunc", self.rule_ids.bases[g], c - self.rule_ids.first[g] + 1)
         return c
 
     def id_of(self, c: ClassId) -> int | None:
         """Id of class c, or None if no rule of the box mentions it."""
         if c[0] != "trunc":
             return self.index.get(c)
-        try:
-            r = self.rule_ids.index(f"{c[1]}#{c[2]}")
-        except ValueError:
+        labels = self.rule_ids
+        g = labels.bases.index(c[1]) if c[1] in labels.bases else -1
+        r = labels.first[g] + c[2] - 1
+        # truncation k heads rule k of its group, which is not the group's last
+        if g < 0 or not labels.numbered[g] or not labels.first[g] <= r < labels.first[g + 1] - 1:
             return None
-        h = self.head[r]
-        return h if self.classes[h] == r else None
+        return self.head[r]
 
     def premises(self, c: int, r: int) -> tuple[int, ...]:
         """Ids of the classes rule r used to learn class c: its head and parts
@@ -145,7 +168,8 @@ class _Builder:
         self.index: dict[ClassId, int] = {}
         self.kind = bytearray()
         self.head, self.part0, self.part1 = array("i"), array("i"), array("i")
-        self.rule_ids: list[str] = []
+        self.bases: list[str] = []  # the rule labels by group, as in RuleLabels
+        self.first, self.numbered, self.group = array("i"), bytearray(), array("i")
         self.skipped: list[str] = []
         self.cid(ZERO_CLASS)
         short = parabolic is ParabolicId.SHORT
@@ -174,12 +198,19 @@ class _Builder:
             grid[k] = self.cid((kind, Weight(a, b)))
         return grid[k]
 
-    def rule(self, kind: int, rule_id: str, head: int, part0: int, part1: int = -1) -> None:
-        self.kind.append(kind)
-        self.head.append(head)
-        self.part0.append(part0)
-        self.part1.append(part1)
-        self.rule_ids.append(rule_id)
+    def rows(self, base: str, numbered: bool, kind: bytes, head, part0, part1) -> None:
+        """Append a group of rules, labelled as in RuleLabels."""
+        self.group.extend(array("i", [len(self.bases)]) * len(kind))
+        self.first.append(len(self.kind))
+        self.numbered.append(numbered)
+        self.bases.append(base)
+        self.kind.extend(kind)
+        self.head.extend(head)
+        self.part0.extend(part0)
+        self.part1.extend(part1)
+
+    def rule(self, rule_id: str, head: int, part: int) -> None:
+        self.rows(rule_id, False, bytes([IMPL]), [head], [part], [-1])
 
     def triangles(self, rule_id: str, total: int, parts: list[int]) -> None:
         """Two-term triangles ``rule_id#k``, k = 1 .. m, through fresh truncation
@@ -188,24 +219,19 @@ class _Builder:
         m, r0, t0 = len(parts) - 1, len(self.kind), len(self.classes)
         truncs = list(range(t0, t0 + m - 1))
         self.classes.extend(range(r0, r0 + m - 1))  # ("trunc", rule_id, k) heads rule r0 + k - 1
-        self.kind.extend(bytes([TRI2]) * m)
-        self.head.extend(truncs + [total])
-        self.part0.extend([parts[0]] + truncs)
-        self.part1.extend(parts[1:])
-        self.rule_ids.extend([f"{rule_id}#{k}" for k in range(1, m + 1)])
+        self.rows(rule_id, True, bytes([TRI2]) * m, truncs + [total], parts[:1] + truncs, parts[1:])
 
     def filtration(self, rule_id: str, parts: list[int], total: int, total_char: dict) -> None:
-        """Admit a filtration rule; exact character additivity is mandatory.  Each
-        part's character is read from its class: a line has its one weight, a string
-        the weights of its ``PString``; counted as (a, b) pairs they must be total_char's."""
+        """Admit a filtration rule of two or more parts; exact character additivity is
+        mandatory.  Each part's character is read from its class: a line has its one weight,
+        a string the weights of its ``PString``; as (a, b) pairs they must be total_char's."""
         weights = [w for kind, lam in map(self.classes.__getitem__, parts)
                    for w in ([lam] if kind == "line" else PString(self.parabolic, lam).weights())]
         if Counter(weights) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
-        if len(parts) == 1:
-            self.rule(TRI1, rule_id, total, parts[0])
-        else:
-            self.triangles(rule_id, total, parts)
+        if len(parts) < 2:
+            raise ValueError(f"rule {rule_id}: a filtration needs two parts")
+        self.triangles(rule_id, total, parts)
 
     def add_filtration(self, rule_id: str, total: ClassId,
                        parts: list[ClassId], total_char: Character) -> None:
@@ -213,20 +239,31 @@ class _Builder:
         self.filtration(rule_id, [self.cid(p) for p in parts], self.cid(total), total_char.mult)
 
     def freeze(self) -> RuleTable:
-        """The table, with the rules that read each class bucketed in rule order."""
-        readers: list[list[int]] = [[] for _ in self.classes]
-        for r, (k, h, p, q) in enumerate(zip(self.kind, self.head, self.part0, self.part1)):
-            readers[p].append(r)
+        """The table.  Its watch index counts the readers of each class, sums the counts
+        to offsets, then fills each class's slots in rule order (a counting sort)."""
+        rows = (self.kind, self.head, self.part0, self.part1)
+        slot = [0] * len(self.classes)
+        for k, h, p, q in zip(*rows):
+            slot[p] += 1
             if k != IMPL:
-                readers[h].append(r)
-            if q >= 0:
-                readers[q].append(r)
-        watch = array("i", chain.from_iterable(readers))
-        offsets = array("i", accumulate(map(len, readers), initial=0))
+                slot[h] += 1
+                slot[q] += 1
+        offsets = array("i", accumulate(slot, initial=0))
+        slot, watch = offsets.tolist(), array("i", [0]) * offsets[-1]
+        for r, (k, h, p, q) in enumerate(zip(*rows)):
+            watch[slot[p]] = r
+            slot[p] += 1
+            if k != IMPL:
+                watch[slot[h]] = r
+                slot[h] += 1
+                watch[slot[q]] = r
+                slot[q] += 1
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
+        first = ro(self.first + array("i", [len(self.kind)]))
+        labels = RuleLabels(tuple(self.bases), first, bytes(self.numbered), ro(self.group))
         return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
                          bytes(self.kind), ro(self.head), ro(self.part0), ro(self.part1),
-                         tuple(self.rule_ids), ro(offsets), ro(watch), tuple(self.skipped))
+                         labels, ro(offsets), ro(watch), tuple(self.skipped))
 
 
 class _Known:
@@ -274,9 +311,10 @@ class KnowledgeBase:
         return "\n".join(map(self._fact, log[0::2], log[1::2]))
 
     def replay(self) -> bool:
-        """Check every derivation only uses classes derived strictly earlier."""
+        """Check that every derivation learns a class its rule names, the head of an
+        implication, and uses only classes derived strictly earlier."""
         t, log = self.rules, self.log
-        head, part0, part1 = t.head, t.part0, t.part1
+        kind, head, part0, part1 = t.kind, t.head, t.part0, t.part1
         learned = log[0::2]
         pos = array("i", [-1]) * len(t.classes)
         for i, c in enumerate(learned):
@@ -284,6 +322,8 @@ class KnowledgeBase:
         for i, (c, r) in enumerate(zip(learned, log[1::2])):
             if r < 0:
                 continue
+            if c != head[r] and (kind[r] == IMPL or c != part0[r] and c != part1[r]):
+                return False
             # the premises of (c, r), as in RuleTable.premises; zero is always known
             for q in (head[r], part0[r], part1[r]):
                 if q > ZERO_ID and q != c and not 0 <= pos[q] < i:
@@ -340,8 +380,8 @@ def _string_line_rules(b: _Builder) -> None:
             ids = [b.grid_id("line", a - k * aa, bb - k * ab) for k in range(r + 1)]
             s = b.grid_id("pstring", a, bb)
             b.filtration(f"bfilt{lam}", ids, s, pstring_character(PString(par, lam)).mult)
-            b.rule(IMPL, f"push{lam}", ids[0], s)
-            b.rule(IMPL, f"pull{lam}", s, ids[0])
+            b.rule(f"push{lam}", ids[0], s)
+            b.rule(f"pull{lam}", s, ids[0])
 
 
 def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
@@ -351,7 +391,7 @@ def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
     na, nb = nu
     tag = f"{generator}@{nu}"
     t = b.cid(("total", "tensor", generator, nu))
-    b.rule(IMPL, "tensortotal" + tag, t, b.grid_id("line", na, nb))
+    b.rule("tensortotal" + tag, t, b.grid_id("line", na, nb))
     total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
     if b.fits(line_bounds, na, nb):
         ids = [b.grid_id("line", a + na, c + nb) for a, c in lines]
@@ -447,12 +487,6 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
         if k == IMPL:
             if not known[p]:
                 continue
-        elif k == TRI1:
-            # the part known: learn the total; the total known: learn the part
-            if not known[p]:
-                if not known[new]:
-                    continue
-                new = p
         else:
             # both parts known: learn the total; exactly one part missing and
             # the total known: learn that part

@@ -168,6 +168,52 @@ def test_replay_rejects_a_fact_learned_before_its_premises():
     assert not rep.replay_ok and not rep.complete
 
 
+@pytest.mark.parametrize("parabolic, closed, cls, label", [
+    # a triangle learns its head or a part: bfilt(1,-12)#1 names neither L[P(1,12)] ...
+    (SHORT, True, pstring_class(SHORT, Weight(1, 12)), "bfilt(1,-12)#1"),
+    # ... and an implication learns only its head, here the string, never its line
+    (LONG, False, line_class(Weight(-4, 1)), "pull(-4,1)"),
+], ids=["triangle", "implication"])
+def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, closed, cls,
+                                                                    label):
+    kb = seed(parabolic)
+    if closed:
+        close(kb)
+    t = kb.rules
+    c, r = t.id_of(cls), t.rule_ids.index(label)
+    assert not kb.flags[c] and kb.replay()
+    # every other class of the rule is known, so only the learned class is wrong
+    assert all(kb.flags[q] for q in t.premises(c, r))
+    kb.flags[c] = 1
+    kb.log.extend((c, r))
+    assert not kb.replay()
+    assert not GenerationReport.of(parabolic, default_targets(parabolic), kb).complete
+
+
+@pytest.mark.parametrize("parabolic, box", [(SHORT, (10, 8)), (LONG, (16, 12))])
+def test_rule_labels_view(parabolic, box):
+    t = seed(parabolic, *box).rules
+    labels = t.rule_ids
+    assert all(t.id_of(t.class_of(i)) == i for i in range(len(t.classes)))
+    assert len(list(labels)) == len(labels) == len(t)
+    numbered = [g for g in range(len(labels.bases)) if labels.numbered[g]]
+    single = [g for g in range(len(labels.bases)) if not labels.numbered[g]]
+    assert numbered and single
+    for g in (numbered[0], numbered[-1], single[0], single[-1]):
+        for r in (labels.first[g], labels.first[g + 1] - 1):
+            assert labels.index(labels[r]) == r
+    # a triangle group of m rules has truncations 1 .. m - 1 only
+    m, g = max((labels.first[g + 1] - labels.first[g], g) for g in numbered)
+    assert m > 1
+    base = labels.bases[g]
+    assert labels[labels.first[g] + m - 1] == f"{base}#{m}"
+    assert t.id_of(("trunc", base, m - 1)) is not None
+    for k in (0, m, m + 1):
+        assert t.id_of(("trunc", base, k)) is None
+    assert t.id_of(("trunc", "nosuchrule", 1)) is None
+    assert labels[-1] == labels[len(labels) - 1]
+
+
 def _audit_sha(kb) -> str:
     return hashlib.sha256(kb.audit_log().encode()).hexdigest()
 
