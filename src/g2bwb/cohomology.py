@@ -85,9 +85,9 @@ def costandard_times(row: Character, char: Character) -> Character:
 
 
 def lowest_alcove(lam: Weight, p: int = DEFAULT_P) -> bool:
-    """True iff 0 < <lam+rho, alpha^v> <= p for every positive root."""
-    x = lam + RHO
-    return all(0 < alpha.pair(x) <= p for alpha in POSITIVE_ROOTS)
+    """True iff 0 < <lam+rho, alpha^v> <= p for every positive root: lam is dominant
+    and its rho-shift pairs to at most p with the highest coroot."""
+    return lam.is_dominant() and 2 * lam.a + 3 * lam.b + 5 <= p
 
 
 def p_threshold(x: Weight) -> int:

@@ -13,19 +13,18 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 * the length-eight Koszul complex stepping through consecutive multiples
   of the first fundamental weight.
 
-Every multi-layer rule is compiled into two-term triangle rules through
-synthetic truncation classes, so a single two-out-of-three inference drives
-the whole closure.  Each box is compiled once, on (a, b) integer pairs, into a
-read-only ``RuleTable`` of flat integer arrays: dense class ids (line and
-string ids from grids over the box), per-rule kind, head and parts, one label
-per group of rules (an implication, or the triangles of a filtration), and a CSR
-index of the rules that read each class, by counting sort.  The tensor rules at
-a twist move one cached template per generator, and each filtration rule is
-admitted only after an exact character-additivity check.  Every closure over
-the box shares the table; a knowledge base holds only a byte of known flags per
-class and the log of learned facts as (class id, rule index) pairs.  The closure
-is a worklist saturation whose result is independent of rule order; derivations
-are logged and replayable.
+Each filtration is one rule whose slots are its parts and then its total, and it
+learns any one slot once all the others are known; an implication learns its head
+from its one part.  Each box is compiled once, on (a, b) integer pairs, into a
+read-only ``RuleTable`` of flat integer arrays: dense class ids (line and string
+ids from grids over the box), per-rule kind, label and slots, and a CSR index of
+the rules with a slot on each class, by counting sort.  The tensor rules at a twist
+move one cached template per generator, and each filtration rule is admitted only
+after an exact character-additivity check.  Every closure over the box shares the
+table; a knowledge base holds only a byte of known flags per class and the log of
+learned facts as (class id, rule index) pairs.  The closure is a worklist
+saturation whose result is independent of rule order; derivations are logged and
+replayable.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import functools
 import random
 from array import array
 from collections import Counter
-from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -47,7 +45,7 @@ from .charring import (Character, PString, exterior_power, pstring_character, re
 #   ("line", Weight)            line bundle on the flag variety
 #   ("pstring", Weight)         pulled-back parabolic string, pairing > 0
 #   ("zero",)                   the zero object, always a member
-#   ("total"|"trunc", str, ...) synthetic nodes of compiled rules
+#   ("total", "tensor", ...)    synthetic total of a tensor product
 ClassId = tuple
 
 
@@ -77,52 +75,30 @@ def class_str(c: ClassId) -> str:
     return ":".join(str(x) for x in c)
 
 
-# Rule kinds.  A rule has a head and one or two parts: an implication learns
-# its head (dst) from its part (src); a triangle's head is the total, an
-# extension of its parts, and it learns any one of the three from the others.
-IMPL, TRI2 = 0, 2
+# Rule kinds.  A rule's slots are its parts and then its head.  An implication
+# has one part and learns its head from it; a filtration's head is its total, an
+# iterated extension of its parts, and it learns any one slot from all the others.
+IMPL, FILT = 0, 1
 ZERO_ID = 0  # class id of the zero object in every table
-
-
-@dataclass(frozen=True, eq=False)
-class RuleLabels(Sequence):
-    """The rule labels, stored once per group.  Rule r is in group g = ``group[r]``,
-    which starts at rule ``first[g]`` (``first`` ends with the rule count) and is one
-    rule labelled ``bases[g]`` or, if ``numbered[g]``, the triangles ``bases[g]#k``."""
-
-    bases: tuple[str, ...]
-    first: memoryview
-    numbered: bytes
-    group: memoryview
-
-    def __len__(self) -> int:
-        return len(self.group)
-
-    def __getitem__(self, r: int) -> str:
-        g = self.group[r]
-        base = self.bases[g]
-        return f"{base}#{r % len(self) - self.first[g] + 1}" if self.numbered[g] else base
 
 
 @dataclass(frozen=True, eq=False)
 class RuleTable:
     """The compiled rules of one box as flat integer tables, shared and read-only.
 
-    Classes have dense ids.  ``classes[i]`` is the ClassId of class i, except
-    for a truncation class, where it is the index of the one rule whose head
-    it is.  Rule r has kind ``kind[r]``, head ``head[r]``, parts ``part0[r]``
-    and ``part1[r]`` (-1 for an implication), and label ``rule_ids[r]``.  The
-    rules that read class c, in rule order, are ``watch[offsets[c]:offsets[c + 1]]``.
+    Class i is ``classes[i]``.  Rule r has kind ``kind[r]``, label ``rule_ids[r]``
+    and the slots ``slots[first[r]:first[r + 1]]``: its parts, then its head.  The
+    rules with a slot on class c, once per slot and in rule order, are
+    ``watch[offsets[c]:offsets[c + 1]]``.
     """
 
     classes: tuple
     index: MappingProxyType
     seeds: tuple[int, ...]
     kind: bytes
-    head: memoryview
-    part0: memoryview
-    part1: memoryview
-    rule_ids: RuleLabels
+    rule_ids: tuple[str, ...]
+    first: memoryview
+    slots: memoryview
     offsets: memoryview
     watch: memoryview
     skipped: tuple[str, ...]
@@ -130,31 +106,17 @@ class RuleTable:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def class_of(self, i: int) -> ClassId:
-        c = self.classes[i]
-        if type(c) is int:
-            g = self.rule_ids.group[c]
-            return ("trunc", self.rule_ids.bases[g], c - self.rule_ids.first[g] + 1)
-        return c
-
     def id_of(self, c: ClassId) -> int | None:
         """Id of class c, or None if no rule of the box mentions it."""
-        if c[0] != "trunc":
-            return self.index.get(c)
-        labels = self.rule_ids
-        g = labels.bases.index(c[1]) if c[1] in labels.bases else -1
-        r = labels.first[g] + c[2] - 1
-        # truncation k heads rule k of its group, which is not the group's last
-        if g < 0 or not labels.numbered[g] or not labels.first[g] <= r < labels.first[g + 1] - 1:
-            return None
-        return self.head[r]
+        return self.index.get(c)
+
+    def slots_of(self, r: int) -> memoryview:
+        return self.slots[self.first[r]:self.first[r + 1]]
 
     def premises(self, c: int, r: int) -> tuple[int, ...]:
-        """Ids of the classes rule r used to learn class c: its head and parts
-        other than c, in that order; none for a seed."""
-        if r < 0:
-            return ()
-        return tuple(q for q in (self.head[r], self.part0[r], self.part1[r]) if q >= 0 and q != c)
+        """Ids of the classes rule r used to learn class c: its other slots, in
+        order; none for a seed."""
+        return () if r < 0 else tuple(q for q in self.slots_of(r) if q != c)
 
 
 class _Builder:
@@ -167,9 +129,8 @@ class _Builder:
         self.classes: list = []
         self.index: dict[ClassId, int] = {}
         self.kind = bytearray()
-        self.head, self.part0, self.part1 = array("i"), array("i"), array("i")
-        self.bases: list[str] = []  # the rule labels by group, as in RuleLabels
-        self.first, self.numbered, self.group = array("i"), bytearray(), array("i")
+        self.rule_ids: list[str] = []
+        self.first, self.slots = array("i", [0]), array("i")
         self.skipped: list[str] = []
         self.cid(ZERO_CLASS)
         short = parabolic is ParabolicId.SHORT
@@ -198,28 +159,14 @@ class _Builder:
             grid[k] = self.cid((kind, Weight(a, b)))
         return grid[k]
 
-    def rows(self, base: str, numbered: bool, kind: bytes, head, part0, part1) -> None:
-        """Append a group of rules, labelled as in RuleLabels."""
-        self.group.extend(array("i", [len(self.bases)]) * len(kind))
-        self.first.append(len(self.kind))
-        self.numbered.append(numbered)
-        self.bases.append(base)
-        self.kind.extend(kind)
-        self.head.extend(head)
-        self.part0.extend(part0)
-        self.part1.extend(part1)
+    def add(self, rule_id: str, kind: int, slots: list[int]) -> None:
+        self.rule_ids.append(rule_id)
+        self.kind.append(kind)
+        self.slots.extend(slots)
+        self.first.append(len(self.slots))
 
     def rule(self, rule_id: str, head: int, part: int) -> None:
-        self.rows(rule_id, False, bytes([IMPL]), [head], [part], [-1])
-
-    def triangles(self, rule_id: str, total: int, parts: list[int]) -> None:
-        """Two-term triangles ``rule_id#k``, k = 1 .. m, through fresh truncation
-        classes: rule k reads the (k-1)-st truncation (parts[0] for k = 1) and
-        parts[k], and its head is the k-th truncation (the total for k = m)."""
-        m, r0, t0 = len(parts) - 1, len(self.kind), len(self.classes)
-        truncs = list(range(t0, t0 + m - 1))
-        self.classes.extend(range(r0, r0 + m - 1))  # ("trunc", rule_id, k) heads rule r0 + k - 1
-        self.rows(rule_id, True, bytes([TRI2]) * m, truncs + [total], parts[:1] + truncs, parts[1:])
+        self.add(rule_id, IMPL, [part, head])
 
     def filtration(self, rule_id: str, parts: list[int], total: int, total_char: dict) -> None:
         """Admit a filtration rule of two or more parts; exact character additivity is
@@ -231,39 +178,25 @@ class _Builder:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         if len(parts) < 2:
             raise ValueError(f"rule {rule_id}: a filtration needs two parts")
-        self.triangles(rule_id, total, parts)
-
-    def add_filtration(self, rule_id: str, total: ClassId,
-                       parts: list[ClassId], total_char: Character) -> None:
-        """``filtration`` of classes given as ClassIds."""
-        self.filtration(rule_id, [self.cid(p) for p in parts], self.cid(total), total_char.mult)
+        self.add(rule_id, FILT, parts + [total])
 
     def freeze(self) -> RuleTable:
-        """The table.  Its watch index counts the readers of each class, sums the counts
-        to offsets, then fills each class's slots in rule order (a counting sort)."""
-        rows = (self.kind, self.head, self.part0, self.part1)
-        slot = [0] * len(self.classes)
-        for k, h, p, q in zip(*rows):
-            slot[p] += 1
-            if k != IMPL:
-                slot[h] += 1
-                slot[q] += 1
-        offsets = array("i", accumulate(slot, initial=0))
-        slot, watch = offsets.tolist(), array("i", [0]) * offsets[-1]
-        for r, (k, h, p, q) in enumerate(zip(*rows)):
-            watch[slot[p]] = r
-            slot[p] += 1
-            if k != IMPL:
-                watch[slot[h]] = r
-                slot[h] += 1
-                watch[slot[q]] = r
-                slot[q] += 1
+        """The table.  Its watch index counts the slots on each class, sums the counts
+        to offsets, then fills each class's entries in rule order (a counting sort)."""
+        slots = self.slots
+        count = [0] * len(self.classes)
+        for q in slots:
+            count[q] += 1
+        offsets = array("i", accumulate(count, initial=0))
+        fill, watch = offsets.tolist(), array("i", [0]) * offsets[-1]
+        for r, (lo, hi) in enumerate(pairwise(self.first)):
+            for q in slots[lo:hi]:
+                watch[fill[q]] = r
+                fill[q] += 1
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
-        first = ro(self.first + array("i", [len(self.kind)]))
-        labels = RuleLabels(tuple(self.bases), first, bytes(self.numbered), ro(self.group))
         return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
-                         bytes(self.kind), ro(self.head), ro(self.part0), ro(self.part1),
-                         labels, ro(offsets), ro(watch), tuple(self.skipped))
+                         bytes(self.kind), tuple(self.rule_ids), ro(self.first), ro(slots),
+                         ro(offsets), ro(watch), tuple(self.skipped))
 
 
 class _Known:
@@ -282,8 +215,8 @@ class _Known:
         return self._kb.flags.count(1)
 
     def __iter__(self):
-        class_of = self._kb.rules.class_of
-        return (class_of(i) for i, f in enumerate(self._kb.flags) if f)
+        classes = self._kb.rules.classes
+        return (classes[i] for i, f in enumerate(self._kb.flags) if f)
 
 
 @dataclass
@@ -303,29 +236,33 @@ class KnowledgeBase:
 
     def _fact(self, c: int, r: int) -> str:
         t = self.rules
-        prem = " ".join(class_str(t.class_of(q)) for q in t.premises(c, r))
-        return f"{class_str(t.class_of(c))} <- {'seed' if r < 0 else t.rule_ids[r]} [{prem}]"
+        prem = " ".join(class_str(t.classes[q]) for q in t.premises(c, r))
+        return f"{class_str(t.classes[c])} <- {'seed' if r < 0 else t.rule_ids[r]} [{prem}]"
 
     def audit_log(self) -> str:
         log = self.log
         return "\n".join(map(self._fact, log[0::2], log[1::2]))
 
     def replay(self) -> bool:
-        """Check that every derivation learns a class its rule names, the head of an
-        implication, and uses only classes derived strictly earlier."""
+        """Check that every seed fact names a seed, that every derivation learns a
+        class filling one slot of its rule, the head of an implication, and that it
+        uses only classes derived strictly earlier."""
         t, log = self.rules, self.log
-        kind, head, part0, part1 = t.kind, t.head, t.part0, t.part1
+        seeds = set(t.seeds)
         learned = log[0::2]
         pos = array("i", [-1]) * len(t.classes)
         for i, c in enumerate(learned):
             pos[c] = i
         for i, (c, r) in enumerate(zip(learned, log[1::2])):
             if r < 0:
+                if c not in seeds:
+                    return False
                 continue
-            if c != head[r] and (kind[r] == IMPL or c != part0[r] and c != part1[r]):
+            rule = t.slots_of(r).tolist()
+            if rule.count(c) != 1 or (t.kind[r] == IMPL and rule[-1] != c):
                 return False
             # the premises of (c, r), as in RuleTable.premises; zero is always known
-            for q in (head[r], part0[r], part1[r]):
+            for q in rule:
                 if q > ZERO_ID and q != c and not 0 <= pos[q] < i:
                     return False
         return True
@@ -419,8 +356,8 @@ def _add_koszul_rules(b: _Builder) -> None:
     steps = [W1.scaled(k) for k in range(8)]
     for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
         for bb in range(-b.bmax, b.bmax + 1):
-            b.triangles(f"koszul({a},{bb})", ZERO_ID,
-                        [b.grid_id("line", a - sa, bb - sb) for sa, sb in steps])
+            b.add(f"koszul({a},{bb})", FILT,
+                  [b.grid_id("line", a - sa, bb - sb) for sa, sb in steps] + [ZERO_ID])
 
 
 SHORT_SEED_LINES = [Weight(0, 0), Weight(0, -1), Weight(1, -2), Weight(2, -2),
@@ -462,54 +399,47 @@ def seed(parabolic: ParabolicId, amax: int = 16, bmax: int = 12) -> KnowledgeBas
 def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
     """Saturate the inference rules; the fixpoint is order-independent.
 
-    The worklist is a stack of rule indices, first in rule order or the rng's
-    shuffle of it; the rules reading a newly learned class are pushed in
-    worklist-position order."""
+    A rule is ready when exactly one of its slots is unknown, a class counting once
+    per slot it fills, and then learns that slot unless it is an implication's part.
+    The worklist is a stack of ready rules, first in rule order or the rng's shuffle
+    of it; the rules a newly learned class makes ready are pushed in worklist-position
+    order."""
     t = kb.rules
-    kind, head, part0, part1 = t.kind, t.head, t.part0, t.part1
-    offsets, watch = t.offsets, t.watch
+    kind, first, slots, offsets, watch = t.kind, t.first, t.slots, t.offsets, t.watch
     known = kb.flags
     learn = kb.log.extend
-    work = list(range(len(kind)))
+    missing = [0] * len(kind)  # unknown slots per rule
+    for c, f in enumerate(known):
+        if not f:
+            for r in watch[offsets[c]:offsets[c + 1]]:
+                missing[r] += 1
+    order = list(range(len(kind)))
     position = None
     if rng is not None:
-        rng.shuffle(work)
-        position = [0] * len(work)
-        for pos, r in enumerate(work):
+        rng.shuffle(order)
+        position = [0] * len(order)
+        for pos, r in enumerate(order):
             position[r] = pos
-    pop, push = work.pop, work.append
-    queued = bytearray(b"\x01") * len(kind)
+    work = [r for r in order if missing[r] == 1]
+    pop, extend = work.pop, work.extend
     while work:
         r = pop()
-        queued[r] = 0
-        new, p = head[r], part0[r]
-        k = kind[r]
-        if k == IMPL:
-            if not known[p]:
-                continue
-        else:
-            # both parts known: learn the total; exactly one part missing and
-            # the total known: learn that part
-            q = part1[r]
-            if not known[p]:
-                if not (known[q] and known[new]):
-                    continue
-                new = p
-            elif not known[q]:
-                if not known[new]:
-                    continue
-                new = q
-        if known[new]:
+        if missing[r] != 1:
+            continue
+        rule = slots[first[r]:first[r + 1]]
+        new = next(q for q in rule if not known[q])
+        if kind[r] == IMPL and new != rule[-1]:
             continue
         known[new] = 1
         learn((new, r))
-        readers = watch[offsets[new]:offsets[new + 1]]
+        ready = []
+        for j in watch[offsets[new]:offsets[new + 1]]:
+            missing[j] -= 1
+            if missing[j] == 1:
+                ready.append(j)
         if position is not None:
-            readers = sorted([j for j in readers if not queued[j]], key=position.__getitem__)
-        for j in readers:
-            if not queued[j]:
-                queued[j] = 1
-                push(j)
+            ready.sort(key=position.__getitem__)
+        extend(ready)
     return kb
 
 

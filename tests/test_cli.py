@@ -8,7 +8,8 @@ from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from g2bwb.cohomology import EulerMismatch
 from g2bwb.extcollection import AmbiguousTable
 from g2bwb.modchar import InconsistentChoice, Undecided
-from g2bwb.rootdata import ZERO
+from g2bwb.karoubi import verify_generation
+from g2bwb.rootdata import ZERO, ParabolicId
 
 
 def run(capsys, *argv):
@@ -52,6 +53,12 @@ def test_ext_command(capsys):
     code, out = run(capsys, "ext", "--parabolic", "long", "E(s1s2s1)", "E(s1s2s1)")
     assert code == EXIT_OK
     assert "Ext^0: L(0,0)" in out
+
+
+def test_ext_latex(capsys):
+    code, out = run(capsys, "ext", "M", "E(s2s1s2)", "--format", "latex")
+    assert code == EXIT_OK
+    assert out == "\\mathrm{Ext}^{1} \\simeq L(0,0)\n"
 
 
 def test_ext_unknown_name(capsys):
@@ -157,6 +164,7 @@ def test_all_report_jsons_roundtrip(capsys):
     ["report", "rank", "--p", "5"],
     ["modchar", "--p", "2", "--w", "e"],
     ["bott", "3", "-2", "--p", "5"],
+    ["bott", "3", "-2", "--p", "x"],
 ])
 def test_non_prime_p_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -194,9 +202,10 @@ def test_karoubi_box_above_limit_is_usage_error(capsys):
     (["report", "rank", "--p", "997"], f"at most {cli.RANK_MAX_P}"),
     (["report", "rank", "--p", "47", "--parabolic", "long"], f"at most {cli.RANK_MAX_P}"),
     (["modchar", "--w", "s1s2", "--p", "997"], f"at most {cli.RANK_MAX_P}"),
+    (["modchar", "--w", "s3"], "bad word"),
 ], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word",
         "ext-non-reduced", "ext-both-non-reduced", "ext-non-reduced-long", "rank-p-above-bound",
-        "rank-long-p-above-bound", "modchar-p-above-bound"])
+        "rank-long-p-above-bound", "modchar-p-above-bound", "modchar-bad-word"])
 def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
     # refused before any character is computed
     code = main(argv)
@@ -265,6 +274,37 @@ def test_report_rank_p7_golden(capsys):
     code, out = run(capsys, "report", "rank", "--p", "7", "--format", "json")
     assert code == EXIT_OK
     assert out == RANK_P7_JSON
+
+
+@pytest.mark.parametrize("parabolic", ["short", "long"])
+def test_report_rank_p7_text(capsys, parabolic):
+    code, out = run(capsys, "report", "rank", "--p", "7", "--parabolic", parabolic)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == f"rank identity at p=7 ({parabolic} root):"
+    assert "  weighted dimension sum = 16807 (expected 16807)" in lines
+    assert "  decided by: identity_resolution" in lines
+    assert lines[-1] == "PASS"
+
+
+def test_modchar_log_lists_the_resolved_points(capsys, monkeypatch):
+    # at p = 7 the rank identity decides the open multiplicities
+    monkeypatch.setenv("G2BWB_LOG", "1")
+    code = main(["modchar", "--w", "s1s2", "--p", "7"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and "[identity_resolution]" in captured.out
+    points = json.loads(RANK_P7_JSON)["choice_points"]
+    assert captured.err.splitlines() == [f"resolved: {pt}" for pt in points]
+
+
+def test_report_karoubi_log_is_the_audit_log(capsys, monkeypatch):
+    monkeypatch.setenv("G2BWB_LOG", "1")
+    code = main(["report", "karoubi", "--parabolic", "long", "--box", "12"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.out.endswith("PASS\n")
+    _, kb = verify_generation(ParabolicId.LONG, amax=12, bmax=12)
+    assert captured.err == kb.audit_log() + "\n"
+    assert "L(-12,0) <- " in captured.err
 
 
 CHEVALLEY_JSON_SHA256 = "073567118ebe3d22ad7386d0019e7037926914c5f3d3347308966a522eae339c"

@@ -16,6 +16,7 @@ from g2bwb.cohomology import (
     linkage_collision,
     linked,
     lowest_alcove,
+    p_threshold,
 )
 from g2bwb.extcollection import _anon, ext_table, object_by_name
 from g2bwb.modchar import weyl_dim
@@ -99,6 +100,20 @@ def test_lowest_alcove():
     assert not lowest_alcove(Weight(2, 1), 11)  # pairing 12 on the big wall
     assert lowest_alcove(Weight(2, 0), 11)      # pairing 11: closure included
     assert lowest_alcove(Weight(3, 0), 11)      # pairing 11 exactly
+
+
+def test_lowest_alcove_matches_the_root_loop():
+    # the definition over the six positive roots is the reference for the closed form
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    for a in range(-15, 16):
+        for b in range(-15, 16):
+            lam = Weight(a, b)
+            x = lam + RHO
+            for p in primes:
+                expected = all(0 < alpha.pair(x) <= p for alpha in POSITIVE_ROOTS)
+                assert lowest_alcove(lam, p) == expected
+                if lam.is_dominant():
+                    assert expected == (p_threshold(x) <= p)
 
 
 def test_linked_examples():

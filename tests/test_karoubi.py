@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -120,11 +121,80 @@ def test_audit_chain_replayable():
 
 def test_character_guard_rejects_bad_rule():
     b = _Builder(SHORT, 8, 8)
-    from g2bwb.charring import Character
-    with pytest.raises(ValueError):
-        b.add_filtration(
-            "bogus", line_class(ZERO), [line_class(W1)], Character.line(ZERO),
-        )
+    zero, w1 = b.cid(line_class(ZERO)), b.cid(line_class(W1))
+    with pytest.raises(ValueError, match="additivity"):
+        b.filtration("bogus", [w1], zero, {ZERO: 1})
+    # a character that adds up still needs two parts
+    with pytest.raises(ValueError, match="two parts"):
+        b.filtration("bogus", [w1], zero, {W1: 1})
+    assert len(b.freeze()) == 0
+
+
+@pytest.mark.parametrize("middle, learned", [(3, False), (6, True)], ids=["x-x-y", "x-z-y"])
+def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
+    # parts [x, x, y]: with y and the total known, x is still unknown in two slots
+    b = _Builder(SHORT, 8, 8)
+    x, z, y, total = (b.cid(line_class(Weight(k, k))) for k in (3, middle, 4, 5))
+    for c in {z, y, total} - {x}:
+        b.rule(f"from seed {c}", c, b.seeds[0])
+    b.filtration("xzy", [x, z, y], total, Counter(Weight(k, k) for k in (3, middle, 4)))
+    kb = close(karoubi._seeded(b.freeze()))
+    assert kb.flags[y] and kb.flags[total] and kb.flags[x] == learned and kb.replay()
+    if not learned:
+        kb.flags[x] = 1
+        kb.log.extend((x, kb.rules.rule_ids.index("xzy")))
+        assert not kb.replay()
+
+
+def _two_out_of_three_known(t, rng=None) -> frozenset:
+    """The real classes known under the rules as two-term triangles: each filtration
+    of parts p0 .. pm and total T becomes the triangles (t1; p0, p1), (t2; t1, p2), ...,
+    (T; t(m-1), pm) through fresh truncation classes t1 .. t(m-1), saturated by
+    two-out-of-three; an implication learns its head from its part."""
+    rules, n = [], len(t.classes)
+    for r in range(len(t)):
+        *parts, head = t.slots_of(r).tolist()
+        if t.kind[r] == karoubi.IMPL:
+            rules.append((head, parts[0]))
+            continue
+        prev = parts[0]
+        for k, q in enumerate(parts[1:], 1):
+            h = head if k == len(parts) - 1 else n
+            n += h == n
+            rules.append((h, prev, q))
+            prev = h
+    known = bytearray(n)
+    known[karoubi.ZERO_ID] = 1
+    for s in t.seeds:
+        known[s] = 1
+    readers = [[] for _ in range(n)]
+    for i, rule in enumerate(rules):
+        for c in rule:
+            readers[c].append(i)
+    work = list(range(len(rules)))
+    if rng is not None:
+        rng.shuffle(work)
+    while work:
+        rule = rules[work.pop()]
+        if len(rule) == 2:
+            unknown = [rule[0]] if known[rule[1]] and not known[rule[0]] else []
+        else:
+            unknown = [c for c in rule if not known[c]]
+        if len(unknown) == 1:
+            known[unknown[0]] = 1
+            work.extend(readers[unknown[0]])
+    return frozenset(t.classes[i] for i in range(len(t.classes)) if known[i])
+
+
+@pytest.mark.parametrize("parabolic, box", [(SHORT, (10, 8)), (LONG, (16, 12)),
+                                            (SHORT, (16, 12))])
+def test_closure_matches_two_term_triangles(parabolic, box):
+    t = seed(parabolic, *box).rules
+    reference = _two_out_of_three_known(t)
+    assert reference == _two_out_of_three_known(t, random.Random(7))
+    assert frozenset(close(karoubi._seeded(t)).known) == reference
+    for k in (0, 1):
+        assert frozenset(close(karoubi._seeded(t), random.Random(k)).known) == reference
 
 
 def test_seed_copies_are_independent():
@@ -135,7 +205,7 @@ def test_seed_copies_are_independent():
     with pytest.raises(AttributeError):
         kb1.rules.append(kb1.rules.rule_ids[0])
     with pytest.raises(TypeError):
-        kb1.rules.head[0] = 0
+        kb1.rules.slots[0] = 0
     known2, log2 = set(kb2.known), kb2.audit_log()
     close(kb1)
     assert len(kb1.known) > len(known2)
@@ -168,19 +238,21 @@ def test_replay_rejects_a_fact_learned_before_its_premises():
     assert not rep.replay_ok and not rep.complete
 
 
-@pytest.mark.parametrize("parabolic, closed, cls, label", [
-    # a triangle learns its head or a part: bfilt(1,-12)#1 names neither L[P(1,12)] ...
-    (SHORT, True, pstring_class(SHORT, Weight(1, 12)), "bfilt(1,-12)#1"),
-    # ... and an implication learns only its head, here the string, never its line
-    (LONG, False, line_class(Weight(-4, 1)), "pull(-4,1)"),
-], ids=["triangle", "implication"])
-def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, closed, cls,
+@pytest.mark.parametrize("parabolic, box, closed, cls, label", [
+    # a filtration learns one of its slots: bfilt(1,-12) does not name L[P(1,12)] ...
+    (SHORT, (), True, pstring_class(SHORT, Weight(1, 12)), "bfilt(1,-12)"),
+    # ... an implication learns only its head, here the string, never its line ...
+    (LONG, (), False, line_class(Weight(-4, 1)), "pull(-4,1)"),
+    # ... and a seed fact names a seed
+    (SHORT, (10, 8), False, line_class(Weight(5, 5)), None),
+], ids=["filtration", "implication", "seed"])
+def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, box, closed, cls,
                                                                     label):
-    kb = seed(parabolic)
+    kb = seed(parabolic, *box)
     if closed:
         close(kb)
     t = kb.rules
-    c, r = t.id_of(cls), t.rule_ids.index(label)
+    c, r = t.id_of(cls), -1 if label is None else t.rule_ids.index(label)
     assert not kb.flags[c] and kb.replay()
     # every other class of the rule is known, so only the learned class is wrong
     assert all(kb.flags[q] for q in t.premises(c, r))
@@ -193,25 +265,30 @@ def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, cl
 @pytest.mark.parametrize("parabolic, box", [(SHORT, (10, 8)), (LONG, (16, 12))])
 def test_rule_labels_view(parabolic, box):
     t = seed(parabolic, *box).rules
+    assert all(t.id_of(c) == i for i, c in enumerate(t.classes))
+    assert {c[0] for c in t.classes} == {"zero", "line", "pstring", "total"}
+    assert t.id_of(("trunc", "bfilt(1,-12)", 1)) is None
+    # one label per rule; an implication has its part and head, a filtration two or
+    # more parts and its total
     labels = t.rule_ids
-    assert all(t.id_of(t.class_of(i)) == i for i in range(len(t.classes)))
-    assert len(list(labels)) == len(labels) == len(t)
-    numbered = [g for g in range(len(labels.bases)) if labels.numbered[g]]
-    single = [g for g in range(len(labels.bases)) if not labels.numbered[g]]
-    assert numbered and single
-    for g in (numbered[0], numbered[-1], single[0], single[-1]):
-        for r in (labels.first[g], labels.first[g + 1] - 1):
-            assert labels.index(labels[r]) == r
-    # a triangle group of m rules has truncations 1 .. m - 1 only
-    m, g = max((labels.first[g + 1] - labels.first[g], g) for g in numbered)
-    assert m > 1
-    base = labels.bases[g]
-    assert labels[labels.first[g] + m - 1] == f"{base}#{m}"
-    assert t.id_of(("trunc", base, m - 1)) is not None
-    for k in (0, m, m + 1):
-        assert t.id_of(("trunc", base, k)) is None
-    assert t.id_of(("trunc", "nosuchrule", 1)) is None
-    assert labels[-1] == labels[len(labels) - 1]
+    assert len(set(labels)) == len(labels) == len(t) == len(t.first) - 1
+    assert t.first[0] == 0 and t.first[-1] == len(t.slots) == len(t.watch)
+    for r, label in enumerate(labels):
+        size = len(t.slots_of(r))
+        if label.startswith(("push", "pull", "tensortotal")):
+            assert t.kind[r] == karoubi.IMPL and size == 2
+        else:
+            assert label.startswith(("bfilt", "wtfilt", "strfilt", "koszul"))
+            assert t.kind[r] == karoubi.FILT and size >= 3
+        if label.startswith("koszul"):
+            assert t.slots_of(r)[-1] == karoubi.ZERO_ID
+    # a weight filtration of W2 has its zero weight twice
+    assert any(len(set(t.slots_of(r))) < len(t.slots_of(r)) for r in range(len(t)))
+    # the watch index lists each rule once per slot it has on a class, in rule order
+    for c in range(len(t.classes)):
+        readers = t.watch[t.offsets[c]:t.offsets[c + 1]].tolist()
+        assert readers == sorted(readers)
+        assert all(t.slots_of(r).tolist().count(c) == readers.count(r) for r in set(readers))
 
 
 def _audit_sha(kb) -> str:
@@ -220,12 +297,12 @@ def _audit_sha(kb) -> str:
 
 # The derivation order that G2BWB_LOG prints, pinned by its sha256.
 @pytest.mark.parametrize("parabolic, box, shuffle, digest", [
-    (SHORT, (10, 8), None, "13b220c04720c89e9e591eb0629924bf3c388855c0f172b576bc94d7b9e8fc0e"),
-    (LONG, (), None, "8ca9da6088778c89e6bff9e7170f895eac6b1ae92d92cb46fed4676cfeac2c5f"),
-    (SHORT, (10, 8), 0, "0266462ac75fe22d399ac5bfcd1eb7a24c9582347ab33d5465ab420bae0367d4"),
-    (SHORT, (24, 20), None, "61fa139500acd3799271e0184d3f1de57d952168a5042089b3b7ec6d282e71c7"),
-    (LONG, (24, 20), None, "92f9c3ff723be93718c6d098c90233f279ea4f94d776a757c5a5e66316d42346"),
-    (SHORT, (), 1, "7a2288ef228dcd396916db15f21987cb419df5f64e1a7d6cd5d43c2159eaf334"),
+    (SHORT, (10, 8), None, "023e32a676215383001ff083e7dc9539c1d7bbfe85ced93866c7c733d18d7605"),
+    (LONG, (), None, "95c0a497c75d1ab389a8271da38afb9d76a38dc7c25a376e7b9480295eca2a41"),
+    (SHORT, (10, 8), 0, "4a5b289acf4f64afde85b45328d42a53acc223bbe3948c8bdef73dce440c9a86"),
+    (SHORT, (24, 20), None, "e07ca4c948d0fdcdf91982d87a94a0c0f020258337de320616ba1a890a72322b"),
+    (LONG, (24, 20), None, "4453002c725dc09594169810a6cff2cb7d8217495a49ef463f4027fa48b8abe7"),
+    (SHORT, (), 1, "dbcdfc3771450a58ce0c5977e90d23ab021bb80ba978b4378495708c979cd907"),
 ], ids=["short-10-8", "long", "short-10-8-shuffled", "short-24-20", "long-24-20",
         "short-shuffled"])
 def test_audit_log_golden(parabolic, box, shuffle, digest):
@@ -263,19 +340,19 @@ def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
 
 def _table_sha(t) -> str:
     """sha256 of a fixed serialization of every field of a compiled rule table."""
-    parts = ["\n".join(karoubi.class_str(t.class_of(i)) for i in range(len(t.classes)))]
-    parts += [",".join(map(str, x)) for x in (t.seeds, t.kind, t.head, t.part0, t.part1,
-                                               t.offsets, t.watch)]
+    parts = ["\n".join(map(karoubi.class_str, t.classes))]
+    parts += [",".join(map(str, x)) for x in (t.seeds, t.kind, t.first, t.slots, t.offsets,
+                                               t.watch)]
     parts += ["\n".join(t.rule_ids), "\n".join(t.skipped)]
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
 
 # The whole compiled table of a box, pinned by its sha256: class ids and their
-# order, rule rows and labels, seeds, the watch index and the skipped list.
+# order, rule slots and labels, seeds, the watch index and the skipped list.
 @pytest.mark.parametrize("parabolic, box, digest", [
-    (SHORT, (10, 8), "0cf06f25bec7abf6a2a0110a2d3fc8687aa48938b8e71085ea2f57a5b3bd6cc6"),
-    (LONG, (16, 12), "3db316c913cf37bdbc6947129d14b880449265d65603aede52bc5d8b9c36c293"),
-    (SHORT, (24, 20), "81ca5034cf7b932df229b63e8ad0c7ef3e38088db34ee90b3226a5677457d247"),
+    (SHORT, (10, 8), "5177ab43c71cf58b91f36171f37b23a47cde0f680f1c35a61ae9bcb02c9b82b1"),
+    (LONG, (16, 12), "9cd7b3e0490958dfeb3e7524992c7429c8b469450fda70127366090862f6dd26"),
+    (SHORT, (24, 20), "ad37c1c6557869655586c76559122d5ae95ca379260e723fa1c5e73794c91899"),
 ], ids=["short-10-8", "long-16-12", "short-24-20"])
 def test_rule_table_golden(parabolic, box, digest):
     assert _table_sha(seed(parabolic, *box).rules) == digest
