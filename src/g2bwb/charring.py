@@ -245,10 +245,11 @@ class FilteredPModule:
                 raise ValueError("atom parabolic mismatch")
 
     def character(self) -> Character:
-        """Each distinct atom is expanded once, times its multiplicity."""
+        """Each distinct atom is expanded once, times its multiplicity.  Atoms are
+        counted by their highest weights, as they all share the module's parabolic."""
         out: Counter = Counter()
-        for s, m in Counter(self.atoms).items():
-            out.update(dict.fromkeys(s.weights(), m))
+        for h, m in Counter(s.highest for s in self.atoms).items():
+            out.update(dict.fromkeys(PString(self.parabolic, h).weights(), m))
         return Character(out)
 
     def dimension(self) -> int:

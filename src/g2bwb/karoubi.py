@@ -13,16 +13,18 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 * the length-eight Koszul complex stepping through consecutive multiples
   of the first fundamental weight.
 
-Each filtration is one rule whose slots are its parts and then its total, and it
-learns any one slot once all the others are known; an implication learns its head
-from its one part.  Each box is compiled once, on (a, b) integer pairs, into a
-read-only ``RuleTable`` of flat integer arrays: dense class ids (line and string
-ids from grids over the box), per-rule kind, label and slots, and a CSR index of
-the rules with a slot on each class, by counting sort.  The tensor rules at a twist
-move one cached template per generator, and each filtration rule is admitted only
-after an exact character-additivity check.  Every closure over the box shares the
-table; a knowledge base holds only a byte of known flags per class and the log of
-learned facts as (class id, rule index) pairs.  The closure is a worklist
+A filtration is one rule whose slots are its parts and then its total; it learns any
+one slot once all the others are known.  A premise-last rule learns any slot but its
+last, which it only reads; an implication is its one-part case, [head, part].  A tensor
+total is a class only at a wall twist whose two filtrations share it, implied by the
+twist's line.  A filtration alone at its twist is one premise-last rule that reads the
+line in the total's place.  This is exact: that total is known iff the line or all
+the filtration's parts are, and then the filtration has nothing left to teach.  Each
+box is compiled once, on (a, b) integer pairs, into a read-only ``RuleTable`` of flat
+integer arrays shared by every closure over the box: the tensor rules at a twist move
+one cached template per generator, and each filtration passes an exact check of
+character additivity.  A knowledge base holds a byte of known flags per class and the
+log of learned facts as (class id, rule index) pairs.  The closure is a worklist
 saturation whose result is independent of rule order; derivations are logged and
 replayable.
 """
@@ -45,7 +47,7 @@ from .charring import (Character, PString, exterior_power, pstring_character, re
 #   ("line", Weight)            line bundle on the flag variety
 #   ("pstring", Weight)         pulled-back parabolic string, pairing > 0
 #   ("zero",)                   the zero object, always a member
-#   ("total", "tensor", ...)    synthetic total of a tensor product
+#   ("total", "tensor", ...)    total of a tensor product that two filtrations share
 ClassId = tuple
 
 
@@ -75,10 +77,10 @@ def class_str(c: ClassId) -> str:
     return ":".join(str(x) for x in c)
 
 
-# Rule kinds.  A rule's slots are its parts and then its head.  An implication
-# has one part and learns its head from it; a filtration's head is its total, an
-# iterated extension of its parts, and it learns any one slot from all the others.
-IMPL, FILT = 0, 1
+# Rule kinds.  A rule's slots are its parts and then its last slot.  A filtration's
+# last slot is its total, an iterated extension of its parts, and it learns any one
+# slot from all the others; a premise-last rule learns any slot but its last.
+LAST, FILT = 0, 1
 ZERO_ID = 0  # class id of the zero object in every table
 
 
@@ -87,9 +89,10 @@ class RuleTable:
     """The compiled rules of one box as flat integer tables, shared and read-only.
 
     Class i is ``classes[i]``.  Rule r has kind ``kind[r]``, label ``rule_ids[r]``
-    and the slots ``slots[first[r]:first[r + 1]]``: its parts, then its head.  The
-    rules with a slot on class c, once per slot and in rule order, are
-    ``watch[offsets[c]:offsets[c + 1]]``.
+    and the slots ``slots[first[r]:first[r + 1]]``: its parts, then its total or, for
+    a premise-last rule, the class read in its place (an implication's part, or the
+    line of an unshared tensor filtration's twist).  The rules with a slot on class c,
+    once per slot and in rule order, are ``watch[offsets[c]:offsets[c + 1]]``.
     """
 
     classes: tuple
@@ -166,19 +169,21 @@ class _Builder:
         self.first.append(len(self.slots))
 
     def rule(self, rule_id: str, head: int, part: int) -> None:
-        self.add(rule_id, IMPL, [part, head])
+        self.add(rule_id, LAST, [head, part])
 
-    def filtration(self, rule_id: str, parts: list[int], total: int, total_char: dict) -> None:
-        """Admit a filtration rule of two or more parts; exact character additivity is
-        mandatory.  Each part's character is read from its class: a line has its one weight,
-        a string the weights of its ``PString``; as (a, b) pairs they must be total_char's."""
-        weights = [w for kind, lam in map(self.classes.__getitem__, parts)
-                   for w in ([lam] if kind == "line" else PString(self.parabolic, lam).weights())]
+    def filtration(self, rule_id: str, parts: list[int], last: int, total_char: dict,
+                   kind: int = FILT) -> None:
+        """Admit a rule of two or more parts and then ``last``, their total or, for kind
+        ``LAST``, a class standing for it; exact character additivity is mandatory.  Each
+        part's character is read from its class: a line has its one weight, a string the
+        weights of its ``PString``; as (a, b) pairs they must be total_char's."""
+        weights = [w for c, lam in map(self.classes.__getitem__, parts)
+                   for w in ([lam] if c == "line" else PString(self.parabolic, lam).weights())]
         if Counter(weights) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         if len(parts) < 2:
             raise ValueError(f"rule {rule_id}: a filtration needs two parts")
-        self.add(rule_id, FILT, parts + [total])
+        self.add(rule_id, kind, parts + [last])
 
     def freeze(self) -> RuleTable:
         """The table.  Its watch index counts the slots on each class, sums the counts
@@ -245,11 +250,10 @@ class KnowledgeBase:
 
     def replay(self) -> bool:
         """Check that every seed fact names a seed, that every derivation learns a
-        class filling one slot of its rule, the head of an implication, and that it
-        uses only classes derived strictly earlier."""
+        class filling one slot of its rule, not the last of a premise-last rule, and
+        that it uses only classes derived strictly earlier."""
         t, log = self.rules, self.log
-        seeds = set(t.seeds)
-        learned = log[0::2]
+        seeds, learned = set(t.seeds), log[0::2]
         pos = array("i", [-1]) * len(t.classes)
         for i, c in enumerate(learned):
             pos[c] = i
@@ -259,7 +263,7 @@ class KnowledgeBase:
                     return False
                 continue
             rule = t.slots_of(r).tolist()
-            if rule.count(c) != 1 or (t.kind[r] == IMPL and rule[-1] != c):
+            if rule.count(c) != 1 or (t.kind[r] == LAST and rule[-1] == c):
                 return False
             # the premises of (c, r), as in RuleTable.premises; zero is always known
             for q in rule:
@@ -326,31 +330,32 @@ def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
         raise ValueError("generator must be one of the two fundamental modules")
     gch, lines, line_bounds, highs, high_bounds = _tensor_template(generator, b.parabolic)
     na, nb = nu
-    tag = f"{generator}@{nu}"
-    t = b.cid(("total", "tensor", generator, nu))
-    b.rule("tensortotal" + tag, t, b.grid_id("line", na, nb))
-    total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
+    tag, filts = f"{generator}@{nu}", []
     if b.fits(line_bounds, na, nb):
-        ids = [b.grid_id("line", a + na, c + nb) for a, c in lines]
-        b.filtration("wtfilt" + tag, ids, t, total_char)
+        filts.append(("wtfilt", [b.grid_id("line", a + na, c + nb) for a, c in lines]))
     else:
         b.skipped.append(f"tensor {tag}: weight outside box")
     if b.parabolic.pair(nu) == 0:
         if b.fits(high_bounds, na, nb):
-            b.filtration("strfilt" + tag, [b.cid(pstring_class(b.parabolic, h + nu))
-                                           for h in highs], t, total_char)
+            filts.append(("strfilt", [b.cid(pstring_class(b.parabolic, h + nu)) for h in highs]))
         else:
             b.skipped.append(f"tensor strings {tag}: atom outside box")
+    if len(filts) == 2:  # a wall twist: both filtrations read the total the line implies
+        last, kind = b.cid(("total", "tensor", generator, nu)), FILT
+        b.rule("tensortotal" + tag, last, b.grid_id("line", na, nb))
+    elif filts:
+        last, kind = b.grid_id("line", na, nb), LAST
+    total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
+    for name, parts in filts:
+        b.filtration(name + tag, parts, last, total_char, kind)
 
 
 def _add_koszul_rules(b: _Builder) -> None:
     """Length-eight exact complexes stepping by the first fundamental weight,
     one per twist in the box."""
     v = weyl_character(W1)
-    euler = Character()
-    for k in range(8):
-        term = exterior_power(v, k).tensor(Character.line(W1.scaled(-k)))
-        euler = euler + term.scaled((-1) ** k)
+    euler = sum((exterior_power(v, k).tensor(Character.line(W1.scaled(-k))).scaled((-1) ** k)
+                 for k in range(8)), Character())
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
     steps = [W1.scaled(k) for k in range(8)]
@@ -399,22 +404,20 @@ def seed(parabolic: ParabolicId, amax: int = 16, bmax: int = 12) -> KnowledgeBas
 def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
     """Saturate the inference rules; the fixpoint is order-independent.
 
-    A rule is ready when exactly one of its slots is unknown, a class counting once
-    per slot it fills, and then learns that slot unless it is an implication's part.
+    A rule is ready when exactly one of its slots is unknown, a class counting once per
+    slot it fills, and then learns that slot unless it is a premise-last rule's last.
     The worklist is a stack of ready rules, first in rule order or the rng's shuffle
     of it; the rules a newly learned class makes ready are pushed in worklist-position
     order."""
     t = kb.rules
     kind, first, slots, offsets, watch = t.kind, t.first, t.slots, t.offsets, t.watch
-    known = kb.flags
-    learn = kb.log.extend
+    known, learn = kb.flags, kb.log.extend
     missing = [0] * len(kind)  # unknown slots per rule
     for c, f in enumerate(known):
         if not f:
             for r in watch[offsets[c]:offsets[c + 1]]:
                 missing[r] += 1
-    order = list(range(len(kind)))
-    position = None
+    order, position = list(range(len(kind))), None
     if rng is not None:
         rng.shuffle(order)
         position = [0] * len(order)
@@ -428,7 +431,7 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
             continue
         rule = slots[first[r]:first[r + 1]]
         new = next(q for q in rule if not known[q])
-        if kind[r] == IMPL and new != rule[-1]:
+        if kind[r] == LAST and new == rule[-1]:
             continue
         known[new] = 1
         learn((new, r))
@@ -474,12 +477,9 @@ class GenerationReport:
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"Karoubian generation ({self.parabolic.name.lower()} root): "
-            f"{len(self.reached)}/{len(self.targets)} targets reached"
-        ]
-        for w in self.unreached:
-            lines.append(f"  UNREACHED: L{w}")
+        lines = [f"Karoubian generation ({self.parabolic.name.lower()} root): "
+                 f"{len(self.reached)}/{len(self.targets)} targets reached"]
+        lines += [f"  UNREACHED: L{w}" for w in self.unreached]
         lines.append(f"audit replay: {'ok' if self.replay_ok else 'BROKEN'}")
         lines.append("PASS" if self.complete else "FAIL")
         return "\n".join(lines)

@@ -97,9 +97,13 @@ def test_serre_duality_dimensions():
 def test_lowest_alcove():
     assert lowest_alcove(RHO, 11)
     assert lowest_alcove(ZERO, 11)
-    assert not lowest_alcove(Weight(2, 1), 11)  # pairing 12 on the big wall
-    assert lowest_alcove(Weight(2, 0), 11)      # pairing 11: closure included
-    assert lowest_alcove(Weight(3, 0), 11)      # pairing 11 exactly
+    # the pairing of lam + rho with the highest coroot is 2a + 3b + 5
+    assert not lowest_alcove(Weight(2, 1), 11)  # pairing 12: past the upper wall
+    assert lowest_alcove(Weight(2, 0), 11)      # pairing 9: interior
+    assert lowest_alcove(Weight(3, 0), 11)      # pairing 11: on the wall, closure included
+    # the same wall reached along w2
+    assert lowest_alcove(Weight(0, 2), 11)      # pairing 11: on the wall
+    assert not lowest_alcove(Weight(0, 3), 11)  # pairing 14: outside
 
 
 def test_lowest_alcove_matches_the_root_loop():
