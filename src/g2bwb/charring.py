@@ -245,8 +245,7 @@ class FilteredPModule:
                 raise ValueError("atom parabolic mismatch")
 
     def character(self) -> Character:
-        """Each distinct atom is expanded once, times its multiplicity.  Atoms are
-        counted by their highest weights, as they all share the module's parabolic."""
+        """Each distinct atom, counted by its highest weight, is expanded once."""
         out: Counter = Counter()
         for h, m in Counter(s.highest for s in self.atoms).items():
             out.update(dict.fromkeys(PString(self.parabolic, h).weights(), m))
