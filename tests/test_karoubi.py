@@ -169,8 +169,8 @@ def _two_out_of_three_known(t, rng=None) -> frozenset:
     of parts p0 .. pm and total T becomes the triangles (t1; p0, p1), (t2; t1, p2), ...,
     (T; t(m-1), pm) through fresh truncation classes t1 .. t(m-1), saturated by
     two-out-of-three.  A premise-last rule of one part is an implication, which learns
-    its head from its part; one of two or more parts is a filtration of a fresh total
-    that its last slot implies, as tensor totals were before they became premise-last."""
+    its head from its part; one of two or more parts is a filtration of a fresh total,
+    the tensor total it stands for, which its last slot implies."""
     rules, n = [], len(t.classes)
     for r in range(len(t)):
         *parts, head = t.slots_of(r).tolist()
