@@ -34,7 +34,7 @@ EXIT_AMBIGUOUS = 3
 EXIT_FAILED = 4
 
 # Largest --box of report karoubi: the rule count grows with the box squared, and each
-# compiled rule set stays cached (cold, --box 32 takes about 0.35 s and 22 MB on 2 cores).
+# compiled rule set stays cached (cold, --box 32 takes about 0.3 s and 22 MB on 2 cores).
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of

@@ -1,11 +1,11 @@
 """Fixpoint engine for Karoubian generation by the exceptional collections.
 
 Membership of a class in the generated triangulated subcategory is tracked
-purely combinatorially.  Classes are line bundles on the full flag variety,
-pulled-back parabolic strings, or synthetic totals; rules encode
+purely combinatorially.  Classes are line bundles on the full flag variety
+and pulled-back parabolic strings; rules encode
 
-* the B-weight filtration of a string (knowing all layers but one and the
-  total yields the last layer),
+* the B-weight filtration of a string (knowing the string and all its
+  layers but one yields the last layer),
 * the pushforward correspondence between a string class and its highest line,
 * tensoring a known line by one of the two fundamental G-modules, with
   either the weight filtration or, for twists trivial on the Levi, the
@@ -13,16 +13,22 @@ pulled-back parabolic strings, or synthetic totals; rules encode
 * the length-eight Koszul complex stepping through consecutive multiples
   of the first fundamental weight.
 
-A filtration is one rule whose slots are its parts and then its total; it learns any
-one slot once all the others are known.  A premise-last rule learns any slot but its
-last, which it only reads; an implication is its one-part case, [head, part].  A tensor
-total is a class only at a wall twist whose two filtrations share it, implied by the
-twist's line.  A filtration alone at its twist is one premise-last rule that reads the
-line in the total's place.  This is exact: that total is known iff the line or all
-the filtration's parts are, and then the filtration has nothing left to teach.  Each
-box is compiled once, on (a, b) integer pairs, into a read-only ``RuleTable`` of flat
-integer arrays shared by every closure over the box: the tensor rules at a twist move
-one cached template per generator, and each filtration passes an exact check of
+Every rule is of one kind: its slots are its parts and then its last slot, and once all
+its other slots are known it learns any slot but the last, which it only reads.  That
+slot is an implication's part, a string's class, the line L(nu) of a tensor twist nu,
+standing for V (x) L(nu), or zero.  Rules that also learned their last slot, with a total
+class that the two tensor filtrations of a wall twist share, would learn nothing more:
+
+* a string learned from all its lines is learned by its pull from the highest one;
+* zero is always known;
+* a shared total T adds one step: learned from all the string parts while L(nu) is
+  unknown, it lets the weight filtration of W1 learn L(nu) (for W2, L(nu) fills two
+  slots).  But then the string part through nu is known and is not L(nu), and its other
+  lines are known weight parts, so its filtration, which the box holds, learns L(nu).
+
+Each box is compiled once, on (a, b) integer pairs, into a read-only ``RuleTable`` of
+flat integer arrays shared by every closure over the box: the tensor rules at a twist
+move one cached template per generator, and each filtration passes an exact check of
 character additivity.  A knowledge base holds a byte of known flags per class and the
 log of learned facts as (class id, rule index) pairs.  The closure is a worklist
 saturation whose result is independent of rule order; derivations are logged and
@@ -47,7 +53,6 @@ from .charring import (Character, PString, exterior_power, pstring_character, re
 #   ("line", Weight)            line bundle on the flag variety
 #   ("pstring", Weight)         pulled-back parabolic string, pairing > 0
 #   ("zero",)                   the zero object, always a member
-#   ("total", "tensor", ...)    total of a tensor product that two filtrations share
 ClassId = tuple
 
 
@@ -72,15 +77,9 @@ def class_str(c: ClassId) -> str:
         return f"L{c[1]}"
     if c[0] == "pstring":
         return f"L[P{c[1]}]"
-    if c[0] == "zero":
-        return "0"
-    return ":".join(str(x) for x in c)
+    return "0"
 
 
-# Rule kinds.  A rule's slots are its parts and then its last slot.  A filtration's
-# last slot is its total, an iterated extension of its parts, and it learns any one
-# slot from all the others; a premise-last rule learns any slot but its last.
-LAST, FILT = 0, 1
 ZERO_ID = 0  # class id of the zero object in every table
 
 
@@ -88,17 +87,16 @@ ZERO_ID = 0  # class id of the zero object in every table
 class RuleTable:
     """The compiled rules of one box as flat integer tables, shared and read-only.
 
-    Class i is ``classes[i]``.  Rule r has kind ``kind[r]``, label ``rule_ids[r]``
-    and the slots ``slots[first[r]:first[r + 1]]``: its parts, then its total or, for
-    a premise-last rule, the class read in its place (an implication's part, or the
-    line of an unshared tensor filtration's twist).  The rules with a slot on class c,
-    once per slot and in rule order, are ``watch[offsets[c]:offsets[c + 1]]``.
+    Class i is ``classes[i]``.  Rule r has label ``rule_ids[r]`` and the slots
+    ``slots[first[r]:first[r + 1]]``: its parts, then its last slot, which it only
+    reads (an implication's part, a string's class, a tensor twist's line, or zero).
+    The rules with a slot on class c, once per slot and in rule order, are
+    ``watch[offsets[c]:offsets[c + 1]]``.
     """
 
     classes: tuple
     index: MappingProxyType
     seeds: tuple[int, ...]
-    kind: bytes
     rule_ids: tuple[str, ...]
     first: memoryview
     slots: memoryview
@@ -107,7 +105,7 @@ class RuleTable:
     skipped: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.rule_ids)
 
     def id_of(self, c: ClassId) -> int | None:
         """Id of class c, or None if no rule of the box mentions it."""
@@ -131,7 +129,6 @@ class _Builder:
         self.grids = {k: [-1] * ((2 * amax + 1) * (2 * bmax + 1)) for k in ("line", "pstring")}
         self.classes: list = []
         self.index: dict[ClassId, int] = {}
-        self.kind = bytearray()
         self.rule_ids: list[str] = []
         self.first, self.slots = array("i", [0]), array("i")
         self.skipped: list[str] = []
@@ -162,28 +159,24 @@ class _Builder:
             grid[k] = self.cid((kind, Weight(a, b)))
         return grid[k]
 
-    def add(self, rule_id: str, kind: int, slots: list[int]) -> None:
+    def add(self, rule_id: str, slots: list[int]) -> None:
         self.rule_ids.append(rule_id)
-        self.kind.append(kind)
         self.slots.extend(slots)
         self.first.append(len(self.slots))
 
-    def rule(self, rule_id: str, head: int, part: int) -> None:
-        self.add(rule_id, LAST, [head, part])
-
-    def filtration(self, rule_id: str, parts: list[int], last: int, total_char: dict,
-                   kind: int = FILT) -> None:
-        """Admit a rule of two or more parts and then ``last``, their total or, for kind
-        ``LAST``, a class standing for it; exact character additivity is mandatory.  Each
-        part's character is read from its class: a line has its one weight, a string the
-        weights of its ``PString``; as (a, b) pairs they must be total_char's."""
+    def filtration(self, rule_id: str, parts: list[int], last: int, total_char: dict) -> None:
+        """Admit a rule of two or more parts and then ``last``, their total or a class
+        standing for it, which the rule only reads; exact character additivity is
+        mandatory.  Each part's character is read from its class: a line has its one
+        weight, a string the weights of its ``PString``; as (a, b) pairs they must be
+        total_char's."""
         weights = [w for c, lam in map(self.classes.__getitem__, parts)
                    for w in ([lam] if c == "line" else PString(self.parabolic, lam).weights())]
         if Counter(weights) != total_char:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         if len(parts) < 2:
             raise ValueError(f"rule {rule_id}: a filtration needs two parts")
-        self.add(rule_id, kind, parts + [last])
+        self.add(rule_id, parts + [last])
 
     def freeze(self) -> RuleTable:
         """The table.  Its watch index counts the slots on each class, sums the counts
@@ -200,7 +193,7 @@ class _Builder:
                 fill[q] += 1
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
         return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
-                         bytes(self.kind), tuple(self.rule_ids), ro(self.first), ro(slots),
+                         tuple(self.rule_ids), ro(self.first), ro(slots),
                          ro(offsets), ro(watch), tuple(self.skipped))
 
 
@@ -250,8 +243,8 @@ class KnowledgeBase:
 
     def replay(self) -> bool:
         """Check that every seed fact names a seed, that every derivation learns a
-        class filling one slot of its rule, not the last of a premise-last rule, and
-        that it uses only classes derived strictly earlier."""
+        class filling one slot of its rule, not the last, and that it uses only classes
+        derived strictly earlier."""
         t, log = self.rules, self.log
         seeds, learned = set(t.seeds), log[0::2]
         pos = array("i", [-1]) * len(t.classes)
@@ -263,7 +256,7 @@ class KnowledgeBase:
                     return False
                 continue
             rule = t.slots_of(r).tolist()
-            if rule.count(c) != 1 or (t.kind[r] == LAST and rule[-1] == c):
+            if rule.count(c) != 1 or rule[-1] == c:
                 return False
             # the premises of (c, r), as in RuleTable.premises; zero is always known
             for q in rule:
@@ -321,8 +314,8 @@ def _string_line_rules(b: _Builder) -> None:
             ids = [b.grid_id("line", a - k * aa, bb - k * ab) for k in range(r + 1)]
             s = b.grid_id("pstring", a, bb)
             b.filtration(f"bfilt{lam}", ids, s, pstring_character(PString(par, lam)).mult)
-            b.rule(f"push{lam}", ids[0], s)
-            b.rule(f"pull{lam}", s, ids[0])
+            b.add(f"push{lam}", [ids[0], s])
+            b.add(f"pull{lam}", [s, ids[0]])
 
 
 def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
@@ -340,14 +333,9 @@ def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
             filts.append(("strfilt", [b.cid(pstring_class(b.parabolic, h + nu)) for h in highs]))
         else:
             b.skipped.append(f"tensor strings {tag}: atom outside box")
-    if len(filts) == 2:  # a wall twist: both filtrations read the total the line implies
-        last, kind = b.cid(("total", "tensor", generator, nu)), FILT
-        b.rule("tensortotal" + tag, last, b.grid_id("line", na, nb))
-    elif filts:
-        last, kind = b.grid_id("line", na, nb), LAST
     total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
     for name, parts in filts:
-        b.filtration(name + tag, parts, last, total_char, kind)
+        b.filtration(name + tag, parts, b.grid_id("line", na, nb), total_char)
 
 
 def _add_koszul_rules(b: _Builder) -> None:
@@ -361,7 +349,7 @@ def _add_koszul_rules(b: _Builder) -> None:
     steps = [W1.scaled(k) for k in range(8)]
     for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
         for bb in range(-b.bmax, b.bmax + 1):
-            b.add(f"koszul({a},{bb})", FILT,
+            b.add(f"koszul({a},{bb})",
                   [b.grid_id("line", a - sa, bb - sb) for sa, sb in steps] + [ZERO_ID])
 
 
@@ -405,19 +393,19 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
     """Saturate the inference rules; the fixpoint is order-independent.
 
     A rule is ready when exactly one of its slots is unknown, a class counting once per
-    slot it fills, and then learns that slot unless it is a premise-last rule's last.
+    slot it fills, and then learns that slot unless it is the rule's last.
     The worklist is a stack of ready rules, first in rule order or the rng's shuffle
     of it; the rules a newly learned class makes ready are pushed in worklist-position
     order."""
     t = kb.rules
-    kind, first, slots, offsets, watch = t.kind, t.first, t.slots, t.offsets, t.watch
+    first, slots, offsets, watch = t.first, t.slots, t.offsets, t.watch
     known, learn = kb.flags, kb.log.extend
-    missing = [0] * len(kind)  # unknown slots per rule
+    missing = [0] * len(t)  # unknown slots per rule
     for c, f in enumerate(known):
         if not f:
             for r in watch[offsets[c]:offsets[c + 1]]:
                 missing[r] += 1
-    order, position = list(range(len(kind))), None
+    order, position = list(range(len(t))), None
     if rng is not None:
         rng.shuffle(order)
         position = [0] * len(order)
@@ -431,7 +419,7 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
             continue
         rule = slots[first[r]:first[r + 1]]
         new = next(q for q in rule if not known[q])
-        if kind[r] == LAST and new == rule[-1]:
+        if new == rule[-1]:
             continue
         known[new] = 1
         learn((new, r))

@@ -61,11 +61,6 @@ def _expand(row: Character) -> Character:
     return out
 
 
-def euler_character(mu: Weight) -> Character:
-    """Weyl-Euler characteristic of an arbitrary weight, as a virtual character."""
-    return _expand(costandard_times(TRIVIAL, Character.line(mu)))
-
-
 @lru_cache(maxsize=None)
 def _dominant_part(nu: Weight) -> tuple[tuple[Weight, int], ...]:
     """The dominant weights of nabla(nu) with their multiplicities."""
@@ -88,12 +83,6 @@ def _jantzen_row(lam: Weight, p: int) -> Character:
                 layers[mu] = layers.get(mu, 0) + 1
             q *= p
     return costandard_times(TRIVIAL, Character(layers))
-
-
-@lru_cache(maxsize=None)
-def jantzen_sum(lam: Weight, p: int) -> Character:
-    """Sum of the characters of the Jantzen layers below the top."""
-    return _expand(_jantzen_row(lam, p))
 
 
 class Undecided(Exception):

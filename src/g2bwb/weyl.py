@@ -15,7 +15,6 @@ from .rootdata import (
     ParabolicId,
     Weight,
     root_coords,
-    simple_root_as_weight,
 )
 
 Matrix = tuple[int, int, int, int]  # row-major 2x2, acting on column (a, b)
@@ -162,12 +161,3 @@ def minimal_reps(parabolic: ParabolicId) -> tuple[WeylElement, ...]:
     if len(reps) != 6:
         raise ArithmeticError(f"{len(reps)} minimal coset representatives, expected 6")
     return tuple(reps)
-
-
-def descents(w: WeylElement) -> list[int]:
-    """Right descents: the i with length(w s_i) < length(w)."""
-    out = []
-    for i in (1, 2):
-        if not is_positive_root_weight(act(w, simple_root_as_weight(i))):
-            out.append(i)
-    return out

@@ -19,8 +19,9 @@ from g2bwb.extcollection import (
 )
 from g2bwb.karoubi import line_class, verify_generation
 from g2bwb.chevalley import chevalley_verify
-from g2bwb.modchar import euler_character, rank_identity_check, weyl_dim
+from g2bwb.modchar import rank_identity_check, weyl_dim
 from g2bwb import weyl
+from _reference import euler_character
 
 SHORT = ParabolicId.SHORT
 LONG = ParabolicId.LONG

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from g2bwb import karoubi
-from g2bwb.charring import Character, FilteredPModule, restrict_to_P, weyl_character
+from g2bwb.charring import Character, FilteredPModule, PString, restrict_to_P, weyl_character
 from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1, W2
 from g2bwb.karoubi import (
     GenerationReport,
@@ -137,7 +137,7 @@ def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
     b = _Builder(SHORT, 8, 8)
     x, z, y, total = (b.cid(line_class(Weight(k, k))) for k in (3, middle, 4, 5))
     for c in {z, y, total} - {x}:
-        b.rule(f"from seed {c}", c, b.seeds[0])
+        b.add(f"from seed {c}", [c, b.seeds[0]])
     b.filtration("xzy", [x, z, y], total, Counter(Weight(k, k) for k in (3, middle, 4)))
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[y] and kb.flags[total] and kb.flags[x] == learned and kb.replay()
@@ -147,39 +147,35 @@ def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
         assert not kb.replay()
 
 
-@pytest.mark.parametrize("kind, learned", [(karoubi.LAST, False), (karoubi.FILT, True)],
-                         ids=["premise-last", "filtration"])
-def test_premise_last_rule_never_learns_its_last_slot(kind, learned):
-    # parts [x, y] and last slot z: with x and y known, only a filtration learns z
+@pytest.mark.parametrize("parts", [2, 1], ids=["premise-last", "implication"])
+def test_premise_last_rule_never_learns_its_last_slot(parts):
+    # parts [x, y] (or [y]) and last slot z: with the parts known, z stays unknown
     b = _Builder(SHORT, 8, 8)
     x, y, z = (b.cid(line_class(Weight(k, k))) for k in (3, 4, 5))
     for c in (x, y):
-        b.rule(f"from seed {c}", c, b.seeds[0])
-    b.filtration("xyz", [x, y], z, Counter([Weight(3, 3), Weight(4, 4)]), kind)
+        b.add(f"from seed {c}", [c, b.seeds[0]])
+    b.add("xyz", [x, y, z][-1 - parts:])
     kb = close(karoubi._seeded(b.freeze()))
-    assert kb.flags[x] and kb.flags[y] and kb.flags[z] == learned and kb.replay()
-    if not learned:
-        kb.flags[z] = 1
-        kb.log.extend((z, kb.rules.rule_ids.index("xyz")))
-        assert not kb.replay()
+    assert kb.flags[x] and kb.flags[y] and not kb.flags[z] and kb.replay()
+    kb.flags[z] = 1
+    kb.log.extend((z, kb.rules.rule_ids.index("xyz")))
+    assert not kb.replay()
 
 
 def _two_out_of_three_known(t, rng=None) -> frozenset:
-    """The real classes known under the rules as two-term triangles: each filtration
-    of parts p0 .. pm and total T becomes the triangles (t1; p0, p1), (t2; t1, p2), ...,
-    (T; t(m-1), pm) through fresh truncation classes t1 .. t(m-1), saturated by
-    two-out-of-three.  A premise-last rule of one part is an implication, which learns
-    its head from its part; one of two or more parts is a filtration of a fresh total,
-    the tensor total it stands for, which its last slot implies."""
+    """The classes known under the rules as two-term triangles.  A rule of one part is
+    an implication, which learns its head from its last slot.  A rule of parts p0 .. pm
+    and last slot L is a filtration of a fresh total T, which L implies: the triangles
+    (t1; p0, p1), (t2; t1, p2), ..., (T; t(m-1), pm) through fresh truncation classes
+    t1 .. t(m-1), saturated by two-out-of-three."""
     rules, n = [], len(t.classes)
     for r in range(len(t)):
-        *parts, head = t.slots_of(r).tolist()
-        if t.kind[r] == karoubi.LAST:
-            if len(parts) == 1:
-                rules.append((parts[0], head))
-                continue
-            rules.append((n, head))
-            head, n = n, n + 1
+        *parts, last = t.slots_of(r).tolist()
+        if len(parts) == 1:
+            rules.append((parts[0], last))
+            continue
+        rules.append((n, last))
+        head, n = n, n + 1
         prev = parts[0]
         for k, q in enumerate(parts[1:], 1):
             h = head if k == len(parts) - 1 else n
@@ -267,7 +263,7 @@ def test_replay_rejects_a_fact_learned_before_its_premises():
     (SHORT, (), "closed", pstring_class(SHORT, Weight(1, 12)), "bfilt(1,-12)"),
     # ... an implication learns only its head, here the string, never its line ...
     (LONG, (), "seeded", line_class(Weight(-4, 1)), "pull(-4,1)"),
-    # ... a premise-last tensor rule never learns its last slot, the twist's line, even
+    # ... a tensor rule never learns its last slot, the twist's line, even
     # once every other class of the rule is known (the log cut just before the line) ...
     (SHORT, (10, 8), "cut", line_class(Weight(-2, -1)), "wtfilt(1,0)@(-2,-1)"),
     # ... and a seed fact names a seed
@@ -281,7 +277,7 @@ def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, bo
     t = kb.rules
     c, r = t.id_of(cls), -1 if label is None else t.rule_ids.index(label)
     if state == "cut":
-        assert t.kind[r] == karoubi.LAST and t.slots_of(r)[-1] == c
+        assert t.slots_of(r)[-1] == c
         i = 2 * kb.log[0::2].index(c)
         for q in kb.log[i::2]:
             kb.flags[q] = 0
@@ -299,40 +295,30 @@ def test_replay_rejects_a_fact_whose_rule_does_not_learn_its_class(parabolic, bo
 def test_rule_labels_view(parabolic, box):
     t = seed(parabolic, *box).rules
     assert all(t.id_of(c) == i for i, c in enumerate(t.classes))
-    assert {c[0] for c in t.classes} == {"zero", "line", "pstring", "total"}
+    assert {c[0] for c in t.classes} == {"zero", "line", "pstring"}
     assert t.id_of(("trunc", "bfilt(1,-12)", 1)) is None
-    # one label per rule; an implication has its head and part, a filtration two or
-    # more parts and its total
+    # one label per rule; an implication has its head and part, any other rule two or
+    # more parts and its last slot
     labels = t.rule_ids
     assert len(set(labels)) == len(labels) == len(t) == len(t.first) - 1
     assert t.first[0] == 0 and t.first[-1] == len(t.slots) == len(t.watch)
-    walls = {label.removeprefix("tensortotal") for label in labels
-             if label.startswith("tensortotal")}
     for r, label in enumerate(labels):
         slots = t.slots_of(r).tolist()
-        if label.startswith(("push", "pull", "tensortotal")):
-            assert t.kind[r] == karoubi.LAST and len(slots) == 2
-        elif label.startswith(("wtfilt", "strfilt")):
-            # a tensor filtration reads the total only where the other one does too
-            tag = label.removeprefix("wtfilt").removeprefix("strfilt")
-            a, b, na, nb = map(int, re.findall(r"-?\d+", tag))
-            if tag in walls:
-                last, kind = ("total", "tensor", Weight(a, b), Weight(na, nb)), karoubi.FILT
-            else:
-                last, kind = line_class(Weight(na, nb)), karoubi.LAST
-            assert t.kind[r] == kind and t.classes[slots[-1]] == last and len(slots) >= 3
+        name, *nums = re.split(r"[(),@]+", label.rstrip(")"))
+        if name in ("push", "pull"):
+            lam = Weight(*map(int, nums))
+            pair = [line_class(lam), pstring_class(parabolic, lam)]
+            assert [t.classes[q] for q in slots] == (pair if name == "push" else pair[::-1])
+            continue
+        assert len(slots) >= 3
+        if name == "bfilt":
+            last = pstring_class(parabolic, Weight(*map(int, nums)))
+        elif name in ("wtfilt", "strfilt"):
+            last = line_class(Weight(*map(int, nums[2:])))
         else:
-            assert label.startswith(("bfilt", "koszul"))
-            assert t.kind[r] == karoubi.FILT and len(slots) >= 3
-        if label.startswith("koszul"):
-            assert slots[-1] == karoubi.ZERO_ID
-    # tensor totals sit only at wall twists, where both filtrations fit
-    assert walls
-    for tag in walls:
-        _, _, na, nb = map(int, re.findall(r"-?\d+", tag))
-        assert parabolic.pair(Weight(na, nb)) == 0
-        assert "wtfilt" + tag in labels and "strfilt" + tag in labels
-    assert sum(c[0] == "total" for c in t.classes) == len(walls)
+            assert name == "koszul"
+            last = karoubi.ZERO_CLASS
+        assert t.classes[slots[-1]] == last
     # a weight filtration of W2 has its zero weight twice
     assert any(len(set(t.slots_of(r))) < len(t.slots_of(r)) for r in range(len(t)))
     # the watch index lists each rule once per slot it has on a class, in rule order
@@ -342,18 +328,55 @@ def test_rule_labels_view(parabolic, box):
         assert all(t.slots_of(r).tolist().count(c) == readers.count(r) for r in set(readers))
 
 
+@pytest.mark.parametrize("parabolic, box", [(SHORT, (16, 12)), (LONG, (16, 12)),
+                                            (SHORT, (32, 28)), (LONG, (32, 28))])
+def test_table_holds_the_premises_of_never_learning_a_last_slot(parabolic, box):
+    # the karoubi docstring's argument that no rule needs to learn its last slot, read off
+    # the table without closing it
+    t = seed(parabolic, *box).rules
+    rules = {label: t.slots_of(r).tolist() for r, label in enumerate(t.rule_ids)}
+    bfilts = {}
+    for label, slots in rules.items():
+        if label.startswith("bfilt"):
+            # a string's pull learns it from its highest line
+            assert rules["pull" + label.removeprefix("bfilt")] == [slots[-1], slots[0]]
+            bfilts[slots[-1]] = slots[:-1]
+        elif label.startswith("koszul"):
+            assert slots[-1] == karoubi.ZERO_ID
+
+    def weights(q):
+        kind, lam = t.classes[q]
+        return [lam] if kind == "line" else PString(parabolic, lam).weights()
+
+    # at a wall twist nu of W1, the string part through nu is L(nu) or has a filtration
+    # whose lines are all weight parts
+    walls = through_strings = 0
+    for label, strings in rules.items():
+        tag = label.removeprefix("strfilt")
+        if tag == label or not tag.startswith(f"{W1}@") or "wtfilt" + tag not in rules:
+            continue
+        *parts, nu = rules["wtfilt" + tag]
+        walls += 1
+        (through,) = [q for q in strings[:-1] if t.classes[nu][1] in weights(q)]
+        if through != nu:
+            through_strings += 1
+            assert set(bfilts[through]) <= set(parts)
+    # on the long side every such string part is L(nu) itself
+    assert walls and bool(through_strings) == (parabolic is SHORT)
+
+
 def _audit_sha(kb) -> str:
     return hashlib.sha256(kb.audit_log().encode()).hexdigest()
 
 
 # The derivation order that G2BWB_LOG prints, pinned by its sha256.
 @pytest.mark.parametrize("parabolic, box, shuffle, digest", [
-    (SHORT, (10, 8), None, "e286bbd2545fabd44a992c01b4d0b7fba82ac7ab2b8a4d157c9d8756bacdc5fb"),
-    (LONG, (), None, "2a29e42ac3b3b5de9aa0215864fbd6521883ac22635dee7472e9d321069be261"),
-    (SHORT, (10, 8), 0, "a24a1b3fe525672f0667bd89b26cb0ce5e744d6c6876121e007bbbcf44984ed1"),
-    (SHORT, (24, 20), None, "16fbdbb65552bf630a5b3cb057d1f2add59c79582834ce47bbe1ccebd5594721"),
-    (LONG, (24, 20), None, "0b7d3962959bd1bea5af3aa416a2f1bddbc036f781a005fed9901e0d0ca61633"),
-    (SHORT, (), 1, "df9ceb9490793d9fa1b96805bffd0930d84d777e8d15fa4905b0579107386b18"),
+    (SHORT, (10, 8), None, "28038d71367b622eedab4b6eaba5c05e3b5247a69cfbb8bd45ae31ebf6c05416"),
+    (LONG, (), None, "7bf958bfb365a68c1e08dd6c7fb3e7cb38b1710c34906e23181e5a5070bece58"),
+    (SHORT, (10, 8), 0, "462626a3d29b98c0533ba152d4b53b515bab6b7837950d968fa5178dbaded610"),
+    (SHORT, (24, 20), None, "30eca865c4e8dc09d2d8cac1a97374b37a1602a56df1aa4ed177949ed601351b"),
+    (LONG, (24, 20), None, "1a5050ecd7c6a860fed02d9635fad4fe6a4ed5e0c8c34dc12eec233d2e5e29f9"),
+    (SHORT, (), 1, "7a9bf178237c02ed2444b0e7b986f2716789e8555a10988d188756d81a4d2634"),
 ], ids=["short-10-8", "long", "short-10-8-shuffled", "short-24-20", "long-24-20",
         "short-shuffled"])
 def test_audit_log_golden(parabolic, box, shuffle, digest):
@@ -392,8 +415,7 @@ def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
 def _table_sha(t) -> str:
     """sha256 of a fixed serialization of every field of a compiled rule table."""
     parts = ["\n".join(map(karoubi.class_str, t.classes))]
-    parts += [",".join(map(str, x)) for x in (t.seeds, t.kind, t.first, t.slots, t.offsets,
-                                               t.watch)]
+    parts += [",".join(map(str, x)) for x in (t.seeds, t.first, t.slots, t.offsets, t.watch)]
     parts += ["\n".join(t.rule_ids), "\n".join(t.skipped)]
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
@@ -401,9 +423,9 @@ def _table_sha(t) -> str:
 # The whole compiled table of a box, pinned by its sha256: class ids and their
 # order, rule slots and labels, seeds, the watch index and the skipped list.
 @pytest.mark.parametrize("parabolic, box, digest", [
-    (SHORT, (10, 8), "6bed1e22f0ca622ec623aa86a9195d1577920c8a615873e7b067dc065b145e20"),
-    (LONG, (16, 12), "ceaa3e5fd4566a8f5ef99297ef79bc6d1f5128f979522233df05bf8f893cc1ac"),
-    (SHORT, (24, 20), "c1a533934af05b40960563f651dd5368c91f9e5d7d7c6f65dda1abb6007f4e39"),
+    (SHORT, (10, 8), "18bb3628675576601b06b410575282dc7e96912907feefe5fbc7ed5ae95cb021"),
+    (LONG, (16, 12), "9217f999d67a415d764b56705f6d113ba7b887d971cf26ce95cad543f81b583c"),
+    (SHORT, (24, 20), "1118fd5cd2114289caed98a6a22cf4b6bb628abc71a4140eaf65b13aacd7e02e"),
 ], ids=["short-10-8", "long-16-12", "short-24-20"])
 def test_rule_table_golden(parabolic, box, digest):
     assert _table_sha(seed(parabolic, *box).rules) == digest

@@ -2,6 +2,7 @@ import pytest
 
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W2, ZERO, ParabolicId, Weight, root_coords
 from g2bwb import weyl
+from _reference import descents
 
 
 def length_by_inversions(w: weyl.WeylElement) -> int:
@@ -55,7 +56,7 @@ def _bruhat_recursive(x: weyl.WeylElement, y: weyl.WeylElement) -> bool:
         return True
     if y.length == 0:
         return False
-    i = weyl.descents(y)[0]
+    i = descents(y)[0]
     s = weyl.S1 if i == 1 else weyl.S2
     ys = y * s
     xs = x * s
