@@ -120,6 +120,20 @@ class Character:
                 maximal.append(m)
         return max(maximal)
 
+    def peel(self, basis):
+        """Coefficients in a unitriangular basis, by dominance peeling.
+
+        Yields each (mu, c), mu a dominance-maximal weight of what is left
+        and c its coefficient, before it subtracts c * basis(mu) from a
+        private copy; basis(mu) must have coefficient 1 at mu and lie below
+        it.  A caller that raises on (mu, c) thus stops before basis(mu)."""
+        rem = Character(self.mult)
+        while rem:
+            mu = rem.support_max()
+            c = rem.mult[mu]
+            yield mu, c
+            rem.isub_scaled(basis(mu), c)
+
     def to_json(self) -> list[list[int]]:
         return [[k.a, k.b, v] for k, v in sorted(self.mult.items())]
 
@@ -176,6 +190,21 @@ def weyl_character(lam: Weight) -> Character:
         for w in weyl.ALL_ELEMENTS:
             total.setdefault(weyl.act(w, mu), m)
     return Character(total)
+
+
+@lru_cache(maxsize=None)
+def weyl_dim(lam: Weight) -> int:
+    """Dimension of the costandard module, by the product formula."""
+    if not lam.is_dominant():
+        raise ValueError(f"weight must be dominant, got {lam}")
+    num = den = 1
+    x = lam + RHO
+    for alpha in POSITIVE_ROOTS:
+        num *= alpha.pair(x)
+        den *= alpha.pair(RHO)
+    if num % den:
+        raise ArithmeticError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+    return num // den
 
 
 def exterior_power(x: Character, k: int) -> Character:
@@ -282,16 +311,11 @@ class FiltrationError(ValueError):
 
 def filter_character(char: Character, parabolic: ParabolicId) -> FilteredPModule:
     """Greedy costandard P-filtration of a genuine character."""
-    rem = Character(char.mult)
     atoms: list[PString] = []
-    while rem:
-        mu = rem.support_max()
-        m = rem.coeff(mu)
+    for mu, m in char.peel(lambda mu: pstring_character(PString(parabolic, mu))):
         if m < 0 or parabolic.pair(mu) < 0:
             raise FiltrationError(f"cannot extract a string at {mu} (mult {m})")
-        s = PString(parabolic, mu)
-        atoms.extend([s] * m)
-        rem.isub_scaled(pstring_character(s), m)
+        atoms.extend([PString(parabolic, mu)] * m)
     out = FilteredPModule(parabolic, tuple(atoms))
     if out.character() != char:
         raise ArithmeticError("string filtration does not reproduce the character")
@@ -305,14 +329,6 @@ def restrict_to_P(lam: Weight, parabolic: ParabolicId) -> FilteredPModule:
 
 
 def decompose_costandard(char: Character) -> list[tuple[Weight, int]]:
-    """Coefficients of a (virtual) character in the Weyl-character basis."""
-    rem = Character(char.mult)
-    out: list[tuple[Weight, int]] = []
-    while rem:
-        mu = rem.support_max()
-        if not mu.is_dominant():
-            raise ValueError(f"maximal weight {mu} of a virtual character not dominant")
-        c = rem.coeff(mu)
-        out.append((mu, c))
-        rem.isub_scaled(weyl_character(mu), c)
-    return out
+    """Coefficients of a (virtual) character in the Weyl-character basis;
+    ``weyl_character`` raises ValueError at a maximal weight that is not dominant."""
+    return list(char.peel(weyl_character))

@@ -85,9 +85,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-Poly.coerce(other))
 
-    def __rsub__(self, other):
-        return Poly.coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Poly.coerce(other)
         out: dict[tuple[int, int], int] = {}

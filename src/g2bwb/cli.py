@@ -2,8 +2,10 @@
 
 Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
-error, 3 ambiguous-but-valid, 4 verification failure; a library exception
-that escapes a command maps to 3 or 4 in ``main``.  ``--p`` takes a prime of
+error, 3 ambiguous-but-valid, 4 verification failure.  A command refuses
+input outside the supported domain by raising ``UsageError``, and a library
+exception that escapes it maps to 3 or 4; ``main`` alone turns each into
+its exit code and one line on stderr.  ``--p`` takes a prime of
 at least ``MIN_P``, and at most ``RANK_MAX_P`` for ``report rank`` and
 ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
@@ -17,14 +19,14 @@ import sys
 from functools import lru_cache
 
 from .rootdata import ParabolicId, Weight
-from .charring import restrict_to_P
+from .charring import restrict_to_P, weyl_dim
 from .cohomology import DEFAULT_P, MIN_P, EulerMismatch, bott_line
 from .extcollection import (AmbiguousTable, costandard_factors, ext_table,
                             filtration_to_latex, frobenius_report, full_collection_report,
                             object_by_name)
 from .karoubi import default_targets, verify_generation
 from .modchar import (InconsistentChoice, Undecided, rank_identity_check, resolved_oracle,
-                      restricted_weight, weyl_dim)
+                      restricted_weight)
 from .chevalley import chevalley_verify
 from . import weyl
 
@@ -38,14 +40,14 @@ EXIT_FAILED = 4
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of
-# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.3 s,
-# 6 6 0.4 s and 8 8 about 1.0 s, while tensor 5 5 5 5 takes 0.2 s).
+# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.16 s,
+# 6 6 0.23 s and 8 8 0.5 s, while tensor 5 5 5 5 takes 0.13 s).
 MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters
 # through the rank-p^5 identity: their time and memory grow steeply with p (on
-# 2 cores, cold, p = 43 takes about 7.6 s and 64 MB, p = 47 about 10 s and
-# p = 53 about 14 s and 91 MB).  The other commands take any prime.
+# 2 cores, cold, p = 43 takes about 3.5 s and 64 MB, p = 47 about 4.4 s and
+# 71 MB, p = 53 about 5.6 s and 91 MB).  The other commands take any prime.
 RANK_MAX_P = 43
 
 
@@ -69,23 +71,21 @@ def _emit(args, to_json, to_text, to_latex=None) -> None:
         print(to_text())
 
 
-def _rank_p_refused(p: int) -> bool:
-    """Print why report rank or modchar refuses its prime; True if it does."""
+class UsageError(Exception):
+    """Input outside the supported domain: ``main`` prints the message as one
+    line on stderr and exits 2."""
+
+
+def _check_rank_p(p: int) -> None:
     if p > RANK_MAX_P:
-        print(f"--p must be at most {RANK_MAX_P} for the rank identity", file=sys.stderr)
-        return True
-    return False
+        raise UsageError(f"--p must be at most {RANK_MAX_P} for the rank identity")
 
 
-def _weights_refused(*weights: Weight) -> bool:
-    """Print why tensor or restrict refuses its weights; True if it does."""
+def _check_weights(*weights: Weight) -> None:
     if not all(w.is_dominant() for w in weights):
-        print("the weight must be dominant", file=sys.stderr)
-    elif max(max(w.a, w.b) for w in weights) > MAX_WEIGHT:
-        print(f"weight coordinates must be at most {MAX_WEIGHT}", file=sys.stderr)
-    else:
-        return False
-    return True
+        raise UsageError("the weight must be dominant")
+    if max(max(w.a, w.b) for w in weights) > MAX_WEIGHT:
+        raise UsageError(f"weight coordinates must be at most {MAX_WEIGHT}")
 
 
 def _cmd_bott(args) -> int:
@@ -109,8 +109,7 @@ def _cmd_ext(args) -> int:
         X = object_by_name(par, args.x)
         Y = object_by_name(par, args.y)
     except KeyError as e:
-        print(f"unknown object: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown object: {e}") from None
     t = ext_table(X, Y, args.p)
 
     def latex() -> str:
@@ -133,8 +132,7 @@ def _cmd_ext(args) -> int:
 
 def _cmd_tensor(args) -> int:
     lam, mu = Weight(args.a, args.b), Weight(args.c, args.d)
-    if _weights_refused(lam, mu):
-        return EXIT_USAGE
+    _check_weights(lam, mu)
     factors = costandard_factors(lam, mu)
     text = " + ".join(
         (f"nabla({w.a},{w.b})" if m == 1 else f"{m}*nabla({w.a},{w.b})")
@@ -152,8 +150,7 @@ def _cmd_tensor(args) -> int:
 def _cmd_restrict(args) -> int:
     par = _parabolic(args.parabolic)
     lam = Weight(args.a, args.b)
-    if _weights_refused(lam):
-        return EXIT_USAGE
+    _check_weights(lam)
     mod = restrict_to_P(lam, par)
     names = []
     for s in mod.atoms:
@@ -186,12 +183,9 @@ def _cmd_report(args) -> int:
         amax = args.box
         need = max(abs(w.a) for w in default_targets(par))
         if amax < need:
-            print(f"--box must be at least {need} to hold the {args.parabolic} targets",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--box must be at least {need} to hold the {args.parabolic} targets")
         if amax > KAROUBI_MAX_BOX:
-            print(f"--box must be at most {KAROUBI_MAX_BOX}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"--box must be at most {KAROUBI_MAX_BOX}")
         bmax = max(12, amax - 4)
         rep, kb = verify_generation(par, amax=amax, bmax=bmax)
         if _audit_enabled():
@@ -208,21 +202,18 @@ def _cmd_report(args) -> int:
         )
         return EXIT_OK if ok else EXIT_FAILED
     # kind == "rank", the last of the kinds that argparse accepts
-    if _rank_p_refused(args.p):
-        return EXIT_USAGE
+    _check_rank_p(args.p)
     rep = rank_identity_check(args.p, _parabolic(args.parabolic))
     _emit(args, rep.to_json, rep.to_text)
     return EXIT_OK if rep.passed else EXIT_FAILED
 
 
 def _cmd_modchar(args) -> int:
-    if _rank_p_refused(args.p):
-        return EXIT_USAGE
+    _check_rank_p(args.p)
     try:
-        w = weyl.from_word(args.w if args.w != "e" else "")
+        w = weyl.from_word(args.w)
     except ValueError:
-        print(f"bad word {args.w}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad word {args.w}") from None
     lam0 = restricted_weight(w, args.p)
     oracle, decided_by, points = resolved_oracle(args.p)
     ch = oracle.simple(lam0)
@@ -344,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return EXIT_USAGE
     except (EulerMismatch, InconsistentChoice, ArithmeticError) as e:
         print(f"verification failed: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_FAILED

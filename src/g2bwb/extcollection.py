@@ -66,7 +66,7 @@ from functools import lru_cache
 
 from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
 from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, module,
-                       weyl_character)
+                       weyl_character, weyl_dim)
 from .cohomology import (DEFAULT_P, MIN_P, Bound, Degrees, Frozen, bott_line, combine,
                          costandard_times, euler_characteristic, linkage_collision,
                          lowest_alcove, p_threshold)
@@ -126,11 +126,7 @@ def costandard_factors(first: Weight, *rest: Weight) -> tuple[tuple[Weight, int]
     row = Character.line(first)
     for w in rest:
         row = costandard_times(row, weyl_character(w))
-    out = []
-    while row:
-        mu = row.support_max()
-        out.append((mu, row.mult.pop(mu)))
-    return tuple(out)
+    return tuple(row.peel(Character.line))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +157,7 @@ class ExtTable:
         return bool(self.entries(0))
 
     def dimension(self, degree: int) -> int:
-        return sum(weyl_character(w).dimension() for w in self.entries(degree))
+        return sum(map(weyl_dim, self.entries(degree)))
 
     def label(self, w: Weight) -> str:
         return "L" if lowest_alcove(w, self.p) else "nabla"

@@ -1,14 +1,13 @@
-"""Modular character oracle: Weyl dimensions, the Jantzen sum formula, and
-simple characters for the restricted weights the pushforward bookkeeping
-needs.
+"""Modular character oracle: the Jantzen sum formula and simple characters
+for the restricted weights the pushforward bookkeeping needs.
 
 Simple characters are kept in the Weyl-character basis, each as its
 unitriangular row: a ``Character`` over dominant weights nu that holds the
 coefficient of nabla(nu).  The Jantzen sum arrives in that basis, since the
 Euler characteristic of a weight is a signed nabla (``bott_line``), and
-``radical_counts`` peels composition factors off it in descending dominance
-order over the few dominant weights of a linkage class.  A factor counted
-once across the layers is decided; one counted m >= 2 times may sit in the
+``radical_counts`` peels composition factors off it (``Character.peel``)
+over the few dominant weights of a linkage class.  A factor counted once
+across the layers is decided; one counted m >= 2 times may sit in the
 radical with any multiplicity from 1 to m, and that is surfaced as an
 ``Undecided`` exception naming the choice point, never guessed.  Jantzen sums
 and Steinberg products are rows built by ``cohomology.costandard_times``
@@ -32,25 +31,10 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
-from .charring import TRIVIAL, Character, weyl_character
+from .charring import TRIVIAL, Character, weyl_character, weyl_dim
 from .cohomology import DEFAULT_P, costandard_times, lowest_alcove
 from .extcollection import FROBENIUS_SUMMANDS, object_by_name
 from . import weyl
-
-
-@lru_cache(maxsize=None)
-def weyl_dim(lam: Weight) -> int:
-    """Dimension of the costandard module, by the product formula."""
-    if not lam.is_dominant():
-        raise ValueError(f"weight must be dominant, got {lam}")
-    num = den = 1
-    x = lam + RHO
-    for alpha in POSITIVE_ROOTS:
-        num *= alpha.pair(x)
-        den *= alpha.pair(RHO)
-    if num % den:
-        raise ArithmeticError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
-    return num // den
 
 
 def _expand(row: Character) -> Character:
@@ -129,15 +113,11 @@ class CharacterOracle:
 
     def radical_counts(self, lam: Weight) -> dict[Weight, int]:
         """Composition multiplicities of the radical of the costandard module."""
-        rem = Character(_jantzen_row(lam, self.p).mult)
         counts: dict[Weight, int] = {}
-        while rem:
-            mu = rem.support_max()
-            c = rem.coeff(mu)
+        for mu, c in _jantzen_row(lam, self.p).peel(self._row):
             if c <= 0:
                 raise ArithmeticError(f"negative layer count at {mu} below {lam}")
             counts[mu] = c
-            rem.isub_scaled(self._row(mu), c)
         resolved: dict[Weight, int] = {}
         for mu, c in counts.items():
             a = 1 if c == 1 else self.choices.get((lam, mu))

@@ -50,29 +50,27 @@ class Root(NamedTuple):
     """A root together with the coroot pairing functional ``<., alpha^v>``.
 
     ``coroot_row = (ca, cb)`` pairs ``Weight(a, b)`` to ``ca*a + cb*b``.
-    ``alpha_coeffs`` are the coordinates in the simple-root basis.
     """
 
     weight: Weight
     is_short: bool
     coroot_row: tuple[int, int]
-    alpha_coeffs: tuple[int, int]
 
     def pair(self, lam: Weight) -> int:
         return self.coroot_row[0] * lam.a + self.coroot_row[1] * lam.b
 
 
-ALPHA1 = Root(Weight(2, -1), True, (1, 0), (1, 0))
-ALPHA2 = Root(Weight(-3, 2), False, (0, 1), (0, 1))
+ALPHA1 = Root(Weight(2, -1), True, (1, 0))
+ALPHA2 = Root(Weight(-3, 2), False, (0, 1))
 
 # All six positive roots: alpha1, alpha2, alpha1+alpha2, 2a1+a2, 3a1+a2, 3a1+2a2.
 POSITIVE_ROOTS: tuple[Root, ...] = (
     ALPHA1,
     ALPHA2,
-    Root(Weight(-1, 1), True, (1, 3), (1, 1)),
-    Root(Weight(1, 0), True, (2, 3), (2, 1)),
-    Root(Weight(3, -1), False, (1, 1), (3, 1)),
-    Root(Weight(0, 1), False, (1, 2), (3, 2)),
+    Root(Weight(-1, 1), True, (1, 3)),
+    Root(Weight(1, 0), True, (2, 3)),
+    Root(Weight(3, -1), False, (1, 1)),
+    Root(Weight(0, 1), False, (1, 2)),
 )
 
 
@@ -97,15 +95,6 @@ class ParabolicId(Enum):
 def pairing(lam: Weight, alpha: Root) -> int:
     """Exact coroot pairing ``<lam, alpha^v>``; linear in ``lam``."""
     return alpha.pair(lam)
-
-
-def simple_root_as_weight(i: int) -> Weight:
-    """Simple root alpha_i written in fundamental-weight coordinates."""
-    if i == 1:
-        return ALPHA1.weight
-    if i == 2:
-        return ALPHA2.weight
-    raise ValueError(f"simple root index must be 1 or 2, got {i}")
 
 
 def root_coords(lam: Weight) -> tuple[int, int]:

@@ -7,6 +7,7 @@ the length, and the full Bruhat order are precomputed once at import time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,9 +94,12 @@ if len(ALL_ELEMENTS) != 12 or LONGEST.length != 6 or LONGEST.matrix != (-1, 0, 0
 
 
 def from_word(word: tuple[int, ...] | list[int] | str) -> WeylElement:
-    """Element of the given word; 'word' may be e.g. (1,2), [1,2] or "s1s2"."""
+    """Element of the given word; 'word' may be e.g. (1,2), [1,2], "s1s2", or
+    "e" or "" for the identity.  Any other string raises ValueError."""
     if isinstance(word, str):
-        digits = [int(c) for c in word if c.isdigit()]
+        if not re.fullmatch(r"e|(s[12])*", word):
+            raise ValueError(f"not a word in s1 and s2: {word!r}")
+        digits = [int(c) for c in word[1::2]]
     else:
         digits = list(word)
     m = _ID

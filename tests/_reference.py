@@ -6,7 +6,16 @@ from g2bwb import weyl
 from g2bwb.charring import TRIVIAL, Character
 from g2bwb.cohomology import costandard_times
 from g2bwb.modchar import _expand, _jantzen_row
-from g2bwb.rootdata import Weight, simple_root_as_weight
+from g2bwb.rootdata import ALPHA1, ALPHA2, Weight
+
+
+def simple_root_as_weight(i: int) -> Weight:
+    """Simple root alpha_i written in fundamental-weight coordinates."""
+    if i == 1:
+        return ALPHA1.weight
+    if i == 2:
+        return ALPHA2.weight
+    raise ValueError(f"simple root index must be 1 or 2, got {i}")
 
 
 def euler_character(mu: Weight) -> Character:

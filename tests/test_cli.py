@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,10 +7,10 @@ import pytest
 from g2bwb import cli
 from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from g2bwb.cohomology import EulerMismatch
-from g2bwb.extcollection import AmbiguousTable
+from g2bwb.extcollection import AmbiguousTable, ExtEngine
 from g2bwb.modchar import InconsistentChoice, Undecided
 from g2bwb.karoubi import verify_generation
-from g2bwb.rootdata import ZERO, ParabolicId
+from g2bwb.rootdata import W1, ZERO, ParabolicId
 
 
 def run(capsys, *argv):
@@ -203,9 +204,12 @@ def test_karoubi_box_above_limit_is_usage_error(capsys):
     (["report", "rank", "--p", "47", "--parabolic", "long"], f"at most {cli.RANK_MAX_P}"),
     (["modchar", "--w", "s1s2", "--p", "997"], f"at most {cli.RANK_MAX_P}"),
     (["modchar", "--w", "s3"], "bad word"),
+    (["modchar", "--w", "foo"], "bad word foo"),
+    (["modchar", "--w", "s12"], "bad word s12"),
 ], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word",
         "ext-non-reduced", "ext-both-non-reduced", "ext-non-reduced-long", "rank-p-above-bound",
-        "rank-long-p-above-bound", "modchar-p-above-bound", "modchar-bad-word"])
+        "rank-long-p-above-bound", "modchar-p-above-bound", "modchar-bad-word",
+        "modchar-no-letters", "modchar-joined-digits"])
 def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
     # refused before any character is computed
     code = main(argv)
@@ -244,6 +248,52 @@ def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, exp
     err = captured.err.splitlines()
     assert len(err) == 1 and type(exc).__name__ in err[0]
     assert "Traceback" not in captured.err
+
+
+def _mutate_cell(monkeypatch, pair, **changes):
+    """Serve one named cell changed by ``dataclasses.replace``; the memo keeps the true table."""
+    cell = ExtEngine.cell
+
+    def patched(self, X, Y):
+        t = cell(self, X, Y)
+        return dataclasses.replace(t, **changes) if (X.name, Y.name) == pair else t
+
+    monkeypatch.setattr(ExtEngine, "cell", patched)
+
+
+@pytest.mark.parametrize("parabolic, pair, changes, failure", [
+    ("short", ("M", "E(e)"), {"exact": False}, "ambiguous table for ('M', 'E(e)')"),
+    ("long", ("E(e)", "E(s1)"), {"degrees": ((0, (ZERO,)), (1, (ZERO,)))},
+     "higher Ext nonzero for (E(e),E(s1))"),
+    ("long", ("E(e)", "E(s1)"), {"degrees": ((0, (ZERO,)),)},
+     "Hom(E(e),E(s1)) nonzero=True, Bruhat wants False"),
+    ("short", ("E(s2)", "E(s2)"), {"degrees": ((0, (W1,)),)},
+     "diagonal cell of E(s2) is not trivial"),
+], ids=["ambiguous", "higher-ext", "bruhat", "diagonal"])
+def test_collection_failure_verdicts(capsys, monkeypatch, parabolic, pair, changes, failure):
+    _mutate_cell(monkeypatch, pair, **changes)
+    argv = ["report", "collection", "--parabolic", parabolic]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_FAILED
+    assert f"FAILURE: {failure}" in out.splitlines() and out.splitlines()[-1] == "FAIL"
+    code, out = run(capsys, *argv, "--format", "json")
+    rep = json.loads(out)
+    assert code == EXIT_FAILED and rep["passed"] is False and failure in rep["failures"]
+
+
+@pytest.mark.parametrize("parabolic, pair, changes", [
+    ("short", ("M", "E(e)"), {"exact": False}),
+    ("short", ("E(s2s1s2)", "M"), {"degrees": ((1, (ZERO,)),)}),
+    ("long", ("E(e)", "E(s1)"), {"degrees": ((1, (ZERO,)),)}),
+], ids=["inexact", "short-ext1", "long-ext1"])
+def test_frobenius_uncertified_splitting_is_ambiguous(capsys, monkeypatch, parabolic, pair,
+                                                      changes):
+    _mutate_cell(monkeypatch, pair, **changes)
+    code = main(["report", "frobenius", "--parabolic", parabolic])
+    captured = capsys.readouterr()
+    assert code == EXIT_AMBIGUOUS and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "AmbiguousTable" in err[0]
 
 
 def test_rank_bound_refuses_only_rank_and_modchar(capsys, monkeypatch):

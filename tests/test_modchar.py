@@ -8,7 +8,7 @@ from g2bwb.charring import (
     weyl_character,
 )
 from g2bwb.cohomology import linked, lowest_alcove
-from g2bwb import cli, modchar
+from g2bwb import charring, cli, modchar
 from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report
 from g2bwb.modchar import (
     CharacterOracle,
@@ -152,7 +152,7 @@ def test_frobenius_report_and_rank_identity_share_one_table():
 
 def test_weyl_dim_check_raises(monkeypatch):
     weyl_dim.cache_clear()  # a cached dimension would skip the check
-    monkeypatch.setattr(modchar, "RHO", Weight(2, 2))  # the quotient is 22680/7680
+    monkeypatch.setattr(charring, "RHO", Weight(2, 2))  # the quotient is 22680/7680
     with pytest.raises(ArithmeticError):
         weyl_dim(W1)
 

@@ -16,9 +16,10 @@ from g2bwb.rootdata import (
     pairing,
     restricted_split,
     root_coords,
-    simple_root_as_weight,
 )
 from g2bwb import weyl
+
+from _reference import simple_root_as_weight
 
 
 def weight_box(amax: int, bmax: int):

@@ -120,3 +120,11 @@ def test_from_word_canonical():
     assert weyl.from_word("s1s1") == weyl.IDENTITY
     assert weyl.from_word([1, 2, 1, 2, 1, 2]) == weyl.LONGEST
     assert weyl.from_word("s2s1s2s1s2") == weyl.from_word((2, 1, 2, 1, 2))
+    assert weyl.from_word("e") == weyl.from_word("") == weyl.from_word(()) == weyl.IDENTITY
+
+
+@pytest.mark.parametrize("word", ["foo", "s12", "s3", "s1 s2", "es1", "1", (1, 3)])
+def test_from_word_rejects_non_words(word):
+    # a string is read only as e or a run of s1 and s2, never by its digits
+    with pytest.raises(ValueError):
+        weyl.from_word(word)
