@@ -192,19 +192,35 @@ def weyl_character(lam: Weight) -> Character:
     return Character(total)
 
 
+def euler_characteristic(ch: Character) -> int:
+    """Euler characteristic of the line bundles of the weights of ch on the
+    flag variety, with multiplicity: the Weyl product formula
+    prod <mu + rho, alpha^v> / <rho, alpha^v>, with no dominance test, summed
+    over the weights mu.  It is the Euler characteristic on G/P of a P-module
+    of character ch, in every characteristic."""
+    ra, rb = RHO
+    coroots = [alpha.coroot_row for alpha in POSITIVE_ROOTS]
+    num = 0
+    for (a, b), c in ch.mult.items():
+        term = c
+        for ca, cb in coroots:
+            term *= ca * (a + ra) + cb * (b + rb)
+        num += term
+    den = 1
+    for ca, cb in coroots:
+        den *= ca * ra + cb * rb
+    if num % den:
+        raise ArithmeticError(f"Euler characteristic of {ch} is not an integer: {num}/{den}")
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def weyl_dim(lam: Weight) -> int:
-    """Dimension of the costandard module, by the product formula."""
+    """Dimension of the costandard module: the dominant case of
+    ``euler_characteristic``."""
     if not lam.is_dominant():
         raise ValueError(f"weight must be dominant, got {lam}")
-    num = den = 1
-    x = lam + RHO
-    for alpha in POSITIVE_ROOTS:
-        num *= alpha.pair(x)
-        den *= alpha.pair(RHO)
-    if num % den:
-        raise ArithmeticError(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
-    return num // den
+    return euler_characteristic(Character.line(lam))
 
 
 def exterior_power(x: Character, k: int) -> Character:

@@ -46,8 +46,8 @@ MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters
 # through the rank-p^5 identity: their time and memory grow steeply with p (on
-# 2 cores, cold, p = 43 takes about 3.5 s and 64 MB, p = 47 about 4.4 s and
-# 71 MB, p = 53 about 5.6 s and 91 MB).  The other commands take any prime.
+# 2 cores, cold, p = 43 takes about 1.1-1.4 s and 65 MB, p = 47 about 2.2 s and
+# 71 MB, p = 53 about 2.4-3.0 s and 91 MB).  The other commands take any prime.
 RANK_MAX_P = 43
 
 
@@ -214,6 +214,8 @@ def _cmd_modchar(args) -> int:
         w = weyl.from_word(args.w)
     except ValueError:
         raise UsageError(f"bad word {args.w}") from None
+    if w.length < args.w.count("s"):  # like ext, name an element by a reduced word only
+        raise UsageError(f"{args.w} is not a reduced word")
     lam0 = restricted_weight(w, args.p)
     oracle, decided_by, points = resolved_oracle(args.p)
     ch = oracle.simple(lam0)

@@ -56,6 +56,9 @@ stored for that prime alone.
 ``FROBENIUS_SUMMANDS`` is the one decomposition table of F_*O into summands
 E (x) L(w) on each G/P.  ``frobenius_report`` prints it, and
 ``modchar.rank_identity_check`` reads it for the rank-p^5 identity.
+``multiplicity_dims`` gives the dimension of each multiplicity space at any
+p from Euler characteristics alone, through the triangular Euler form of the
+collection; it reads no modular character and no Ext table.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, mo
 from .cohomology import (DEFAULT_P, MIN_P, Bound, Degrees, Frozen, bott_line, combine,
                          costandard_times, euler_characteristic, linkage_collision,
                          lowest_alcove, p_threshold)
-from . import weyl
+from . import charring, weyl
 
 
 @dataclass(frozen=True)
@@ -596,6 +599,42 @@ FROBENIUS_SUMMANDS: dict[ParabolicId, tuple[tuple[str, tuple[str, ...]], ...]] =
         ("E(s1s2s1s2s1)", ("s1s2s1s2s1", "e")),
     ),
 }
+
+
+@lru_cache(maxsize=None)
+def _euler_form(parabolic: ParabolicId) -> tuple[tuple[int, ...], ...]:
+    """G[k][j] = chi(E_k^v (x) E_j) over the rows of ``FROBENIUS_SUMMANDS``,
+    in table order.  The collection is exceptional and Hom(E_k, E_j) = 0
+    unless w_j <= w_k in the Bruhat order, so G is lower unitriangular on
+    the collection rows; M, which is no member, is only read as a column."""
+    table = FROBENIUS_SUMMANDS[parabolic]
+    mods = [object_by_name(parabolic, name).filtration for name, _ in table]
+    form = tuple(tuple(charring.euler_characteristic(x.dual().character().tensor(y.character()))
+                       for y in mods) for x in mods)
+    rows = [k for k, (name, _) in enumerate(table) if name != "M"]
+    for k in rows:
+        if form[k][k] != 1 or any(form[k][j] for j in rows if j > k):
+            raise ArithmeticError(f"the Euler form is not lower unitriangular at {table[k][0]} "
+                                  f"({parabolic.name.lower()} root)")
+    return form
+
+
+def multiplicity_dims(parabolic: ParabolicId, p: int) -> dict[str, int]:
+    """dim V_j of each summand E_j (x) V_j of F_*O, from Euler characteristics
+    alone: chi(E_k^v (x) F_*O) = chi(F^*E_k^v), the bundle of the character of
+    E_k^v stretched by p, so G m = r with r_k = chi(stretch_p(E_k^v)), solved
+    by forward substitution.  M's multiplicity space is L(0), so m_M = 1 is
+    known, and each row subtracts M's column of G with the solved m_j."""
+    table = FROBENIUS_SUMMANDS[parabolic]
+    form = _euler_form(parabolic)
+    # an unknown reads 0 until it is solved, so row k sums the solved m_j and m_M
+    m = [int(name == "M") for name, _ in table]
+    for k, (name, _) in enumerate(table):
+        if name != "M":
+            dual = object_by_name(parabolic, name).filtration.dual()
+            r = charring.euler_characteristic(dual.character().stretch(p))
+            m[k] = r - sum(g * mj for g, mj in zip(form[k], m))
+    return {name: mk for (name, _), mk in zip(table, m)}
 
 
 def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusReport:

@@ -14,15 +14,22 @@ and Steinberg products are rows built by ``cohomology.costandard_times``
 (Brauer-Klimyk), and a row becomes a torus character only where one is read.
 
 ``rank_identity_check`` confronts the characters with the torus character of
-the parabolic Verma module of the Frobenius kernel, of total dimension p^5.
+the parabolic Verma module of the Frobenius kernel, of total dimension p^5,
+built as a running box sum of width p along the lines of each root.
 ``_resolution`` runs one depth-first search from the sum-formula oracle: an
-open choice point forks a branch once per admissible multiplicity, a branch
-with a negative character is pruned, and an oracle survives when both
-parabolic identities hold coefficient by coefficient.  The check passes only
-if exactly one survives, and every caller reads that survivor and its rows.
-The left-hand side pairs each L(w) with the summands of F_*O
-whose multiplicity space holds it, read from
-``extcollection.FROBENIUS_SUMMANDS``, the table the Frobenius report prints.
+open choice point forks a branch once per admissible multiplicity, and a
+branch with a negative character is pruned.  So is a branch where the simple
+dimensions of one summand E_j (x) V_j of F_*O do not add up to dim V_j, which
+``extcollection.multiplicity_dims`` gets from Euler characteristics alone.
+The summands are checked in increasing height of their highest restricted
+weight, and a row reads only rows of lower height, so a wrong choice fails
+at the first summand whose rows read it.  A branch that passes every
+summand, the p^5 count and both parabolic identities coefficient by
+coefficient survives.  The check passes only if exactly one survives, and
+every caller reads that survivor and its rows.  The left-hand side pairs
+each L(w) with the summands of F_*O whose multiplicity space holds it, read
+from ``extcollection.FROBENIUS_SUMMANDS``, the table the Frobenius report
+prints.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from functools import lru_cache
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
 from .charring import TRIVIAL, Character, weyl_character, weyl_dim
 from .cohomology import DEFAULT_P, costandard_times, lowest_alcove
-from .extcollection import FROBENIUS_SUMMANDS, object_by_name
+from .extcollection import FROBENIUS_SUMMANDS, multiplicity_dims, object_by_name
 from . import weyl
 
 
@@ -189,17 +196,40 @@ def _socle(parabolic: ParabolicId
     return tuple((w, rank[w], char[w]) for w in rank)
 
 
+def _box_sum(mult: dict[tuple[int, int], int], alpha: Weight, p: int
+             ) -> dict[tuple[int, int], int]:
+    """mult times sum_{j<p} e^{-j alpha}: the sum of mult over the p weights
+    nu, nu + alpha, ..., nu + (p-1) alpha at each nu, as one running window
+    walked down each line in direction alpha."""
+    ra, rb = alpha
+    norm = ra * ra + rb * rb  # a step down a line lowers a * ra + b * rb by norm
+    lines: dict[int, list[tuple[int, int]]] = {}
+    for a, b in mult:
+        lines.setdefault(a * rb - b * ra, []).append((a, b))
+    get = mult.get
+    out: dict[tuple[int, int], int] = {}
+    for points in lines.values():
+        heights = [a * ra + b * rb for a, b in points]
+        a, b = points[heights.index(max(heights))]
+        window = 0
+        for _ in range((max(heights) - min(heights)) // norm + p):
+            window += get((a, b), 0) - get((a + p * ra, b + p * rb), 0)
+            if window:
+                out[(a, b)] = window
+            a, b = a - ra, b - rb
+    return out
+
+
 @lru_cache(maxsize=None)
 def verma_character(parabolic: ParabolicId, p: int) -> Character:
     """Torus character of the rank-p^5 Verma module of the Frobenius kernel:
-    a product of geometric series over the positive roots outside the Levi."""
-    out = Character.line(ZERO)
+    a product of geometric series over the positive roots outside the Levi,
+    each a running box sum of width p along the lines of its root."""
+    mult = {(0, 0): 1}
     for alpha in POSITIVE_ROOTS:
-        if alpha is parabolic.simple_root:
-            continue
-        geo = Character({(-alpha.weight).scaled(j): 1 for j in range(p)})
-        out = out.tensor(geo)
-    return out
+        if alpha is not parabolic.simple_root:
+            mult = _box_sum(mult, alpha.weight, p)
+    return Character({Weight(a, b): v for (a, b), v in mult.items()})
 
 
 def _weighted_dims(parabolic: ParabolicId, oracle: CharacterOracle
@@ -267,18 +297,39 @@ class RankIdentityReport:
         return "\n".join(lines)
 
 
+def _summand_checks(p: int) -> list[tuple[tuple[Weight, ...], int]]:
+    """Each summand of F_*O on both parabolics as the restricted weights of
+    the L(w) in its multiplicity space and dim V_j from
+    ``extcollection.multiplicity_dims``, in increasing height 3a + 5b of its
+    highest restricted weight (stable, short summands first at a tie)."""
+    checks = []
+    for par in (ParabolicId.SHORT, ParabolicId.LONG):
+        dims = multiplicity_dims(par, p)
+        for name, words in FROBENIUS_SUMMANDS[par]:
+            lams = tuple(restricted_weight(weyl.from_word(word), p) for word in words)
+            checks.append((max(3 * a + 5 * b for a, b in lams), lams, dims[name]))
+    checks.sort(key=lambda c: c[0])
+    return [(lams, m) for _, lams, m in checks]
+
+
 @lru_cache(maxsize=None)
 def _resolution(p: int) -> tuple[CharacterOracle, ...]:
     """The oracles whose choice assignments satisfy both parabolic identities,
-    by the depth-first search the module docstring describes; the cheap
-    dimension count runs before the character identity."""
+    by the depth-first search the module docstring describes.  A branch is
+    cut at the first summand, in increasing height, whose simple dimensions
+    do not add up to its dim V_j; each row reads only rows of lower height,
+    so a wrong choice fails at the first summand whose rows read it.  The
+    p^5 count then runs before the character identity."""
     expected = p ** 5
     both = (ParabolicId.SHORT, ParabolicId.LONG)
+    summands = _summand_checks(p)
     survivors = []
     stack = [CharacterOracle(p)]
     while stack:
         oracle = stack.pop()
         try:
+            if any(sum(map(oracle._dim, lams)) != m for lams, m in summands):
+                continue  # some V_j has the wrong dimension
             weighted = [_weighted_dims(par, oracle)[0] for par in both]
         except Undecided as u:
             for a in range(1, u.certificate[u.choice[1]] + 1):

@@ -5,8 +5,9 @@ from functools import lru_cache
 from g2bwb import weyl
 from g2bwb.charring import TRIVIAL, Character
 from g2bwb.cohomology import costandard_times
-from g2bwb.modchar import _expand, _jantzen_row
-from g2bwb.rootdata import ALPHA1, ALPHA2, Weight
+from g2bwb.modchar import (CharacterOracle, InconsistentChoice, Undecided, _expand,
+                           _identity_sides, _jantzen_row, _weighted_dims)
+from g2bwb.rootdata import ALPHA1, ALPHA2, POSITIVE_ROOTS, ZERO, ParabolicId, Weight
 
 
 def simple_root_as_weight(i: int) -> Weight:
@@ -35,4 +36,38 @@ def descents(w: weyl.WeylElement) -> list[int]:
     for i in (1, 2):
         if not weyl.is_positive_root_weight(weyl.act(w, simple_root_as_weight(i))):
             out.append(i)
+    return out
+
+
+def unpruned_resolution(p: int) -> tuple[CharacterOracle, ...]:
+    """The rank-identity search without the per-summand cut: every branch
+    runs until the p^5 count of both parabolics, then the character identity."""
+    expected = p ** 5
+    both = (ParabolicId.SHORT, ParabolicId.LONG)
+    survivors = []
+    stack = [CharacterOracle(p)]
+    while stack:
+        oracle = stack.pop()
+        try:
+            weighted = [_weighted_dims(par, oracle)[0] for par in both]
+        except Undecided as u:
+            for a in range(1, u.certificate[u.choice[1]] + 1):
+                stack.append(CharacterOracle(p, {**oracle.choices, u.choice: a}, oracle._rows))
+            continue
+        except InconsistentChoice:
+            continue
+        if any(w != expected for w in weighted):
+            continue
+        if all(lhs == rhs for lhs, rhs in (_identity_sides(par, oracle) for par in both)):
+            survivors.append(oracle)
+    return tuple(survivors)
+
+
+def verma_by_series(parabolic: ParabolicId, p: int) -> Character:
+    """The Verma torus character as a product of geometric series
+    sum_{j<p} e^{-j alpha} over the positive roots outside the Levi."""
+    out = Character.line(ZERO)
+    for alpha in POSITIVE_ROOTS:
+        if alpha is not parabolic.simple_root:
+            out = out.tensor(Character({(-alpha.weight).scaled(j): 1 for j in range(p)}))
     return out

@@ -11,6 +11,7 @@ from g2bwb.charring import (
     clebsch_gordan_P,
     decompose_costandard,
     dual_pstring,
+    euler_characteristic,
     exterior_power,
     filter_character,
     module,
@@ -18,6 +19,7 @@ from g2bwb.charring import (
     restrict_to_P,
     weyl_character,
 )
+from g2bwb.cohomology import bott_line
 from g2bwb.modchar import weyl_dim
 from g2bwb import charring, weyl
 from test_properties import is_w_invariant
@@ -53,6 +55,20 @@ def test_weyl_character_dimension_formula_agreement():
         for b in range(4):
             lam = Weight(a, b)
             assert weyl_character(lam).dimension() == weyl_dim(lam)
+
+
+def test_euler_characteristic_is_signed_bott():
+    # the product formula without the dominance test against Bott's theorem,
+    # which conjugates to a dominant weight instead
+    for a in range(-8, 9):
+        for b in range(-6, 7):
+            r = bott_line(Weight(a, b))
+            want = 0 if r.vanishes else (-1) ** r.degree * weyl_dim(r.weight)
+            assert euler_characteristic(Character.line(Weight(a, b), 3)) == 3 * want, (a, b)
+    # on a P-string every weight below the top cancels in pairs
+    for par in ParabolicId:
+        s = PString(par, Weight(3, 2) if par is SHORT else Weight(2, 3))
+        assert euler_characteristic(pstring_character(s)) == weyl_dim(s.highest)
 
 
 def test_weyl_character_w_invariant():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from g2bwb import cli
+from g2bwb import cli, weyl
 from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from g2bwb.cohomology import EulerMismatch
 from g2bwb.extcollection import AmbiguousTable, ExtEngine
@@ -206,10 +206,14 @@ def test_karoubi_box_above_limit_is_usage_error(capsys):
     (["modchar", "--w", "s3"], "bad word"),
     (["modchar", "--w", "foo"], "bad word foo"),
     (["modchar", "--w", "s12"], "bad word s12"),
+    # like ext, modchar names an element by a reduced word only
+    (["modchar", "--w", "s1s1"], "s1s1 is not a reduced word"),
+    (["modchar", "--w", "s2s1s2s1s2s1s2", "--p", "7"], "not a reduced word"),
 ], ids=["tensor-not-dominant", "tensor-above-bound", "restrict-above-bound", "ext-bad-word",
         "ext-non-reduced", "ext-both-non-reduced", "ext-non-reduced-long", "rank-p-above-bound",
         "rank-long-p-above-bound", "modchar-p-above-bound", "modchar-bad-word",
-        "modchar-no-letters", "modchar-joined-digits"])
+        "modchar-no-letters", "modchar-joined-digits", "modchar-non-reduced",
+        "modchar-non-reduced-long"])
 def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
     # refused before any character is computed
     code = main(argv)
@@ -217,6 +221,18 @@ def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
     assert code == EXIT_USAGE and captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and message in err[0]
+
+
+def test_modchar_accepts_every_reduced_word(capsys):
+    # the canonical word of each element, and a reduced word that is not one;
+    # a word outside the coset representatives may still be undecided (exit 3)
+    words = [str(w) for w in weyl.ALL_ELEMENTS] + ["s2s1s2s1s2s1"]
+    assert words.count("s2s1s2s1s2s1") == 1
+    reps = {str(w) for par in ParabolicId for w in weyl.minimal_reps(par)}
+    for w in words:
+        code = main(["modchar", "--w", w, "--p", "7"])
+        assert (code == EXIT_OK) if w in reps else (code != EXIT_USAGE), w
+    capsys.readouterr()
 
 
 def _raiser(exc):

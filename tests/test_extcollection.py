@@ -5,7 +5,9 @@ import pytest
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight
 from g2bwb.charring import Character, clebsch_gordan_P, module, weyl_character
 from g2bwb.cohomology import bott_line
+from g2bwb import extcollection
 from g2bwb.extcollection import (
+    FROBENIUS_SUMMANDS,
     ExtEngine,
     SheafObject,
     builtin_collection,
@@ -13,8 +15,10 @@ from g2bwb.extcollection import (
     filtration_to_latex,
     frobenius_report,
     full_collection_report,
+    multiplicity_dims,
     object_by_name,
 )
+from g2bwb.modchar import CharacterOracle
 from g2bwb import weyl
 
 SHORT = ParabolicId.SHORT
@@ -230,6 +234,47 @@ def test_frobenius_report_long():
     assert mults["E(s1s2s1s2s1)"] == ("L(s1s2s1s2s1)", "L(e)")
     ranks = {s.sheaf: s.rank for s in rep.summands}
     assert ranks["E(s1s2s1)"] == 4
+
+
+
+@pytest.mark.parametrize("p", [7, 101, 997, 9973])
+def test_multiplicity_dims_fill_the_rank_p5(monkeypatch, p):
+    # from Euler characteristics alone: no modular character is built
+    monkeypatch.setattr(CharacterOracle, "__init__", None)
+    for par in ParabolicId:
+        dims = multiplicity_dims(par, p)
+        assert list(dims) == [name for name, _ in FROBENIUS_SUMMANDS[par]]
+        assert sum(object_by_name(par, name).rank() * m for name, m in dims.items()) == p ** 5
+        assert all(m > 0 for m in dims.values())
+    assert multiplicity_dims(SHORT, p)["M"] == 1
+
+
+def test_multiplicity_dims_see_swapped_summand_names(monkeypatch):
+    # naming the wrong sheaf for a multiplicity space breaks the triangular
+    # Euler form, or gives that space another dimension
+    monkeypatch.setattr(extcollection, "FROBENIUS_SUMMANDS", dict(FROBENIUS_SUMMANDS))
+    extcollection._euler_form.cache_clear()
+    swaps = 0
+    try:
+        for par, table in FROBENIUS_SUMMANDS.items():
+            true = [multiplicity_dims(par, 7)[name] for name, _ in table]
+            for i in range(len(table)):
+                for j in range(i + 1, len(table)):
+                    rows = list(table)
+                    rows[i], rows[j] = (table[j][0], table[i][1]), (table[i][0], table[j][1])
+                    extcollection.FROBENIUS_SUMMANDS[par] = tuple(rows)
+                    extcollection._euler_form.cache_clear()
+                    try:
+                        dims = multiplicity_dims(par, 7)
+                    except ArithmeticError:
+                        swaps += 1
+                        continue
+                    assert [dims[name] for name, _ in rows] != true, (par, i, j)
+                    swaps += 1
+            extcollection.FROBENIUS_SUMMANDS[par] = table
+    finally:
+        extcollection._euler_form.cache_clear()
+    assert swaps == 21 + 15
 
 
 def test_table_render_and_json():

@@ -9,7 +9,7 @@ from g2bwb.charring import (
 )
 from g2bwb.cohomology import linked, lowest_alcove
 from g2bwb import charring, cli, modchar
-from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report
+from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report, multiplicity_dims
 from g2bwb.modchar import (
     CharacterOracle,
     InconsistentChoice,
@@ -26,7 +26,7 @@ from g2bwb.modchar import (
     weyl_dim,
 )
 from g2bwb import weyl
-from _reference import euler_character, jantzen_sum
+from _reference import euler_character, jantzen_sum, unpruned_resolution, verma_by_series
 from test_properties import is_w_invariant
 
 
@@ -121,6 +121,40 @@ def test_verma_character_mass_and_support():
         assert ch.dimension() == 5 ** 5
         assert ch.coeff(ZERO) == 1  # the highest weight line
         assert all(v > 0 for v in ch.mult.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_verma_character_is_the_product_of_geometric_series(p):
+    for par in ParabolicId:
+        assert verma_character(par, p) == verma_by_series(par, p)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
+def test_multiplicity_dims_match_the_resolved_oracle(p):
+    # Euler characteristics and the modular simple characters agree on each V_j
+    oracle = resolved_oracle(p)[0]
+    for par in ParabolicId:
+        sums = {name: sum(oracle._dim(restricted_weight(weyl.from_word(w), p)) for w in words)
+                for name, words in FROBENIUS_SUMMANDS[par]}
+        assert multiplicity_dims(par, p) == sums
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_pruned_search_keeps_the_unpruned_survivor(p):
+    (pruned,) = _resolution(p)
+    (reference,) = unpruned_resolution(p)
+    assert pruned.choices == reference.choices
+
+
+def test_pruned_search_builds_few_oracles(monkeypatch):
+    # the unpruned search builds 459 oracles at p = 7
+    _resolution.cache_clear()  # a cached search would build none
+    built = []
+    init = CharacterOracle.__init__
+    monkeypatch.setattr(CharacterOracle, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert len(_resolution(7)) == 1
+    assert 1 <= len(built) <= 25
 
 
 def test_socle_dimension_vectors():
