@@ -15,21 +15,22 @@ and Steinberg products are rows built by ``cohomology.costandard_times``
 
 ``rank_identity_check`` confronts the characters with the torus character of
 the parabolic Verma module of the Frobenius kernel, of total dimension p^5,
-built as a running box sum of width p along the lines of each root.
-``_resolution`` runs one depth-first search from the sum-formula oracle: an
-open choice point forks a branch once per admissible multiplicity, and a
-branch with a negative character is pruned.  So is a branch where the simple
-dimensions of one summand E_j (x) V_j of F_*O do not add up to dim V_j, which
-``extcollection.multiplicity_dims`` gets from Euler characteristics alone.
+built as a running box sum of width p along the lines of each root.  The
+left side and the search read one table, ``_summands``: each summand
+E_j (x) V_j of F_*O in ``extcollection.FROBENIUS_SUMMANDS``, with the L(w)
+of V_j and dim V_j from ``extcollection.multiplicity_dims``, which gets it
+from Euler characteristics alone.  ``_resolution`` runs one depth-first search from the
+sum-formula oracle: an open choice point forks a branch once per admissible
+multiplicity, and a branch with a negative character is pruned.  So is a
+branch where the simple dimensions of one summand do not add up to dim V_j.
 The summands are checked in increasing height of their highest restricted
 weight, and a row reads only rows of lower height, so a wrong choice fails
 at the first summand whose rows read it.  A branch that passes every
-summand, the p^5 count and both parabolic identities coefficient by
-coefficient survives.  The check passes only if exactly one survives, and
-every caller reads that survivor and its rows.  The left-hand side pairs
-each L(w) with the summands of F_*O whose multiplicity space holds it, read
-from ``extcollection.FROBENIUS_SUMMANDS``, the table the Frobenius report
-prints.
+summand and both parabolic identities coefficient by coefficient survives;
+the identity holds only if its two sides have one dimension, the weighted
+sum of the dim L(w) and p^5, so it makes the p^5 count too.  The check
+passes only if exactly one survives, and every caller reads that survivor
+and its rows.
 """
 
 from __future__ import annotations
@@ -175,27 +176,6 @@ def simple_character(lam: Weight, p: int = DEFAULT_P) -> Character:
     return CharacterOracle(p).simple(lam)
 
 
-# ---------------------------------------------------------------------------
-# socle data of the parabolic Verma module of the Frobenius kernel
-# (multiplicity spaces per Weyl-coset representative, all layers together)
-
-@lru_cache(maxsize=None)
-def _socle(parabolic: ParabolicId
-           ) -> tuple[tuple[weyl.WeylElement, int, Character], ...]:
-    """For each w in ``weyl.minimal_reps`` order: the total rank and the total
-    character of the F_*O summands whose multiplicity space holds L(w), read
-    from ``extcollection.FROBENIUS_SUMMANDS``."""
-    rank = dict.fromkeys(weyl.minimal_reps(parabolic), 0)
-    char = {w: Character() for w in rank}
-    for name, words in FROBENIUS_SUMMANDS[parabolic]:
-        mod = object_by_name(parabolic, name).filtration
-        for word in words:
-            w = weyl.from_word(word)
-            rank[w] += mod.dimension()
-            char[w] = char[w] + mod.character()
-    return tuple((w, rank[w], char[w]) for w in rank)
-
-
 def _box_sum(mult: dict[tuple[int, int], int], alpha: Weight, p: int
              ) -> dict[tuple[int, int], int]:
     """mult times sum_{j<p} e^{-j alpha}: the sum of mult over the p weights
@@ -232,25 +212,32 @@ def verma_character(parabolic: ParabolicId, p: int) -> Character:
     return Character({Weight(a, b): v for (a, b), v in mult.items()})
 
 
-def _weighted_dims(parabolic: ParabolicId, oracle: CharacterOracle
-                   ) -> tuple[int, dict[str, int]]:
-    weighted = 0
-    dims: dict[str, int] = {}
-    for w, rank, _ in _socle(parabolic):
-        d = oracle._dim(restricted_weight(w, oracle.p))
-        weighted += d * rank
-        dims[str(w)] = d
-    return weighted, dims
+@lru_cache(maxsize=None)
+def _summands(p: int) -> tuple[tuple[ParabolicId, int, Character, tuple[Weight, ...], int], ...]:
+    """Each summand E_j (x) V_j of F_*O on both parabolics: its parabolic, the
+    rank of E_j, the character of E_j stretched by p, the restricted weights
+    of the L(w) in V_j and dim V_j from ``extcollection.multiplicity_dims``;
+    in increasing height 3a + 5b of its highest restricted weight (stable,
+    short summands first at a tie)."""
+    out = []
+    for par in ParabolicId:
+        dims = multiplicity_dims(par, p)
+        for name, words in FROBENIUS_SUMMANDS[par]:
+            obj = object_by_name(par, name)
+            lams = tuple(restricted_weight(weyl.from_word(word), p) for word in words)
+            out.append((par, obj.rank(), obj.filtration.character().stretch(p), lams, dims[name]))
+    return tuple(sorted(out, key=lambda s: max(3 * a + 5 * b for a, b in s[3])))
 
 
 def _identity_sides(parabolic: ParabolicId, oracle: CharacterOracle
                     ) -> tuple[Character, Character]:
-    rhs = verma_character(parabolic, oracle.p)
+    """sum_j sum_{L(w) in V_j} L(w) (x) ch(E_j)^[p], and the Verma character."""
     lhs = Character()
-    for w, _, soc in _socle(parabolic):
-        cw = oracle.simple(restricted_weight(w, oracle.p))
-        lhs = lhs + cw.tensor(soc.stretch(oracle.p))
-    return lhs, rhs
+    for par, _, stretched, lams, _ in _summands(oracle.p):
+        if par is parabolic:
+            for lam in lams:
+                lhs.isub_scaled(oracle.simple(lam).tensor(stretched), -1)
+    return lhs, verma_character(parabolic, oracle.p)
 
 
 @dataclass(frozen=True)
@@ -259,27 +246,27 @@ class RankIdentityReport:
     p: int
     dims: dict[str, int]
     weighted_sum: int
-    expected: int
-    dims_match: bool
-    character_match: bool
-    zero_weight_match: bool
     decided_by: str  # "sum_formula" or "identity_resolution"
     choice_points: tuple[str, ...]
     surviving_assignments: int
 
     @property
     def passed(self) -> bool:
-        return (
-            self.dims_match
-            and self.character_match
-            and self.zero_weight_match
-            and self.surviving_assignments == 1
-        )
+        # the search keeps an assignment only where both identities hold
+        # coefficientwise, which makes the p^5 count and the zero weight too
+        return self.surviving_assignments == 1
+
+    dims_match = character_match = zero_weight_match = passed
+
+    @property
+    def expected(self) -> int:
+        return self.p ** 5
 
     def to_json(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(parabolic=self.parabolic.name.lower(),
-                   choice_points=list(self.choice_points), passed=self.passed)
+        for name in ("expected", "dims_match", "character_match", "zero_weight_match", "passed"):
+            out[name] = getattr(self, name)
+        out.update(parabolic=self.parabolic.name.lower(), choice_points=list(self.choice_points))
         return out
 
     def to_text(self) -> str:
@@ -297,49 +284,29 @@ class RankIdentityReport:
         return "\n".join(lines)
 
 
-def _summand_checks(p: int) -> list[tuple[tuple[Weight, ...], int]]:
-    """Each summand of F_*O on both parabolics as the restricted weights of
-    the L(w) in its multiplicity space and dim V_j from
-    ``extcollection.multiplicity_dims``, in increasing height 3a + 5b of its
-    highest restricted weight (stable, short summands first at a tie)."""
-    checks = []
-    for par in (ParabolicId.SHORT, ParabolicId.LONG):
-        dims = multiplicity_dims(par, p)
-        for name, words in FROBENIUS_SUMMANDS[par]:
-            lams = tuple(restricted_weight(weyl.from_word(word), p) for word in words)
-            checks.append((max(3 * a + 5 * b for a, b in lams), lams, dims[name]))
-    checks.sort(key=lambda c: c[0])
-    return [(lams, m) for _, lams, m in checks]
-
-
 @lru_cache(maxsize=None)
 def _resolution(p: int) -> tuple[CharacterOracle, ...]:
     """The oracles whose choice assignments satisfy both parabolic identities,
     by the depth-first search the module docstring describes.  A branch is
     cut at the first summand, in increasing height, whose simple dimensions
     do not add up to its dim V_j; each row reads only rows of lower height,
-    so a wrong choice fails at the first summand whose rows read it.  The
-    p^5 count then runs before the character identity."""
-    expected = p ** 5
-    both = (ParabolicId.SHORT, ParabolicId.LONG)
-    summands = _summand_checks(p)
+    so a wrong choice fails at the first summand whose rows read it.  No p^5
+    count runs: the identity holds only if its two sides have one dimension,
+    and those are the weighted dimension sum and p^5."""
     survivors = []
     stack = [CharacterOracle(p)]
     while stack:
         oracle = stack.pop()
         try:
-            if any(sum(map(oracle._dim, lams)) != m for lams, m in summands):
+            if any(sum(map(oracle._dim, lams)) != m for *_, lams, m in _summands(p)):
                 continue  # some V_j has the wrong dimension
-            weighted = [_weighted_dims(par, oracle)[0] for par in both]
         except Undecided as u:
             for a in range(1, u.certificate[u.choice[1]] + 1):
                 stack.append(CharacterOracle(p, {**oracle.choices, u.choice: a}, oracle._rows))
             continue
         except InconsistentChoice:
             continue
-        if any(w != expected for w in weighted):
-            continue  # the cheap dimension count already fails
-        if all(lhs == rhs for lhs, rhs in (_identity_sides(par, oracle) for par in both)):
+        if all(lhs == rhs for lhs, rhs in (_identity_sides(par, oracle) for par in ParabolicId)):
             survivors.append(oracle)
     return tuple(survivors)
 
@@ -363,17 +330,15 @@ def resolved_oracle(p: int = DEFAULT_P) -> tuple[CharacterOracle, str, tuple[str
 
 def rank_identity_check(p: int = DEFAULT_P,
                         parabolic: ParabolicId = ParabolicId.SHORT) -> RankIdentityReport:
-    """Check the p^5 bookkeeping both as a dimension count and as an exact
-    torus-character identity, resolving sum-formula ambiguities through the
-    identity itself when necessary."""
-    expected = p ** 5
+    """Check the p^5 bookkeeping as an exact torus-character identity,
+    resolving sum-formula ambiguities through the identity itself when
+    necessary, and report the weighted dimension sum it implies."""
     survivors = _resolution(p)
     if len(survivors) != 1:
-        return RankIdentityReport(
-            parabolic, p, {}, -1, expected, False, False, False,
-            "identity_resolution", (), len(survivors),
-        )
-    # the search kept the survivor only because both identities hold for it
-    weighted, dims = _weighted_dims(parabolic, survivors[0])
-    return RankIdentityReport(parabolic, p, dims, weighted, expected, True, True, True,
-                              *_decision(survivors[0]), 1)
+        return RankIdentityReport(parabolic, p, {}, -1, "identity_resolution", (),
+                                  len(survivors))
+    oracle = survivors[0]
+    weighted = sum(rank * sum(map(oracle._dim, lams))
+                   for par, rank, _, lams, _ in _summands(p) if par is parabolic)
+    dims = {str(w): oracle._dim(restricted_weight(w, p)) for w in weyl.minimal_reps(parabolic)}
+    return RankIdentityReport(parabolic, p, dims, weighted, *_decision(oracle), 1)

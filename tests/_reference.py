@@ -5,8 +5,9 @@ from functools import lru_cache
 from g2bwb import weyl
 from g2bwb.charring import TRIVIAL, Character
 from g2bwb.cohomology import costandard_times
+from g2bwb.extcollection import FROBENIUS_SUMMANDS, object_by_name
 from g2bwb.modchar import (CharacterOracle, InconsistentChoice, Undecided, _expand,
-                           _identity_sides, _jantzen_row, _weighted_dims)
+                           _jantzen_row, restricted_weight, verma_character)
 from g2bwb.rootdata import ALPHA1, ALPHA2, POSITIVE_ROOTS, ZERO, ParabolicId, Weight
 
 
@@ -39,17 +40,34 @@ def descents(w: weyl.WeylElement) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def socle(parabolic: ParabolicId) -> tuple[tuple[weyl.WeylElement, int, Character], ...]:
+    """For each w in ``weyl.minimal_reps`` order: the total rank and the total
+    character of the F_*O summands whose multiplicity space holds L(w), read
+    straight from ``extcollection.FROBENIUS_SUMMANDS``."""
+    rank = dict.fromkeys(weyl.minimal_reps(parabolic), 0)
+    char = {w: Character() for w in rank}
+    for name, words in FROBENIUS_SUMMANDS[parabolic]:
+        obj = object_by_name(parabolic, name)
+        for word in words:
+            w = weyl.from_word(word)
+            rank[w] += obj.rank()
+            char[w] = char[w] + obj.filtration.character()
+    return tuple((w, rank[w], char[w]) for w in rank)
+
+
 def unpruned_resolution(p: int) -> tuple[CharacterOracle, ...]:
     """The rank-identity search without the per-summand cut: every branch
-    runs until the p^5 count of both parabolics, then the character identity."""
+    runs until the p^5 count of both parabolics, then the character identity
+    with its left side grouped by w, from ``socle``."""
     expected = p ** 5
-    both = (ParabolicId.SHORT, ParabolicId.LONG)
     survivors = []
     stack = [CharacterOracle(p)]
     while stack:
         oracle = stack.pop()
         try:
-            weighted = [_weighted_dims(par, oracle)[0] for par in both]
+            weighted = [sum(rank * oracle._dim(restricted_weight(w, p)) for w, rank, _ in socle(par))
+                        for par in ParabolicId]
         except Undecided as u:
             for a in range(1, u.certificate[u.choice[1]] + 1):
                 stack.append(CharacterOracle(p, {**oracle.choices, u.choice: a}, oracle._rows))
@@ -58,7 +76,9 @@ def unpruned_resolution(p: int) -> tuple[CharacterOracle, ...]:
             continue
         if any(w != expected for w in weighted):
             continue
-        if all(lhs == rhs for lhs, rhs in (_identity_sides(par, oracle) for par in both)):
+        if all(sum((oracle.simple(restricted_weight(w, p)).tensor(soc.stretch(p))
+                    for w, _, soc in socle(par)), Character()) == verma_character(par, p)
+               for par in ParabolicId):
             survivors.append(oracle)
     return tuple(survivors)
 

@@ -225,14 +225,26 @@ def test_bad_weight_or_name_is_one_line_usage_error(capsys, argv, message):
 
 def test_modchar_accepts_every_reduced_word(capsys):
     # the canonical word of each element, and a reduced word that is not one;
-    # a word outside the coset representatives may still be undecided (exit 3)
+    # the one element outside the coset representatives is undecided (exit 3)
     words = [str(w) for w in weyl.ALL_ELEMENTS] + ["s2s1s2s1s2s1"]
     assert words.count("s2s1s2s1s2s1") == 1
     reps = {str(w) for par in ParabolicId for w in weyl.minimal_reps(par)}
     for w in words:
         code = main(["modchar", "--w", w, "--p", "7"])
-        assert (code == EXIT_OK) if w in reps else (code != EXIT_USAGE), w
+        assert code == (EXIT_OK if w in reps else EXIT_AMBIGUOUS), w
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p", ["7", "11"])
+@pytest.mark.parametrize("word", ["s1s2s1s2s1s2", "s2s1s2s1s2s1"])
+def test_modchar_longest_element_is_undecided(capsys, word, p):
+    # the rank identity never reads the row of the longest element, the one
+    # element outside both sets of coset representatives, so it stays open
+    code = main(["modchar", "--w", word, "--p", p])
+    captured = capsys.readouterr()
+    assert code == EXIT_AMBIGUOUS and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ambiguous: Undecided: "), err
 
 
 def _raiser(exc):

@@ -15,9 +15,8 @@ from g2bwb.modchar import (
     InconsistentChoice,
     Undecided,
     _jantzen_row,
+    _identity_sides,
     _resolution,
-    _socle,
-    _weighted_dims,
     rank_identity_check,
     resolved_oracle,
     restricted_weight,
@@ -26,7 +25,7 @@ from g2bwb.modchar import (
     weyl_dim,
 )
 from g2bwb import weyl
-from _reference import euler_character, jantzen_sum, unpruned_resolution, verma_by_series
+from _reference import euler_character, jantzen_sum, socle, unpruned_resolution, verma_by_series
 from test_properties import is_w_invariant
 
 
@@ -158,12 +157,24 @@ def test_pruned_search_builds_few_oracles(monkeypatch):
 
 
 def test_socle_dimension_vectors():
-    dims = {str(w): rank for w, rank, _ in _socle(ParabolicId.SHORT)}
+    dims = {str(w): rank for w, rank, _ in socle(ParabolicId.SHORT)}
     assert dims == {"e": 10, "s2": 1, "s1s2": 6, "s2s1s2": 2,
                     "s1s2s1s2": 6, "s2s1s2s1s2": 1}
-    dims_l = {str(w): rank for w, rank, _ in _socle(ParabolicId.LONG)}
+    dims_l = {str(w): rank for w, rank, _ in socle(ParabolicId.LONG)}
     assert dims_l == {"e": 3, "s1": 2, "s2s1": 1, "s1s2s1": 4,
                       "s2s1s2s1": 1, "s1s2s1s2s1": 2}
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_identity_makes_the_rank_count(p):
+    # the two sides of the identity have dimensions weighted_sum and p^5, so
+    # coefficientwise equality already makes the count the search no longer runs
+    oracle = resolved_oracle(p)[0]
+    for par in ParabolicId:
+        lhs, rhs = _identity_sides(par, oracle)
+        assert lhs == rhs
+        assert lhs.dimension() == rank_identity_check(p, par).weighted_sum
+        assert rhs.dimension() == p ** 5
 
 
 def test_frobenius_table_labels_are_the_coset_representatives():
@@ -233,6 +244,12 @@ def test_no_survivor_at_p2():
         rep = rank_identity_check(2, par)
         assert rep.surviving_assignments == 0
         assert rep.passed is False
+        out = rep.to_json()
+        assert [out[k] for k in ("dims_match", "character_match", "zero_weight_match")] == [False] * 3
+        assert (out["expected"], out["weighted_sum"], out["dims"]) == (32, -1, {})
+        text = rep.to_text().splitlines()
+        assert text[-1] == "FAIL"
+        assert "  character identity coefficientwise: False" in text
 
 
 class TorusPeeling:
@@ -272,7 +289,7 @@ class TorusPeeling:
 def test_rows_match_torus_peeling_reference(p):
     oracle, _, _ = resolved_oracle(p)
     for par in ParabolicId:
-        _weighted_dims(par, oracle)
+        rank_identity_check(p, par)  # every restricted weight of the table
     # Steinberg products whose restricted factor is no nabla and whose
     # twisted factor has a weight of multiplicity 2
     for lam1 in (W2, RHO):
@@ -315,7 +332,8 @@ def test_peeling_leaves_cached_characters_intact():
     # the cached survivor of ``_resolution`` would peel nothing
     oracle = CharacterOracle(p, resolved_oracle(p)[0].choices)
     for par in ParabolicId:
-        _weighted_dims(par, oracle)  # every restricted weight of the socle data
+        for w in weyl.minimal_reps(par):  # every restricted weight of the table
+            oracle._dim(restricted_weight(w, p))
     assert oracle._rows
     decompose_costandard(weyl_character(RHO).tensor(weyl_character(Weight(2, 1))))
     for par in ParabolicId:
