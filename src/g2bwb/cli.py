@@ -2,10 +2,13 @@
 
 Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
-error, 3 ambiguous-but-valid, 4 verification failure.  A command refuses
-input outside the supported domain by raising ``UsageError``, and a library
-exception that escapes it maps to 3 or 4; ``main`` alone turns each into
-its exit code and one line on stderr.  ``--p`` takes a prime of
+error, 3 when a table or multiplicity the command needs is not certified,
+4 when a certified check fails (a nonzero splitting Ext^1 among them).
+Every report but chevalley decides its own ``passed`` verdict, which
+``_cmd_report`` alone maps to 0 or 4 after printing the report.  A command
+refuses input outside the supported domain by raising ``UsageError``, and a
+library exception that escapes it maps to 3 or 4; ``main`` alone turns each
+into its exit code and one line on stderr.  ``--p`` takes a prime of
 at least ``MIN_P``, and at most ``RANK_MAX_P`` for ``report rank`` and
 ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
@@ -90,16 +93,10 @@ def _check_weights(*weights: Weight) -> None:
 
 def _cmd_bott(args) -> int:
     r = bott_line(Weight(args.a, args.b), args.p)
-    if r.vanishes:
-        _emit(args, lambda: {"vanishes": True}, lambda: "VANISHES")
-    else:
-        _emit(
-            args,
-            lambda: {"vanishes": False, "degree": r.degree, "weight": [r.weight.a, r.weight.b],
-                     "caveat": r.caveat},
-            lambda: f"H^{r.degree} = nabla({r.weight.a},{r.weight.b})"
-            + ("   [char-p caveat]" if r.caveat else ""),
-        )
+    payload = {"vanishes": True} if r.vanishes else {
+        "vanishes": False, "degree": r.degree, "weight": [r.weight.a, r.weight.b],
+        "caveat": r.caveat}
+    _emit(args, lambda: payload, lambda: str(r) + ("   [char-p caveat]" if r.caveat else ""))
     return EXIT_OK
 
 
@@ -109,17 +106,14 @@ def _cmd_ext(args) -> int:
         X = object_by_name(par, args.x)
         Y = object_by_name(par, args.y)
     except KeyError as e:
-        raise UsageError(f"unknown object: {e}") from None
+        raise UsageError(f"unknown object: {e.args[0]}") from None
     t = ext_table(X, Y, args.p)
 
     def latex() -> str:
-        latex_rows = []
-        for d, entries in t.labelled():
-            terms = " \\oplus ".join(
-                ("L" if lbl == "L" else "\\nabla") + f"({w.a},{w.b})" for lbl, w in entries
-            )
-            latex_rows.append(f"\\mathrm{{Ext}}^{{{d}}} \\simeq {terms}")
-        return "\\\\\n".join(latex_rows) if latex_rows else "0"
+        rows = [f"\\mathrm{{Ext}}^{{{d}}} \\simeq " + " \\oplus ".join(
+                    ("L" if lbl == "L" else "\\nabla") + f"({a},{b})" for lbl, a, b in entries)
+                for d, entries in t.to_json()["degrees"].items()]
+        return "\\\\\n".join(rows) if rows else "0"
 
     _emit(
         args,
@@ -169,29 +163,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    kind = args.kind
-    if kind == "collection":
-        rep = full_collection_report(_parabolic(args.parabolic), args.p)
-        _emit(args, rep.to_json, rep.to_text)
-        return EXIT_OK if rep.passed else EXIT_FAILED
-    if kind == "frobenius":
-        rep = frobenius_report(_parabolic(args.parabolic), args.p)
-        _emit(args, rep.to_json, rep.to_text)
-        return EXIT_OK if rep.passed else EXIT_FAILED
-    if kind == "karoubi":
-        par = _parabolic(args.parabolic)
-        amax = args.box
-        need = max(abs(w.a) for w in default_targets(par))
-        if amax < need:
-            raise UsageError(f"--box must be at least {need} to hold the {args.parabolic} targets")
-        if amax > KAROUBI_MAX_BOX:
-            raise UsageError(f"--box must be at most {KAROUBI_MAX_BOX}")
-        bmax = max(12, amax - 4)
-        rep, kb = verify_generation(par, amax=amax, bmax=bmax)
-        if _audit_enabled():
-            print(kb.audit_log(), file=sys.stderr)
-        _emit(args, rep.to_json, rep.to_text)
-        return EXIT_OK if rep.complete else EXIT_FAILED
+    kind, par = args.kind, _parabolic(args.parabolic)
     if kind == "chevalley":
         reps = chevalley_verify()
         ok = all(r.passed for r in reps)
@@ -201,9 +173,22 @@ def _cmd_report(args) -> int:
             lambda: "\n\n".join(r.to_text() for r in reps),
         )
         return EXIT_OK if ok else EXIT_FAILED
-    # kind == "rank", the last of the kinds that argparse accepts
-    _check_rank_p(args.p)
-    rep = rank_identity_check(args.p, _parabolic(args.parabolic))
+    if kind == "collection":
+        rep = full_collection_report(par, args.p)
+    elif kind == "frobenius":
+        rep = frobenius_report(par, args.p)
+    elif kind == "karoubi":
+        need = max(abs(w.a) for w in default_targets(par))
+        if args.box < need:
+            raise UsageError(f"--box must be at least {need} to hold the {args.parabolic} targets")
+        if args.box > KAROUBI_MAX_BOX:
+            raise UsageError(f"--box must be at most {KAROUBI_MAX_BOX}")
+        rep, kb = verify_generation(par, amax=args.box, bmax=max(12, args.box - 4))
+        if _audit_enabled():
+            print(kb.audit_log(), file=sys.stderr)
+    else:  # "rank", the last of the kinds that argparse accepts
+        _check_rank_p(args.p)
+        rep = rank_identity_check(args.p, par)
     _emit(args, rep.to_json, rep.to_text)
     return EXIT_OK if rep.passed else EXIT_FAILED
 

@@ -454,6 +454,8 @@ class GenerationReport:
     def complete(self) -> bool:
         return not self.unreached and self.replay_ok
 
+    passed = complete  # the verdict name every report shares
+
     def to_json(self) -> dict:
         return {
             "parabolic": self.parabolic.name.lower(),

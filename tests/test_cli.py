@@ -63,10 +63,13 @@ def test_ext_latex(capsys):
 
 
 def test_ext_unknown_name(capsys):
-    code, _ = run(capsys, "ext", "--parabolic", "short", "E(s1)", "E(e)")
-    assert code == EXIT_USAGE
-    code, _ = run(capsys, "ext", "--parabolic", "long", "M", "E(e)")
-    assert code == EXIT_USAGE
+    # the message itself, without the quotes of KeyError's repr
+    for argv, err in ((["--parabolic", "short", "E(s1)", "E(e)"],
+                       "unknown object: E(s1) is not an object of this collection\n"),
+                      (["--parabolic", "long", "M", "E(e)"],
+                       "unknown object: M exists only for the short-root parabolic\n")):
+        code = main(["ext", *argv])
+        assert code == EXIT_USAGE and capsys.readouterr().err == err
 
 
 def test_ext_json(capsys):
@@ -311,9 +314,7 @@ def test_collection_failure_verdicts(capsys, monkeypatch, parabolic, pair, chang
 
 @pytest.mark.parametrize("parabolic, pair, changes", [
     ("short", ("M", "E(e)"), {"exact": False}),
-    ("short", ("E(s2s1s2)", "M"), {"degrees": ((1, (ZERO,)),)}),
-    ("long", ("E(e)", "E(s1)"), {"degrees": ((1, (ZERO,)),)}),
-], ids=["inexact", "short-ext1", "long-ext1"])
+], ids=["inexact"])
 def test_frobenius_uncertified_splitting_is_ambiguous(capsys, monkeypatch, parabolic, pair,
                                                       changes):
     _mutate_cell(monkeypatch, pair, **changes)
@@ -322,6 +323,72 @@ def test_frobenius_uncertified_splitting_is_ambiguous(capsys, monkeypatch, parab
     assert code == EXIT_AMBIGUOUS and captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and "AmbiguousTable" in err[0]
+
+
+@pytest.mark.parametrize("parabolic, pair", [
+    ("short", ("E(s2s1s2)", "M")),
+    ("long", ("E(e)", "E(s1)")),
+], ids=["short-ext1", "long-ext1"])
+def test_frobenius_nonzero_splitting_ext1_fails(capsys, monkeypatch, parabolic, pair):
+    # a certified nonzero Ext^1 is a failed check: the report prints and exits 4
+    _mutate_cell(monkeypatch, pair, degrees=((1, (ZERO,)),))
+    argv = ["report", "frobenius", "--parabolic", parabolic]
+    code, out = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == EXIT_FAILED and lines[-1] == "FAIL"
+    assert f"  Ext^1({pair[0]},{pair[1]}) = 0: False" in lines
+    code, out = run(capsys, *argv, "--format", "json")
+    rep = json.loads(out)
+    assert code == EXIT_FAILED and rep["passed"] is False
+    assert {"source": pair[0], "target": pair[1], "vanishes": False} in rep["splitting_checks"]
+
+
+def _verdict(kind: str, rep: dict) -> bool:
+    return rep["complete"] if kind == "karoubi" else rep["passed"]
+
+
+_REPORT_KINDS = [(kind, par) for kind in ("collection", "frobenius", "karoubi", "rank")
+                 for par in ("short", "long")] + [("chevalley", "short")]
+
+
+@pytest.mark.parametrize("kind, parabolic", _REPORT_KINDS)
+def test_report_exit_code_is_its_verdict(capsys, kind, parabolic):
+    code, out = run(capsys, "report", kind, "--parabolic", parabolic, "--format", "json")
+    assert _verdict(kind, json.loads(out)) is True and code == EXIT_OK
+
+
+def _fail_first_check(rep):
+    (a, b, _), *rest = rep.splitting_checks
+    return dataclasses.replace(rep, splitting_checks=((a, b, False), *rest))
+
+
+def _fail_first_chevalley_check(reps):
+    (label, _), *rest = reps[0].checks
+    return [dataclasses.replace(reps[0], checks=((label, False), *rest)), *reps[1:]]
+
+
+# each report function that cli imports, and a change of its result that fails the verdict
+_FORCED_FAILURES = {
+    "collection": ("full_collection_report",
+                   lambda rep: dataclasses.replace(rep, failures=("forced",))),
+    "frobenius": ("frobenius_report", _fail_first_check),
+    "karoubi": ("verify_generation",
+                lambda out: (dataclasses.replace(out[0], replay_ok=False), out[1])),
+    "rank": ("rank_identity_check",
+             lambda rep: dataclasses.replace(rep, surviving_assignments=0)),
+    "chevalley": ("chevalley_verify", _fail_first_chevalley_check),
+}
+
+
+@pytest.mark.parametrize("kind, parabolic", _REPORT_KINDS)
+def test_forced_failing_report_exits_4(capsys, monkeypatch, kind, parabolic):
+    target, fail = _FORCED_FAILURES[kind]
+    report = getattr(cli, target)
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: fail(report(*args, **kwargs)))
+    code, out = run(capsys, "report", kind, "--parabolic", parabolic, "--format", "json")
+    assert _verdict(kind, json.loads(out)) is False and code == EXIT_FAILED
+    code, out = run(capsys, "report", kind, "--parabolic", parabolic)
+    assert code == EXIT_FAILED and "FAIL" in out.splitlines()  # chevalley: in the failing block
 
 
 def test_rank_bound_refuses_only_rank_and_modchar(capsys, monkeypatch):
