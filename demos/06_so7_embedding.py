@@ -17,8 +17,8 @@ from g2bwb.chevalley import (
 alpha1 = POSITIVE_ROOTS[0]
 print("the root subgroup of the short simple root, entries in xi:")
 g = root_subgroup(alpha1, XI)
-for row in g:
-    print("  [" + ", ".join(f"{e!r:8s}" for e in row) + "]")
+for r in range(7):  # g stores its nonzero entries only
+    print("  [" + ", ".join(f"{g.get((r, c), 0)!r:8s}" for c in range(7)) + "]")
 
 print("\ncoroot diagonals (exponents of zeta):")
 print("  alpha1^v:", coroot_diagonal_exponents(1))

@@ -5,7 +5,8 @@ integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
 error, 3 when a table or multiplicity the command needs is not certified,
 4 when a certified check fails (a nonzero splitting Ext^1 among them).
 Every report but chevalley decides its own ``passed`` verdict, which
-``_cmd_report`` alone maps to 0 or 4 after printing the report.  A command
+``_cmd_report`` alone maps to 0 or 4 after printing the report; chevalley
+passes when its four blocks do, and its text ends in that verdict too.  A command
 refuses input outside the supported domain by raising ``UsageError``, and a
 library exception that escapes it maps to 3 or 4; ``main`` alone turns each
 into its exit code and one line on stderr.  ``--p`` takes a prime of
@@ -170,7 +171,7 @@ def _cmd_report(args) -> int:
         _emit(
             args,
             lambda: {"reports": [r.to_json() for r in reps], "passed": ok},
-            lambda: "\n\n".join(r.to_text() for r in reps),
+            lambda: "\n\n".join(r.to_text() for r in reps) + ("\nPASS" if ok else "\nFAIL"),
         )
         return EXIT_OK if ok else EXIT_FAILED
     if kind == "collection":

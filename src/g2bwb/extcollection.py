@@ -656,7 +656,9 @@ def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusRep
         vanishes = t.max_degree() <= 0 if m_obj is None else not t.entries(1)
         checks.append((X.name, Y.name, vanishes))
     wt = engine.cell(*(object_by_name(parabolic, name) for name in witness))
-    self_ext = m_obj is not None and bool(wt.entries(1)) and wt.exact
+    if m_obj is not None and not wt.exact:  # the short side's verdict reads the witness
+        raise AmbiguousTable("the self-extension witness is not certified")
+    self_ext = m_obj is not None and bool(wt.entries(1))
 
     return FrobeniusReport(
         parabolic, p, summands, tuple(checks), self_ext, witness, wt

@@ -2,12 +2,14 @@
 specialization, the one eliminator, the exact integer division, and the
 nilpotency guard of the truncated exponential.
 
-The kernels, which skip zero entries, are checked against dense definitions
-written here: a triple loop for the product and a sum over permutations for
-the determinant.  The eliminator is checked against data it does not produce
-itself: every bracket is rebuilt from the returned coordinates, and the ranks
-and non-membership come from the shape of the so7 basis and the torus
-weights."""
+A matrix is the dict of its nonzero entries.  Each kernel is checked against
+a dense definition written here, on the 7x7 tuples that ``dense`` spells the
+dicts out to: a triple loop for the product and a sum over permutations for
+the determinant.  No result may store a zero entry, since that is what makes
+``==`` matrix equality.  The eliminator is checked against data it does not
+produce itself: every bracket is rebuilt from the returned coordinates, and
+the ranks and non-membership come from the shape of the so7 basis and the
+torus weights."""
 
 import random
 from fractions import Fraction
@@ -36,17 +38,28 @@ from g2bwb.chevalley import (
     mneg,
     mscale,
     msub,
+    mtrans,
     nilpotent_exponential,
     root_subgroup,
     so7_basis,
     theta,
     to_int_matrix,
+    zero_mat,
 )
 
 A1 = POSITIVE_ROOTS[0]
 
 
 # -- dense reference definitions ---------------------------------------------
+
+def dense(m, zero=0):
+    """The 7x7 tuple of a matrix, with zero at every entry the dict omits."""
+    return tuple(tuple(m.get((r, c), zero) for c in range(7)) for r in range(7))
+
+
+def _sparse(rows):
+    return {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+
 
 def _ref_mul(a, b):
     out = [[a[r][0] * b[0][c] for c in range(7)] for r in range(7)]
@@ -74,7 +87,7 @@ def _ref_det(m):
 
 def _sparse_int_matrices(seed, count):
     rng = random.Random(seed)
-    out = [tuple(tuple(0 for _ in range(7)) for _ in range(7))]  # the zero matrix
+    out = [zero_mat()]
     for _ in range(count):
         density = rng.choice((0.05, 0.1, 0.2, 0.4))
         rows = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(7)]
@@ -83,25 +96,35 @@ def _sparse_int_matrices(seed, count):
         dead = rng.randrange(7)
         for row in rows:  # and a zero column
             row[dead] = 0
-        out.append(tuple(tuple(row) for row in rows))
+        out.append(_sparse(rows))
     return out
 
 
-def _entry_types(m):
-    return {type(v) for row in m for v in row}
+def _assert_stored(m, entry):
+    """Only nonzero entries of one type, at positions of a 7x7 matrix."""
+    assert type(m) is dict
+    assert all(v for v in m.values()), "a zero entry is stored"
+    assert {type(v) for v in m.values()} <= {entry}
+    assert all(0 <= r < 7 and 0 <= c < 7 for r, c in m)
 
 
 def _check_kernels(a, b, c, entry):
-    for m in (mmul(a, b), madd(a, b), madd(a, b, c), msub(a, b), mneg(a),
-              mscale(3, a), bracket(a, b)):
-        assert _entry_types(m) == {entry} and all(type(row) is tuple for row in m)
-    assert mmul(a, b) == _ref_mul(a, b)
-    assert madd(a, b) == _ref_entrywise(lambda x, y: x + y, a, b)
-    assert madd(a, b, c) == _ref_entrywise(lambda x, y, z: x + y + z, a, b, c)
-    assert msub(a, b) == _ref_entrywise(lambda x, y: x - y, a, b)
-    assert mneg(a) == _ref_entrywise(lambda x: -x, a)
-    assert mscale(-2, a) == _ref_entrywise(lambda x: -2 * x, a)
-    assert bracket(a, b) == _ref_entrywise(lambda x, y: x - y, _ref_mul(a, b), _ref_mul(b, a))
+    da, db, dc = (dense(m, entry()) for m in (a, b, c))
+    for m in (mmul(a, b), madd(a, b), madd(a, b, c), msub(a, b), mneg(a), mscale(3, a),
+              mscale(0, a), mtrans(a), bracket(a, b), msub(a, a), madd(a, mneg(a))):
+        _assert_stored(m, entry)
+    assert msub(a, a) == madd(a, mneg(a)) == zero_mat()
+    assert dense(mmul(a, b)) == _ref_mul(da, db)
+    assert dense(madd(a, b)) == _ref_entrywise(lambda x, y: x + y, da, db)
+    assert dense(madd(a, b, c)) == _ref_entrywise(lambda x, y, z: x + y + z, da, db, dc)
+    assert dense(msub(a, b)) == _ref_entrywise(lambda x, y: x - y, da, db)
+    assert dense(mneg(a)) == _ref_entrywise(lambda x: -x, da)
+    assert dense(mscale(-2, a)) == _ref_entrywise(lambda x: -2 * x, da)
+    assert dense(mtrans(a)) == tuple(zip(*da))
+    assert dense(bracket(a, b)) == _ref_entrywise(lambda x, y: x - y, _ref_mul(da, db),
+                                                  _ref_mul(db, da))
+    # == on the dicts is matrix equality
+    assert (mmul(a, b) == mmul(b, a)) == (_ref_mul(da, db) == _ref_mul(db, da))
 
 
 def test_kernels_match_dense_definitions_on_sparse_int_matrices():
@@ -111,11 +134,11 @@ def test_kernels_match_dense_definitions_on_sparse_int_matrices():
         _check_kernels(a, b, c, int)
         _check_kernels(a, a, a, int)
         d = det7(a)
-        assert type(d) is int and d == _ref_det(a)
+        assert type(d) is int and d == _ref_det(dense(a))
     # a nonsingular sparse matrix, so the determinant check is not all zeros
-    perm = tuple(tuple(2 if c == (3 * r + 1) % 7 else (1 if c == r else 0)
-                       for c in range(7)) for r in range(7))
-    assert det7(perm) == _ref_det(perm) != 0
+    perm = _sparse([[2 if c == (3 * r + 1) % 7 else (1 if c == r else 0)
+                     for c in range(7)] for r in range(7)])
+    assert det7(perm) == _ref_det(dense(perm)) != 0
 
 
 def test_kernels_match_dense_definitions_on_poly_matrices():
@@ -128,8 +151,9 @@ def test_kernels_match_dense_definitions_on_poly_matrices():
         _check_kernels(mscale(0, a), a, b, Poly)  # a zero left factor
     for g in (ms[0], ms[-1]):
         d = det7(g)
-        assert type(d) is Poly and d == _ref_det(g)
-    assert type(det7(mscale(0, ms[0]))) is Poly
+        assert type(d) is Poly and d == _ref_det(dense(g, Poly()))
+    # the zero matrix stores nothing, so its determinant is the int 0
+    assert mscale(0, ms[0]) == zero_mat() and det7(zero_mat()) == 0
 
 
 def test_nilpotent_exponential_rejects_non_nilpotent():
@@ -139,6 +163,11 @@ def test_nilpotent_exponential_rejects_non_nilpotent():
 
 def test_exact_div_refuses_a_remainder():
     assert _exact_div(mscale(6, identity_mat()), -3) == mscale(-2, identity_mat())
+    m = madd(mscale(6 * XI * XI - 3, root_subgroup(A1, XI)), mscale(3, identity_mat()))
+    q = _exact_div(m, 3)
+    _assert_stored(q, Poly)
+    assert dense(q) == _ref_entrywise(
+        lambda e: Poly({k: v // 3 for k, v in e.terms.items()}), dense(m, Poly()))
     with pytest.raises(ArithmeticError):
         _exact_div(identity_mat(), 2)
     with pytest.raises(ArithmeticError):
@@ -150,9 +179,16 @@ def test_exact_div_refuses_a_remainder():
 
 def test_to_int_matrix():
     g = to_int_matrix(root_subgroup(A1, XI), 2)
-    assert all(type(v) is int for row in g for v in row)
+    _assert_stored(g, int)
     assert g == to_int_matrix(root_subgroup(A1, 2))
-    assert g[2][4] == -4  # the quadratic entry -xi^2 at xi = 2
+    assert g[2, 4] == -4  # the quadratic entry -xi^2 at xi = 2
+    # every entry of 1 - xi vanishes at xi = 1, and none is kept
+    m = msub(identity_mat(), mscale(XI, root_subgroup(A1, XI)))
+    for x in (1, 2, -1):
+        g = to_int_matrix(m, x)
+        _assert_stored(g, int)
+        assert dense(g) == _ref_entrywise(lambda e: e.subs(x), dense(m, Poly()))
+    assert to_int_matrix(madd(identity_mat(), mscale(-XI, identity_mat()))) == zero_mat()
     with pytest.raises(ArithmeticError):
         to_int_matrix(coroot(1))  # diagonal entries are powers of zeta
 

@@ -105,7 +105,7 @@ def test_restrict_command(capsys):
 def test_report_chevalley(capsys):
     code, out = run(capsys, "report", "chevalley")
     assert code == EXIT_OK
-    assert "PASS" in out
+    assert out.splitlines()[-1] == "PASS"
 
 
 def test_report_collection_json(capsys):
@@ -314,7 +314,8 @@ def test_collection_failure_verdicts(capsys, monkeypatch, parabolic, pair, chang
 
 @pytest.mark.parametrize("parabolic, pair, changes", [
     ("short", ("M", "E(e)"), {"exact": False}),
-], ids=["inexact"])
+    ("short", ("M", "E(s2s1s2)"), {"exact": False}),
+], ids=["inexact", "inexact-witness"])
 def test_frobenius_uncertified_splitting_is_ambiguous(capsys, monkeypatch, parabolic, pair,
                                                       changes):
     _mutate_cell(monkeypatch, pair, **changes)
@@ -388,7 +389,7 @@ def test_forced_failing_report_exits_4(capsys, monkeypatch, kind, parabolic):
     code, out = run(capsys, "report", kind, "--parabolic", parabolic, "--format", "json")
     assert _verdict(kind, json.loads(out)) is False and code == EXIT_FAILED
     code, out = run(capsys, "report", kind, "--parabolic", parabolic)
-    assert code == EXIT_FAILED and "FAIL" in out.splitlines()  # chevalley: in the failing block
+    assert code == EXIT_FAILED and out.splitlines()[-1] == "FAIL"
 
 
 def test_rank_bound_refuses_only_rank_and_modchar(capsys, monkeypatch):
@@ -462,7 +463,7 @@ def test_report_chevalley_json_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CHEVALLEY_JSON_SHA256
 
 
-CHEVALLEY_TEXT_SHA256 = "dd83a6a494adf580a0e3b80449351394956c505e64e3666db4091e0a2462809e"
+CHEVALLEY_TEXT_SHA256 = "cb33511c6ab639f2d5ebddc51531c7bdeda4815bf27a46b00b01d8060a745a10"
 
 
 def test_report_chevalley_text_golden(capsys):

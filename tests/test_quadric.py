@@ -6,14 +6,16 @@ O(1) is the line bundle of weight varpi_1.  Its five line objects are
 O(-j varpi_1), j = 0 ... 4 (Kapranov's collection on Q^5).  The expected
 values come from binomials alone: the Koszul sequence
 0 -> O_P6(k-2) -> O_P6(k) -> O_Q(k) -> 0, checked against Serre duality with
-K = O(-5).  No G2 code computes them.
+K = O(-5).  No G2 code computes them.  Frobenius pulls O(k) back to
+O(pk), which checks the Euler characteristics the F_*O multiplicities are
+solved from.
 """
 
 from math import comb
 
 import pytest
 
-from g2bwb import chevalley, extcollection
+from g2bwb import charring, chevalley, extcollection
 from g2bwb.charring import module
 from g2bwb.extcollection import SheafObject, ext_table, object_by_name
 from g2bwb.rootdata import ParabolicId, Weight
@@ -54,6 +56,33 @@ def test_quadric_cohomology_obeys_serre_duality():
     assert [k for k in TWISTS if not h_quadric(k)] == [-4, -3, -2, -1]
 
 
+def chi_quadric(n: int) -> int:
+    """chi(Q^5, O(n)) for n >= 0: h^0 alone, the cokernel of the quadric."""
+    return comb(n + 6, 6) - comb(n + 4, 6)
+
+
+@pytest.mark.parametrize("p", [7, 11, 101, 997])
+def test_frobenius_pullbacks_are_the_quadric(p):
+    # F^*O(k varpi_1) = O(pk varpi_1): the right-hand side r_k = chi(F^*E_k^v)
+    # that multiplicity_dims solves G m = r with, for E_k = O(-k varpi_1)
+    table = extcollection.FROBENIUS_SUMMANDS[LONG]
+    form = extcollection._euler_form(LONG)
+    dims = extcollection.multiplicity_dims(LONG, p)
+    m = [dims[name] for name, _ in table]
+    seen = set()
+    for row, (name, _) in zip(form, table):
+        if name in LINE_OBJECTS:
+            k = LINE_OBJECTS[name]
+            expected = chi_quadric(p * k)
+            assert expected == sum((-1) ** i * d for i, d in h_quadric(p * k).items())
+            dual = object_by_name(LONG, name).filtration.dual().character()
+            assert charring.euler_characteristic(dual.stretch(p)) == expected, (name, p)
+            # G is lower unitriangular, so G m gives back the r it was solved from
+            assert sum(g * mj for g, mj in zip(row, m)) == expected, (name, p)
+            seen.add(name)
+    assert seen == set(LINE_OBJECTS)
+
+
 def _dims(table) -> dict[int, int]:
     return {d: table.dimension(d) for d, _ in table.degrees}
 
@@ -90,8 +119,8 @@ def test_highest_weight_line_is_isotropic():
     (top,) = [k for k, w in weights.items() if w == Weight(1, 0)]
     (zero,) = [k for k, w in weights.items() if w == Weight(0, 0)]
     pos = chevalley.POS
-    assert gram[pos[top]][pos[top]] == 0
-    assert gram[pos[zero]][pos[zero]] != 0  # the form is not zero on every basis line
+    assert gram.get((pos[top], pos[top]), 0) == 0
+    assert gram.get((pos[zero], pos[zero]), 0) != 0  # the form is not zero on every basis line
 
 
 @pytest.mark.parametrize("name", sorted(LINE_OBJECTS))
