@@ -6,12 +6,12 @@ error, 3 when a table or multiplicity the command needs is not certified,
 4 when a certified check fails (a nonzero splitting Ext^1 among them).
 Every report but chevalley decides its own ``passed`` verdict, which
 ``_cmd_report`` alone maps to 0 or 4 after printing the report; chevalley
-passes when its four blocks do, and its text ends in that verdict too.  A command
-refuses input outside the supported domain by raising ``UsageError``, and a
-library exception that escapes it maps to 3 or 4; ``main`` alone turns each
-into its exit code and one line on stderr.  ``--p`` takes a prime of
-at least ``MIN_P``, and at most ``RANK_MAX_P`` for ``report rank`` and
-``modchar``.  Set G2BWB_LOG for audit output on stderr.
+passes when its four blocks do, and its text ends in that verdict too.  A
+command refuses input outside the supported domain by raising
+``UsageError``, and a library exception that escapes it maps to 3 or 4;
+``main`` alone turns each into its exit code and one line on stderr.
+``--p`` takes a prime of at least ``MIN_P``, and at most ``RANK_MAX_P`` for
+``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
 
 from __future__ import annotations
