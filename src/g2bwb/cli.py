@@ -50,9 +50,10 @@ MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters
 # through the rank-p^5 identity: their time and memory grow steeply with p (on
-# 2 cores, cold, p = 43 takes about 1.1-1.4 s and 65 MB, p = 47 about 2.2 s and
-# 71 MB, p = 53 about 2.4-3.0 s and 91 MB).  The other commands take any prime.
-RANK_MAX_P = 43
+# 2 cores, cold, p = 43 takes about 0.9 s and 34 MB, p = 61 about 2.5 s and
+# 52 MB, p = 101 about 8.5-10 s and 124 MB, nearly all of it the nonnegativity
+# check of the rows).  The other commands take any prime.
+RANK_MAX_P = 101
 
 
 def _audit_enabled() -> bool:

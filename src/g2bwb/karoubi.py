@@ -464,6 +464,7 @@ class GenerationReport:
             "unreached": [[w.a, w.b] for w in self.unreached],
             "replay_ok": self.replay_ok,
             "complete": self.complete,
+            "passed": self.passed,
         }
 
     def to_text(self) -> str:

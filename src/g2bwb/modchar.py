@@ -13,24 +13,27 @@ radical with any multiplicity from 1 to m, and that is surfaced as an
 and Steinberg products are rows built by ``cohomology.costandard_times``
 (Brauer-Klimyk), and a row becomes a torus character only where one is read.
 
-``rank_identity_check`` confronts the characters with the torus character of
-the parabolic Verma module of the Frobenius kernel, of total dimension p^5,
-built as a running box sum of width p along the lines of each root.  The
-left side and the search read one table, ``_summands``: each summand
-E_j (x) V_j of F_*O in ``extcollection.FROBENIUS_SUMMANDS``, with the L(w)
-of V_j and dim V_j from ``extcollection.multiplicity_dims``, which gets it
-from Euler characteristics alone.  ``_resolution`` runs one depth-first search from the
-sum-formula oracle: an open choice point forks a branch once per admissible
+``rank_identity_check`` confronts the characters with the parabolic Verma
+module of the Frobenius kernel, of dimension p^5, as Weyl numerators: both
+sides times Delta = e^rho prod_{alpha>0} (1 - e^{-alpha}).  By the Weyl
+character formula, ch nabla(nu) Delta = sum_{x in W} sgn(x) e^{x(nu + rho)}
+(``_numerator``), and the Verma side has at most 64 terms
+(``_verma_numerator``).  Laurent polynomials over Z have no zero divisors, so
+equal numerators give equal characters, and so equal dimensions.  The left
+side and the search read one table, ``_summands``: each summand E_j (x) V_j
+of F_*O in ``extcollection.FROBENIUS_SUMMANDS``, with the L(w) of V_j and
+dim V_j from ``extcollection.multiplicity_dims`` (Euler characteristics
+alone).  ``_resolution`` runs one depth-first search from the sum-formula
+oracle: an open choice point forks a branch once per admissible
 multiplicity, and a branch with a negative character is pruned.  So is a
 branch where the simple dimensions of one summand do not add up to dim V_j.
 The summands are checked in increasing height of their highest restricted
 weight, and a row reads only rows of lower height, so a wrong choice fails
-at the first summand whose rows read it.  A branch that passes every
-summand and both parabolic identities coefficient by coefficient survives;
-the identity holds only if its two sides have one dimension, the weighted
-sum of the dim L(w) and p^5, so it makes the p^5 count too.  The check
-passes only if exactly one survives, and every caller reads that survivor
-and its rows.
+at the first summand whose rows read it.  A branch that passes every summand
+and whose numerators agree on both parabolics survives; its two sides then
+have one dimension, the weighted sum of the dim L(w) and p^5, so the
+identity makes the p^5 count too.  The check passes only if exactly one
+survives, and every caller reads that survivor and its rows.
 """
 
 from __future__ import annotations
@@ -176,40 +179,28 @@ def simple_character(lam: Weight, p: int = DEFAULT_P) -> Character:
     return CharacterOracle(p).simple(lam)
 
 
-def _box_sum(mult: dict[tuple[int, int], int], alpha: Weight, p: int
-             ) -> dict[tuple[int, int], int]:
-    """mult times sum_{j<p} e^{-j alpha}: the sum of mult over the p weights
-    nu, nu + alpha, ..., nu + (p-1) alpha at each nu, as one running window
-    walked down each line in direction alpha."""
-    ra, rb = alpha
-    norm = ra * ra + rb * rb  # a step down a line lowers a * ra + b * rb by norm
-    lines: dict[int, list[tuple[int, int]]] = {}
-    for a, b in mult:
-        lines.setdefault(a * rb - b * ra, []).append((a, b))
-    get = mult.get
-    out: dict[tuple[int, int], int] = {}
-    for points in lines.values():
-        heights = [a * ra + b * rb for a, b in points]
-        a, b = points[heights.index(max(heights))]
-        window = 0
-        for _ in range((max(heights) - min(heights)) // norm + p):
-            window += get((a, b), 0) - get((a + p * ra, b + p * rb), 0)
-            if window:
-                out[(a, b)] = window
-            a, b = a - ra, b - rb
-    return out
+def _numerator(row: Character) -> Character:
+    """Weyl numerator of a combination of costandard characters: its torus
+    character times the Weyl denominator, sum_nu c_nu sum_x sgn(x) e^{x(nu + rho)}."""
+    out: dict[Weight, int] = {}
+    for nu, c in row.mult.items():
+        for x in weyl.ALL_ELEMENTS:
+            mu = weyl.act(x, nu + RHO)
+            out[mu] = out.get(mu, 0) + (-1) ** x.length * c
+    return Character(out)
 
 
 @lru_cache(maxsize=None)
-def verma_character(parabolic: ParabolicId, p: int) -> Character:
-    """Torus character of the rank-p^5 Verma module of the Frobenius kernel:
-    a product of geometric series over the positive roots outside the Levi,
-    each a running box sum of width p along the lines of its root."""
-    mult = {(0, 0): 1}
+def _verma_numerator(parabolic: ParabolicId, p: int) -> Character:
+    """Torus character of the rank-p^5 Verma module of the Frobenius kernel
+    times the Weyl denominator: (e^rho - e^{rho - beta}) prod_{alpha != beta}
+    (1 - e^{-p alpha}), with beta the Levi root; at most 64 terms."""
+    beta = parabolic.simple_root
+    out = Character({RHO: 1, RHO - beta.weight: -1})
     for alpha in POSITIVE_ROOTS:
-        if alpha is not parabolic.simple_root:
-            mult = _box_sum(mult, alpha.weight, p)
-    return Character({Weight(a, b): v for (a, b), v in mult.items()})
+        if alpha is not beta:
+            out = out.tensor(Character({ZERO: 1, alpha.weight.scaled(-p): -1}))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -231,13 +222,15 @@ def _summands(p: int) -> tuple[tuple[ParabolicId, int, Character, tuple[Weight, 
 
 def _identity_sides(parabolic: ParabolicId, oracle: CharacterOracle
                     ) -> tuple[Character, Character]:
-    """sum_j sum_{L(w) in V_j} L(w) (x) ch(E_j)^[p], and the Verma character."""
+    """Both sides of the identity times the Weyl denominator: the numerator of
+    sum_{L(w) in V_j} L(w), tensored with ch(E_j)^[p] and summed over j, and
+    the Verma numerator."""
     lhs = Character()
     for par, _, stretched, lams, _ in _summands(oracle.p):
         if par is parabolic:
-            for lam in lams:
-                lhs.isub_scaled(oracle.simple(lam).tensor(stretched), -1)
-    return lhs, verma_character(parabolic, oracle.p)
+            row = sum(map(oracle._row, lams), Character())
+            lhs.isub_scaled(_numerator(row).tensor(stretched), -1)
+    return lhs, _verma_numerator(parabolic, oracle.p)
 
 
 @dataclass(frozen=True)
@@ -252,8 +245,8 @@ class RankIdentityReport:
 
     @property
     def passed(self) -> bool:
-        # the search keeps an assignment only where both identities hold
-        # coefficientwise, which makes the p^5 count and the zero weight too
+        # the search keeps an assignment only where both numerators agree; equal
+        # numerators give equal characters, so the p^5 count and the zero weight
         return self.surviving_assignments == 1
 
     dims_match = character_match = zero_weight_match = passed
@@ -291,8 +284,8 @@ def _resolution(p: int) -> tuple[CharacterOracle, ...]:
     cut at the first summand, in increasing height, whose simple dimensions
     do not add up to its dim V_j; each row reads only rows of lower height,
     so a wrong choice fails at the first summand whose rows read it.  No p^5
-    count runs: the identity holds only if its two sides have one dimension,
-    and those are the weighted dimension sum and p^5."""
+    count runs: equal numerators give equal characters, whose dimensions are
+    the weighted dimension sum and p^5."""
     survivors = []
     stack = [CharacterOracle(p)]
     while stack:
@@ -330,7 +323,7 @@ def resolved_oracle(p: int = DEFAULT_P) -> tuple[CharacterOracle, str, tuple[str
 
 def rank_identity_check(p: int = DEFAULT_P,
                         parabolic: ParabolicId = ParabolicId.SHORT) -> RankIdentityReport:
-    """Check the p^5 bookkeeping as an exact torus-character identity,
+    """Check the p^5 bookkeeping as an exact identity of Weyl numerators,
     resolving sum-formula ambiguities through the identity itself when
     necessary, and report the weighted dimension sum it implies."""
     survivors = _resolution(p)

@@ -7,7 +7,7 @@ from g2bwb.charring import TRIVIAL, Character
 from g2bwb.cohomology import costandard_times
 from g2bwb.extcollection import FROBENIUS_SUMMANDS, object_by_name
 from g2bwb.modchar import (CharacterOracle, InconsistentChoice, Undecided, _expand,
-                           _jantzen_row, restricted_weight, verma_character)
+                           _jantzen_row, restricted_weight)
 from g2bwb.rootdata import ALPHA1, ALPHA2, POSITIVE_ROOTS, ZERO, ParabolicId, Weight
 
 
@@ -58,8 +58,8 @@ def socle(parabolic: ParabolicId) -> tuple[tuple[weyl.WeylElement, int, Characte
 
 def unpruned_resolution(p: int) -> tuple[CharacterOracle, ...]:
     """The rank-identity search without the per-summand cut: every branch
-    runs until the p^5 count of both parabolics, then the character identity
-    with its left side grouped by w, from ``socle``."""
+    runs until the p^5 count of both parabolics, then the torus character
+    identity of ``torus_lhs`` and ``verma_by_series``."""
     expected = p ** 5
     survivors = []
     stack = [CharacterOracle(p)]
@@ -76,13 +76,19 @@ def unpruned_resolution(p: int) -> tuple[CharacterOracle, ...]:
             continue
         if any(w != expected for w in weighted):
             continue
-        if all(sum((oracle.simple(restricted_weight(w, p)).tensor(soc.stretch(p))
-                    for w, _, soc in socle(par)), Character()) == verma_character(par, p)
-               for par in ParabolicId):
+        if all(torus_lhs(par, oracle) == verma_by_series(par, p) for par in ParabolicId):
             survivors.append(oracle)
     return tuple(survivors)
 
 
+def torus_lhs(parabolic: ParabolicId, oracle: CharacterOracle) -> Character:
+    """The torus character sum_w L(w) (x) (sum of the ch(E_j) whose V_j holds
+    L(w))^[p], grouped by w from ``socle``."""
+    return sum((oracle.simple(restricted_weight(w, oracle.p)).tensor(soc.stretch(oracle.p))
+                for w, _, soc in socle(parabolic)), Character())
+
+
+@lru_cache(maxsize=None)
 def verma_by_series(parabolic: ParabolicId, p: int) -> Character:
     """The Verma torus character as a product of geometric series
     sum_{j<p} e^{-j alpha} over the positive roots outside the Levi."""

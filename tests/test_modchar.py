@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight, restricted_split
+from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight, restricted_split
 from g2bwb.charring import (
     Character,
     decompose_costandard,
@@ -16,17 +18,30 @@ from g2bwb.modchar import (
     Undecided,
     _jantzen_row,
     _identity_sides,
+    _numerator,
     _resolution,
+    _verma_numerator,
     rank_identity_check,
     resolved_oracle,
     restricted_weight,
     simple_character,
-    verma_character,
     weyl_dim,
 )
 from g2bwb import weyl
-from _reference import euler_character, jantzen_sum, socle, unpruned_resolution, verma_by_series
+from _reference import (euler_character, jantzen_sum, socle, torus_lhs, unpruned_resolution,
+                        verma_by_series)
 from test_properties import is_w_invariant
+
+
+def _weyl_denominator() -> Character:
+    """Delta = e^rho prod_{alpha > 0} (1 - e^{-alpha}), from the root data alone."""
+    delta = Character.line(RHO)
+    for alpha in POSITIVE_ROOTS:
+        delta = delta.tensor(Character({ZERO: 1, -alpha.weight: -1}))
+    return delta
+
+
+DELTA = _weyl_denominator()
 
 
 def test_weyl_dim_examples():
@@ -115,17 +130,30 @@ def test_simple_label():
 
 
 def test_verma_character_mass_and_support():
+    # the Verma numerator has its highest term e^rho once and at most 2 * 2^5
+    # terms; its mass is p^5, since the Weyl dimension formula is linear in the
+    # numerator: dim = sum_mu n_mu prod <mu, alpha^v> / (|W| prod <rho, alpha^v>)
+    p = 5
     for par in ParabolicId:
-        ch = verma_character(par, 5)
-        assert ch.dimension() == 5 ** 5
-        assert ch.coeff(ZERO) == 1  # the highest weight line
-        assert all(v > 0 for v in ch.mult.values())
+        num = _verma_numerator(par, p)
+        assert num.coeff(RHO) == 1 and len(num.mult) <= 64
+        mass = sum(n * math.prod(alpha.pair(mu) for alpha in POSITIVE_ROOTS)
+                   for mu, n in num.mult.items())
+        assert mass == 12 * p ** 5 * math.prod(alpha.pair(RHO) for alpha in POSITIVE_ROOTS)
+        assert verma_by_series(par, p).dimension() == p ** 5
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_verma_character_is_the_product_of_geometric_series(p):
+    # the Verma numerator is the series product times the Weyl denominator
     for par in ParabolicId:
-        assert verma_character(par, p) == verma_by_series(par, p)
+        assert _verma_numerator(par, p) == verma_by_series(par, p).tensor(DELTA)
+
+
+@pytest.mark.parametrize("nu", [ZERO, W1, W2, RHO, Weight(3, 2), Weight(0, 5), Weight(6, 1)])
+def test_numerator_is_the_weyl_character_formula(nu):
+    # Freudenthal's character times Delta is the alternating sum over W
+    assert _numerator(Character.line(nu)) == weyl_character(nu).tensor(DELTA)
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
@@ -167,14 +195,35 @@ def test_socle_dimension_vectors():
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_identity_makes_the_rank_count(p):
-    # the two sides of the identity have dimensions weighted_sum and p^5, so
-    # coefficientwise equality already makes the count the search no longer runs
+    # equal numerators give equal torus characters, since Delta is no zero
+    # divisor; the torus sides have dimensions weighted_sum and p^5, so the
+    # numerator identity already makes the count the search no longer runs
     oracle = resolved_oracle(p)[0]
     for par in ParabolicId:
         lhs, rhs = _identity_sides(par, oracle)
         assert lhs == rhs
-        assert lhs.dimension() == rank_identity_check(p, par).weighted_sum
-        assert rhs.dimension() == p ** 5
+        torus = torus_lhs(par, oracle)
+        assert torus.tensor(DELTA) == lhs
+        assert torus.dimension() == rank_identity_check(p, par).weighted_sum
+        assert verma_by_series(par, p).dimension() == p ** 5
+
+
+@pytest.mark.parametrize("par", list(ParabolicId))
+def test_dropping_one_simple_fails_both_identities(monkeypatch, par):
+    # drop the first L(w) of the first summand: the numerators differ, and so
+    # do the torus sides of the reference, which times Delta give the numerator
+    p = 7
+    oracle = resolved_oracle(p)[0]
+    summands = list(modchar._summands(p))
+    i = next(i for i, s in enumerate(summands) if s[0] is par)
+    _, rank, stretched, lams, dim = summands[i]
+    summands[i] = (par, rank, stretched, lams[1:], dim)
+    monkeypatch.setattr(modchar, "_summands", lambda _: tuple(summands))
+    lhs, rhs = _identity_sides(par, oracle)
+    torus = torus_lhs(par, oracle) - oracle.simple(lams[0]).tensor(stretched)
+    assert lhs != rhs
+    assert torus != verma_by_series(par, p)
+    assert torus.tensor(DELTA) == lhs
 
 
 def test_frobenius_table_labels_are_the_coset_representatives():
