@@ -372,12 +372,11 @@ def _solve_in_span(basis: list[Mat], targets: list[Mat]
     divided by its pivot only when that is not 1 or -1, so the entries stay
     ints until then, and each elimination step touches only the columns where
     the pivot row is nonzero."""
-    cols = len(basis)
-    flat = [[m.get((r, c), 0) for r in range(7) for c in range(7)]
-            for m in (*basis, *targets)]
-    aug = [list(entries) for entries in zip(*flat)]  # 49 rows, one column per matrix
-    rank = 0
-    pivots = []
+    cols, rank, pivots = len(basis), 0, []
+    aug = [[0] * (cols + len(targets)) for _ in range(49)]  # 49 rows, one column per matrix
+    for j, m in enumerate((*basis, *targets)):
+        for (r, c), x in m.items():
+            aug[7 * r + c][j] = x
     for col in range(cols):
         sel = next((r for r in range(rank, 49) if aug[r][col]), None)
         if sel is None:

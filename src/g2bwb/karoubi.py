@@ -26,13 +26,13 @@ class that the two tensor filtrations of a wall twist share, would learn nothing
   slots).  But then the string part through nu is known and is not L(nu), and its other
   lines are known weight parts, so its filtration, which the box holds, learns L(nu).
 
-Each box is compiled once, on (a, b) integer pairs, into a read-only ``RuleTable`` of
-flat integer arrays shared by every closure over the box: the tensor rules at a twist
-move one cached template per generator, and each filtration passes an exact check of
-character additivity.  A knowledge base holds a byte of known flags per class and the
-log of learned facts as (class id, rule index) pairs.  The closure is a worklist
-saturation whose result is independent of rule order; derivations are logged and
-replayable.
+Each box is compiled once into a read-only ``RuleTable`` of flat integer arrays shared by
+every closure over it.  Class ids sit in grids over the box; a twist's tensor rules read
+them at one cached list of offsets per generator.  Every filtration passes an exact check
+of character additivity: the sorted keys a * 2^16 + b of its parts' weights, read from
+their classes, are its total's.  A knowledge base holds a byte of known flags per class
+and the log of learned facts as (class id, rule index) pairs; the closure is a worklist
+saturation, independent of rule order, whose derivations are logged and replayable.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from __future__ import annotations
 import functools
 import random
 from array import array
-from collections import Counter
-from itertools import accumulate, pairwise
+from itertools import accumulate, chain, compress, repeat
+from operator import sub
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .rootdata import W1, W2, ParabolicId, Weight
-from .charring import (Character, PString, exterior_power, pstring_character, restrict_to_P,
-                       weyl_character)
+from .charring import Character, exterior_power, restrict_to_P, weyl_character
 
 # A class is a hashable token:
 #   ("line", Weight)            line bundle on the flag variety
@@ -120,18 +119,21 @@ class RuleTable:
         return () if r < 0 else tuple(q for q in self.slots_of(r) if q != c)
 
 
+def _key(w: tuple[int, int]) -> int:  # one to one on the weights (a, b) with |b| < 2 ** 15
+    return w[0] * 65536 + w[1]
+
+
 class _Builder:
-    """Writes the rules of one box straight into table rows.  Line and string class
-    ids sit in two grids, one cell per weight (a, b) of the box, -1 until first used."""
+    """Writes the rules of one box straight into table rows.  Line and string class ids sit
+    in two flat grids, weight (a, b) of the box in cell (a + amax) * width + b + bmax, -1
+    until first used; until ``freeze``, ``keys[i]`` keys class i's (highest) weight."""
 
     def __init__(self, parabolic: ParabolicId, amax: int, bmax: int):
-        self.parabolic, self.amax, self.bmax = parabolic, amax, bmax
-        self.grids = {k: [-1] * ((2 * amax + 1) * (2 * bmax + 1)) for k in ("line", "pstring")}
-        self.classes: list = []
-        self.index: dict[ClassId, int] = {}
-        self.rule_ids: list[str] = []
+        self.parabolic, self.amax, self.bmax, self.width = parabolic, amax, bmax, 2 * bmax + 1
+        self.grids = {k: [-1] * ((2 * amax + 1) * self.width) for k in ("line", "pstring")}
+        self.classes, self.keys, self.index = [], array("q"), {}
+        self.rule_ids, self.skipped = [], []
         self.first, self.slots = array("i", [0]), array("i")
-        self.skipped: list[str] = []
         self.cid(ZERO_CLASS)
         short = parabolic is ParabolicId.SHORT
         lines = SHORT_SEED_LINES if short else LONG_SEED_LINES
@@ -139,61 +141,74 @@ class _Builder:
         self.seeds = tuple([self.cid(line_class(nu)) for nu in lines]
                            + [self.cid(pstring_class(parabolic, lam)) for lam in strings])
 
-    def fits(self, bounds: tuple[int, int, int, int], a: int, b: int) -> bool:
-        """Whether weights with bounds (min a, max a, min b, max b), moved by (a, b), fit."""
-        alo, ahi, blo, bhi = bounds
-        return (-self.amax <= alo + a and ahi + a <= self.amax
-                and -self.bmax <= blo + b and bhi + b <= self.bmax)
-
     def cid(self, c: ClassId) -> int:
         i = self.index.get(c)
         if i is None:
             i = self.index[c] = len(self.classes)
             self.classes.append(c)
+            self.keys.append(_key(c[1]) if len(c) > 1 else 0)
         return i
 
-    def grid_id(self, kind: str, a: int, b: int) -> int:
-        """Id of the class (kind, Weight(a, b)) of a weight in the box."""
-        grid, k = self.grids[kind], (a + self.amax) * (2 * self.bmax + 1) + b + self.bmax
+    def cell(self, a: int, b: int) -> int:
+        return (a + self.amax) * self.width + b + self.bmax
+
+    def at(self, kind: str, k: int) -> int:
+        """Id of the class (kind, weight) in grid cell k, made on first use."""
+        grid = self.grids[kind]
         if grid[k] < 0:
-            grid[k] = self.cid((kind, Weight(a, b)))
+            a, b = divmod(k, self.width)
+            grid[k] = self.cid((kind, Weight(a - self.amax, b - self.bmax)))
         return grid[k]
+
+    def lines(self, k: int, offsets) -> list[int]:
+        """Ids of the line classes in grid cells k + offsets, made on first use."""
+        grid = self.grids["line"]
+        return [q if (q := grid[k + o]) >= 0 else self.at("line", k + o) for o in offsets]
+
+    def string_keys(self, c: int) -> range:
+        """Keys of the weights of string class c, highest first."""
+        k, step = self.keys[c], _key(self.parabolic.simple_root.weight)
+        return range(k, k - (self.parabolic.pair(self.classes[c][1]) + 1) * step, -step)
 
     def add(self, rule_id: str, slots: list[int]) -> None:
         self.rule_ids.append(rule_id)
         self.slots.extend(slots)
         self.first.append(len(self.slots))
 
-    def filtration(self, rule_id: str, parts: list[int], last: int, total_char: dict) -> None:
+    def filtration(self, rule_id: str, parts: list[int], last: int, total) -> None:
         """Admit a rule of two or more parts and then ``last``, their total or a class
         standing for it, which the rule only reads; exact character additivity is
-        mandatory.  Each part's character is read from its class: a line has its one
-        weight, a string the weights of its ``PString``; as (a, b) pairs they must be
-        total_char's."""
-        weights = [w for c, lam in map(self.classes.__getitem__, parts)
-                   for w in ([lam] if c == "line" else PString(self.parabolic, lam).weights())]
-        if Counter(weights) != total_char:
+        mandatory.  ``total`` is the character as sorted keys, or as {weight: multiplicity};
+        each part's is read from its class: a line's key, or a string's weights' keys."""
+        if isinstance(total, dict):
+            total = sorted(_key(w) for w, m in total.items() for _ in range(m))
+        keys, classes, got = self.keys, self.classes, []
+        for c in parts:
+            got += (keys[c],) if classes[c][0] == "line" else self.string_keys(c)
+        if sorted(got) != total:
             raise ValueError(f"rule {rule_id}: character additivity fails")
         if len(parts) < 2:
             raise ValueError(f"rule {rule_id}: a filtration needs two parts")
         self.add(rule_id, parts + [last])
 
     def freeze(self) -> RuleTable:
-        """The table.  Its watch index counts the slots on each class, sums the counts
-        to offsets, then fills each class's entries in rule order (a counting sort)."""
-        slots = self.slots
+        """The table, freeing the keys and grids.  Its watch index is a counting sort of the
+        (slot, rule) pairs by class, in one pass over them: each class's rules in order."""
+        self.keys = self.grids = None
+        slots, first = self.slots, self.first
         count = [0] * len(self.classes)
         for q in slots:
             count[q] += 1
         offsets = array("i", accumulate(count, initial=0))
         fill, watch = offsets.tolist(), array("i", [0]) * offsets[-1]
-        for r, (lo, hi) in enumerate(pairwise(self.first)):
-            for q in slots[lo:hi]:
-                watch[fill[q]] = r
-                fill[q] += 1
+        owners = chain.from_iterable(map(repeat, range(len(first) - 1),
+                                         map(sub, first[1:], first[:-1])))
+        for q, r in zip(slots, owners):
+            watch[fill[q]] = r
+            fill[q] += 1
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
         return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
-                         tuple(self.rule_ids), ro(self.first), ro(slots),
+                         tuple(self.rule_ids), ro(first), ro(slots),
                          ro(offsets), ro(watch), tuple(self.skipped))
 
 
@@ -213,8 +228,7 @@ class _Known:
         return self._kb.flags.count(1)
 
     def __iter__(self):
-        classes = self._kb.rules.classes
-        return (classes[i] for i, f in enumerate(self._kb.flags) if f)
+        return compress(self._kb.rules.classes, self._kb.flags)
 
 
 @dataclass
@@ -238,8 +252,7 @@ class KnowledgeBase:
         return f"{class_str(t.classes[c])} <- {'seed' if r < 0 else t.rule_ids[r]} [{prem}]"
 
     def audit_log(self) -> str:
-        log = self.log
-        return "\n".join(map(self._fact, log[0::2], log[1::2]))
+        return "\n".join(map(self._fact, self.log[0::2], self.log[1::2]))
 
     def replay(self) -> bool:
         """Check that every seed fact names a seed, that every derivation learns a
@@ -268,8 +281,7 @@ class KnowledgeBase:
         """Derivation steps reaching c, in dependency order."""
         t, log = self.rules, self.log
         rule_of = dict(zip(log[0::2], log[1::2]))
-        seen: set[int] = set()
-        steps: list[int] = []
+        seen, steps = set(), []
 
         def visit(x: int) -> None:
             if x in seen or x not in rule_of:
@@ -279,41 +291,41 @@ class KnowledgeBase:
                 visit(q)
             steps.append(x)
 
-        start = t.id_of(c)
-        if start is not None:
-            visit(start)
+        visit(t.id_of(c))  # None, for a class no rule mentions, is not in rule_of
         return [self._fact(x, rule_of[x]) for x in steps]
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_template(generator: Weight, parabolic: ParabolicId) -> tuple:
-    """Tensor rules of a generator at twist 0 (twist nu moves every weight by nu): its
-    character, its weights sorted with multiplicity, its string-atom highs, and their bounds."""
-    def bounds(ws: tuple) -> tuple[int, int, int, int]:
-        a, b = zip(*ws)
-        return min(a), max(a), min(b), max(b)
+def _tensor_template(generator: Weight, parabolic: ParabolicId, amax: int, bmax: int) -> tuple:
+    """A generator's tensor rules in a box at twist 0, which twist nu moves by nu: the grid
+    offsets of its weights, sorted with multiplicity, and the twists (ranges of a and b)
+    keeping them in the box; its string atoms as (kind, offset), and theirs; its keys."""
+    def fit(ws: list) -> tuple[range, ...]:
+        return tuple(range(-m - min(x), m - max(x) + 1) for x, m in zip(zip(*ws), (amax, bmax)))
 
-    gch = weyl_character(generator)
-    lines = tuple(mu for mu in sorted(gch.mult) for _ in range(gch.mult[mu]))
-    highs = tuple(s.highest for s in restrict_to_P(generator, parabolic).atoms)
-    return gch.mult, lines, bounds(lines), highs, bounds(highs)
+    width, gch = 2 * bmax + 1, weyl_character(generator).mult
+    lines = [mu for mu in sorted(gch) for _ in range(gch[mu])]
+    highs = [s.highest for s in restrict_to_P(generator, parabolic).atoms]
+    return (tuple(a * width + b for a, b in lines), fit(lines),
+            tuple((pstring_class(parabolic, h)[0], h.a * width + h.b) for h in highs), fit(highs),
+            tuple(sorted(map(_key, lines))))
 
 
 def _string_line_rules(b: _Builder) -> None:
-    par = b.parabolic
+    par, amax, bmax = b.parabolic, b.amax, b.bmax
     aa, ab = par.simple_root.weight
-    for a in range(-b.amax, b.amax + 1):
-        for bb in range(-b.bmax, b.bmax + 1):
-            lam = Weight(a, bb)
-            r = par.pair(lam)
-            if r <= 0:
+    for a in range(-amax, amax + 1):
+        for bb in range(-bmax, bmax + 1):
+            if (r := par.pair(Weight(a, bb))) <= 0:
                 continue
-            if not b.fits((0, 0, 0, 0), a - r * aa, bb - r * ab):  # the box is convex, holds lam
-                b.skipped.append(f"string {lam}: layer outside box")
+            lam = f"({a},{bb})"
+            if not (-amax <= a - r * aa <= amax and -bmax <= bb - r * ab <= bmax):
+                b.skipped.append(f"string {lam}: layer outside box")  # the box is convex
                 continue
-            ids = [b.grid_id("line", a - k * aa, bb - k * ab) for k in range(r + 1)]
-            s = b.grid_id("pstring", a, bb)
-            b.filtration(f"bfilt{lam}", ids, s, pstring_character(PString(par, lam)).mult)
+            k, step = b.cell(a, bb), aa * b.width + ab
+            ids = b.lines(k, range(0, -(r + 1) * step, -step))
+            s = b.at("pstring", k)
+            b.filtration(f"bfilt{lam}", ids, s, sorted(b.string_keys(s)))
             b.add(f"push{lam}", [ids[0], s])
             b.add(f"pull{lam}", [s, ids[0]])
 
@@ -321,21 +333,22 @@ def _string_line_rules(b: _Builder) -> None:
 def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
     if generator not in (W1, W2):
         raise ValueError("generator must be one of the two fundamental modules")
-    gch, lines, line_bounds, highs, high_bounds = _tensor_template(generator, b.parabolic)
+    offsets, fit, atoms, atoms_fit, keys = _tensor_template(generator, b.parabolic, b.amax, b.bmax)
     na, nb = nu
-    tag, filts = f"{generator}@{nu}", []
-    if b.fits(line_bounds, na, nb):
-        filts.append(("wtfilt", [b.grid_id("line", a + na, c + nb) for a, c in lines]))
+    tag, k, move, filts = f"{generator}@({na},{nb})", b.cell(na, nb), _key(nu), []
+    if na in fit[0] and nb in fit[1]:
+        filts.append(("wtfilt", b.lines(k, offsets)))
     else:
         b.skipped.append(f"tensor {tag}: weight outside box")
     if b.parabolic.pair(nu) == 0:
-        if b.fits(high_bounds, na, nb):
-            filts.append(("strfilt", [b.cid(pstring_class(b.parabolic, h + nu)) for h in highs]))
+        if na in atoms_fit[0] and nb in atoms_fit[1]:
+            filts.append(("strfilt", [b.at(kind, k + o) for kind, o in atoms]))
         else:
             b.skipped.append(f"tensor strings {tag}: atom outside box")
-    total_char = {(a + na, c + nb): m for (a, c), m in gch.items()}
-    for name, parts in filts:
-        b.filtration(name + tag, parts, b.grid_id("line", na, nb), total_char)
+    if filts:  # the twist's line and total, once for its filtrations
+        last, total = b.at("line", k), [q + move for q in keys]
+        for name, parts in filts:
+            b.filtration(name + tag, parts, last, total)
 
 
 def _add_koszul_rules(b: _Builder) -> None:
@@ -346,11 +359,10 @@ def _add_koszul_rules(b: _Builder) -> None:
                  for k in range(8)), Character())
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
-    steps = [W1.scaled(k) for k in range(8)]
+    steps = [-(sa * b.width + sb) for sa, sb in (W1.scaled(k) for k in range(8))]
     for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
         for bb in range(-b.bmax, b.bmax + 1):
-            b.add(f"koszul({a},{bb})",
-                  [b.grid_id("line", a - sa, bb - sb) for sa, sb in steps] + [ZERO_ID])
+            b.add(f"koszul({a},{bb})", b.lines(b.cell(a, bb), steps) + [ZERO_ID])
 
 
 SHORT_SEED_LINES = [Weight(0, 0), Weight(0, -1), Weight(1, -2), Weight(2, -2),
@@ -366,10 +378,9 @@ def _compiled(parabolic: ParabolicId, amax: int, bmax: int) -> RuleTable:
     """The rule table of a box, built and checked once."""
     b = _Builder(parabolic, amax, bmax)
     _string_line_rules(b)
-    for a in range(-amax, amax + 1):
-        for bb in range(-bmax, bmax + 1):
-            for gen in (W1, W2):
-                _add_tensor_rules(b, gen, Weight(a, bb))
+    for nu in (Weight(a, bb) for a in range(-amax, amax + 1) for bb in range(-bmax, bmax + 1)):
+        for gen in (W1, W2):
+            _add_tensor_rules(b, gen, nu)
     _add_koszul_rules(b)
     return b.freeze()
 
@@ -400,11 +411,10 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
     t = kb.rules
     first, slots, offsets, watch = t.first, t.slots, t.offsets, t.watch
     known, learn = kb.flags, kb.log.extend
-    missing = [0] * len(t)  # unknown slots per rule
-    for c, f in enumerate(known):
-        if not f:
-            for r in watch[offsets[c]:offsets[c + 1]]:
-                missing[r] += 1
+    missing = list(map(sub, first[1:], first[:-1]))  # unknown slots per rule: all ...
+    for c in compress(range(len(known)), known):  # ... but those on known classes
+        for r in watch[offsets[c]:offsets[c + 1]]:
+            missing[r] -= 1
     order, position = list(range(len(t))), None
     if rng is not None:
         rng.shuffle(order)

@@ -217,6 +217,24 @@ def test_closure_matches_two_term_triangles(parabolic, box):
         assert frozenset(close(karoubi._seeded(t), random.Random(k)).known) == reference
 
 
+@pytest.mark.parametrize("parabolic, box", [(SHORT, (16, 12)), (LONG, (16, 12)),
+                                            (SHORT, (24, 20))])
+def test_close_from_a_base_that_knows_more_than_its_seeds(parabolic, box):
+    # a fresh base knowing the first half of a closed base's learned facts: each rule's
+    # unknown-slot count must start below its length by its slots on those classes
+    t = seed(parabolic, *box).rules
+    closed, kb = close(karoubi._seeded(t)), karoubi._seeded(t)
+    half = closed.log[len(kb.log):len(kb.log) + len(closed.log) // 4 * 2]
+    assert half and all(r >= 0 for r in half[1::2])
+    for c in half[0::2]:
+        kb.flags[c] = 1
+    kb.log.extend(half)
+    assert kb.replay() and len(kb.known) < len(closed.known)
+    close(kb)
+    assert frozenset(kb.known) == _two_out_of_three_known(t) == frozenset(closed.known)
+    assert kb.replay()
+
+
 def test_seed_copies_are_independent():
     # knowledge bases seeded from one box share its read-only rule table
     kb1, kb2 = seed(SHORT, 10, 8), seed(SHORT, 10, 8)
@@ -426,9 +444,36 @@ def _table_sha(t) -> str:
     (SHORT, (10, 8), "18bb3628675576601b06b410575282dc7e96912907feefe5fbc7ed5ae95cb021"),
     (LONG, (16, 12), "9217f999d67a415d764b56705f6d113ba7b887d971cf26ce95cad543f81b583c"),
     (SHORT, (24, 20), "1118fd5cd2114289caed98a6a22cf4b6bb628abc71a4140eaf65b13aacd7e02e"),
-], ids=["short-10-8", "long-16-12", "short-24-20"])
+    (LONG, (24, 20), "e0735b0253497e5c2ef9712436f0f2b902083d1a8f828d3116e5651109181a93"),
+    (SHORT, (32, 28), "40c36228ffe5192553ab03eb8224f90e081de70dc2d1442e6ca8bea35c0cc734"),
+    (LONG, (32, 28), "9f150e4125f3179c031b6f3fa3639b1365333d7ba6c6cacc5b0a193445bc814f"),
+], ids=["short-10-8", "long-16-12", "short-24-20", "long-24-20", "short-32-28", "long-32-28"])
 def test_rule_table_golden(parabolic, box, digest):
     assert _table_sha(seed(parabolic, *box).rules) == digest
+
+
+@pytest.mark.parametrize("generator, which, shift", [(W1, 0, 1), (W1, -1, -1), (W2, 0, 1),
+                                                     (W2, -1, -1)],
+                         ids=["w1-first-up", "w1-last-down", "w2-first-up", "w2-last-down"])
+def test_additivity_check_reads_each_part_class(monkeypatch, generator, which, shift):
+    # one grid offset of a template one cell off: the rule's slots are all classes of the
+    # box, and only reading each part's class, not the template, shows the wrong one
+    template = karoubi._tensor_template
+
+    def one_cell_off(gen, *box):
+        offsets, *rest = template(gen, *box)
+        if gen == generator:
+            offsets = list(offsets)
+            offsets[which] += shift
+        return offsets, *rest
+
+    monkeypatch.setattr(karoubi, "_tensor_template", one_cell_off)
+    karoubi._compiled.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="additivity"):
+            seed(SHORT, 10, 8)
+    finally:
+        karoubi._compiled.cache_clear()
 
 
 def _drop_last_atom(lam, parabolic):
