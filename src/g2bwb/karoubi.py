@@ -175,7 +175,7 @@ class _Builder:
         self.slots.extend(slots)
         self.first.append(len(self.slots))
 
-    def filtration(self, rule_id: str, parts: list[int], last: int, total) -> None:
+    def filtration(self, rule_id: str, parts: list[int], last: int, total: list | dict) -> None:
         """Admit a rule of two or more parts and then ``last``, their total or a class
         standing for it, which the rule only reads; exact character additivity is
         mandatory.  ``total`` is the character as sorted keys, or as {weight: multiplicity};
