@@ -27,12 +27,14 @@ class that the two tensor filtrations of a wall twist share, would learn nothing
   lines are known weight parts, so its filtration, which the box holds, learns L(nu).
 
 Each box is compiled once into a read-only ``RuleTable`` of flat integer arrays shared by
-every closure over it.  Class ids sit in grids over the box; a twist's tensor rules read
-them at one cached list of offsets per generator.  Every filtration passes an exact check
-of character additivity: the sorted keys a * 2^16 + b of its parts' weights, read from
-their classes, are its total's.  A knowledge base holds a byte of known flags per class
-and the log of learned facts as (class id, rule index) pairs; the closure is a worklist
-saturation, independent of rule order, whose derivations are logged and replayable.
+every closure over it.  A line's class id is its grid cell, and rules are written a row
+of twists at a time, a generator's tensor rules as one column of line ids per offset of its
+cached template.  Every filtration passes an exact check of character additivity on keys
+a * 2^16 + b read from its parts' classes: a row's columns hold their weights' keys, a
+string's lines its weights' in order, and a string filtration's sorted keys its total's.
+A knowledge base holds a byte of known flags per class and the log of learned facts as
+(class id, rule index) pairs; the closure is a worklist saturation, independent of rule
+order, whose derivations are logged and replayable.
 """
 
 from __future__ import annotations
@@ -124,20 +126,22 @@ def _key(w: tuple[int, int]) -> int:  # one to one on the weights (a, b) with |b
 
 
 class _Builder:
-    """Writes the rules of one box straight into table rows.  Line and string class ids sit
-    in two flat grids, weight (a, b) of the box in cell (a + amax) * width + b + bmax, -1
-    until first used; until ``freeze``, ``keys[i]`` keys class i's (highest) weight."""
+    """Writes the rules of one box into table rows, a row of twists at a time.  Class 0 is
+    zero, class 1 + k the line of weight (a, b) in grid cell k = (a + amax) * width + b
+    + bmax, and string classes follow, made on first use.  Until ``freeze``, ``keys[i]``
+    keys class i's (highest) weight; ``check`` compares keys read from a rule's part
+    classes with its total's."""
 
     def __init__(self, parabolic: ParabolicId, amax: int, bmax: int):
         self.parabolic, self.amax, self.bmax, self.width = parabolic, amax, bmax, 2 * bmax + 1
-        self.grids = {k: [-1] * ((2 * amax + 1) * self.width) for k in ("line", "pstring")}
-        self.classes, self.keys, self.index = [], array("q"), {}
-        self.rule_ids, self.skipped = [], []
+        cells = [Weight(a, bb) for a in range(-amax, amax + 1) for bb in range(-bmax, bmax + 1)]
+        self.classes, self.keys = [ZERO_CLASS, *map(line_class, cells)], [0, *map(_key, cells)]
+        self.index = dict(zip(self.classes, range(len(self.classes))))
+        self.line_ids, self.rule_ids, self.skipped = range(1, len(self.classes)), [], []
         self.first, self.slots = array("i", [0]), array("i")
-        self.cid(ZERO_CLASS)
-        short = parabolic is ParabolicId.SHORT
-        lines = SHORT_SEED_LINES if short else LONG_SEED_LINES
-        strings = SHORT_SEED_STRINGS if short else LONG_SEED_STRINGS
+        self.step = self.line(*parabolic.simple_root.weight) - self.line(0, 0)
+        lines, strings = ((SHORT_SEED_LINES, SHORT_SEED_STRINGS) if parabolic is ParabolicId.SHORT
+                          else (LONG_SEED_LINES, LONG_SEED_STRINGS))
         self.seeds = tuple([self.cid(line_class(nu)) for nu in lines]
                            + [self.cid(pstring_class(parabolic, lam)) for lam in strings])
 
@@ -149,34 +153,37 @@ class _Builder:
             self.keys.append(_key(c[1]) if len(c) > 1 else 0)
         return i
 
-    def cell(self, a: int, b: int) -> int:
-        return (a + self.amax) * self.width + b + self.bmax
+    def line(self, a: int, b: int) -> int:
+        return 1 + (a + self.amax) * self.width + b + self.bmax
 
-    def at(self, kind: str, k: int) -> int:
-        """Id of the class (kind, weight) in grid cell k, made on first use."""
-        grid = self.grids[kind]
-        if grid[k] < 0:
-            a, b = divmod(k, self.width)
-            grid[k] = self.cid((kind, Weight(a - self.amax, b - self.bmax)))
-        return grid[k]
+    def at(self, i: int) -> int:
+        """Id of the string class whose highest weight is line i's, made on first use."""
+        return self.cid(("pstring", self.classes[i][1]))
 
-    def lines(self, k: int, offsets) -> list[int]:
-        """Ids of the line classes in grid cells k + offsets, made on first use."""
-        grid = self.grids["line"]
-        return [q if (q := grid[k + o]) >= 0 else self.at("line", k + o) for o in offsets]
+    def line_keys(self, ids: range) -> list[int] | None:
+        """Keys of the classes ids (a range, not empty) in order, or None unless all are lines."""
+        ok = ids[0] in self.line_ids and ids[-1] in self.line_ids
+        return self.keys[ids.start:ids.stop if ids.stop >= 0 else None:ids.step] if ok else None
 
     def string_keys(self, c: int) -> range:
         """Keys of the weights of string class c, highest first."""
         k, step = self.keys[c], _key(self.parabolic.simple_root.weight)
         return range(k, k - (self.parabolic.pair(self.classes[c][1]) + 1) * step, -step)
 
-    def add(self, rule_id: str, slots: list[int]) -> None:
-        self.rule_ids.append(rule_id)
-        self.slots.extend(slots)
-        self.first.append(len(self.slots))
+    def check(self, rule_id: str, got, want) -> None:
+        """Exact character additivity: the keys ``got`` read from a rule's parts are ``want``."""
+        if got != want:
+            raise ValueError(f"rule {rule_id}: character additivity fails")
 
-    def filtration(self, rule_id: str, parts: list[int], last: int, total: list | dict) -> None:
-        """Admit a rule of two or more parts and then ``last``, their total or a class
+    def extend(self, labels, rules) -> None:
+        """Append rules by their labels and slots, skipping None entries of both."""
+        rules = [*filter(None, rules)]
+        self.rule_ids += filter(None, labels)
+        self.first.extend(accumulate(map(len, rules), initial=self.first.pop()))
+        self.slots.extend(chain.from_iterable(rules))
+
+    def filtration(self, rule_id: str, parts: list[int], last: int, total: list | dict) -> list:
+        """The slots of a rule of two or more parts and then ``last``, their total or a class
         standing for it, which the rule only reads; exact character additivity is
         mandatory.  ``total`` is the character as sorted keys, or as {weight: multiplicity};
         each part's is read from its class: a line's key, or a string's weights' keys."""
@@ -185,16 +192,15 @@ class _Builder:
         keys, classes, got = self.keys, self.classes, []
         for c in parts:
             got += (keys[c],) if classes[c][0] == "line" else self.string_keys(c)
-        if sorted(got) != total:
-            raise ValueError(f"rule {rule_id}: character additivity fails")
+        self.check(rule_id, sorted(got), total)
         if len(parts) < 2:
             raise ValueError(f"rule {rule_id}: a filtration needs two parts")
-        self.add(rule_id, parts + [last])
+        return parts + [last]
 
     def freeze(self) -> RuleTable:
-        """The table, freeing the keys and grids.  Its watch index is a counting sort of the
+        """The table, freeing the keys.  Its watch index is a counting sort of the
         (slot, rule) pairs by class, in one pass over them: each class's rules in order."""
-        self.keys = self.grids = None
+        self.keys = None
         slots, first = self.slots, self.first
         count = [0] * len(self.classes)
         for q in slots:
@@ -305,6 +311,8 @@ def _tensor_template(generator: Weight, parabolic: ParabolicId, amax: int, bmax:
 
     width, gch = 2 * bmax + 1, weyl_character(generator).mult
     lines = [mu for mu in sorted(gch) for _ in range(gch[mu])]
+    if len(lines) < 2:
+        raise ValueError(f"rule wtfilt{generator}: a filtration needs two parts")
     highs = [s.highest for s in restrict_to_P(generator, parabolic).atoms]
     return (tuple(a * width + b for a, b in lines), fit(lines),
             tuple((pstring_class(parabolic, h)[0], h.a * width + h.b) for h in highs), fit(highs),
@@ -312,57 +320,69 @@ def _tensor_template(generator: Weight, parabolic: ParabolicId, amax: int, bmax:
 
 
 def _string_line_rules(b: _Builder) -> None:
-    par, amax, bmax = b.parabolic, b.amax, b.bmax
-    aa, ab = par.simple_root.weight
+    par, amax, bmax, step = b.parabolic, b.amax, b.bmax, b.step
+    (aa, ab), p1 = par.simple_root.weight, par.pair(W2)
     for a in range(-amax, amax + 1):
+        labels, rules, p0 = [], [], par.pair(Weight(a, 0))
         for bb in range(-bmax, bmax + 1):
-            if (r := par.pair(Weight(a, bb))) <= 0:
+            if (r := p0 + bb * p1) <= 0:  # the pairing is linear
                 continue
             lam = f"({a},{bb})"
             if not (-amax <= a - r * aa <= amax and -bmax <= bb - r * ab <= bmax):
                 b.skipped.append(f"string {lam}: layer outside box")  # the box is convex
                 continue
-            k, step = b.cell(a, bb), aa * b.width + ab
-            ids = b.lines(k, range(0, -(r + 1) * step, -step))
-            s = b.at("pstring", k)
-            b.filtration(f"bfilt{lam}", ids, s, sorted(b.string_keys(s)))
-            b.add(f"push{lam}", [ids[0], s])
-            b.add(f"pull{lam}", [s, ids[0]])
+            hi = b.line(a, bb)
+            ids, s = range(hi, hi - (r + 1) * step, -step), b.at(hi)
+            b.check(f"bfilt{lam}", b.line_keys(ids), list(b.string_keys(s)))
+            labels += f"bfilt{lam}", f"push{lam}", f"pull{lam}"
+            rules += (*ids, s), (hi, s), (s, hi)
+        b.extend(labels, rules)
 
 
-def _add_tensor_rules(b: _Builder, generator: Weight, nu: Weight) -> None:
-    if generator not in (W1, W2):
-        raise ValueError("generator must be one of the two fundamental modules")
-    offsets, fit, atoms, atoms_fit, keys = _tensor_template(generator, b.parabolic, b.amax, b.bmax)
-    na, nb = nu
-    tag, k, move, filts = f"{generator}@({na},{nb})", b.cell(na, nb), _key(nu), []
-    if na in fit[0] and nb in fit[1]:
-        filts.append(("wtfilt", b.lines(k, offsets)))
-    else:
-        b.skipped.append(f"tensor {tag}: weight outside box")
-    if b.parabolic.pair(nu) == 0:
-        if na in atoms_fit[0] and nb in atoms_fit[1]:
-            filts.append(("strfilt", [b.at(kind, k + o) for kind, o in atoms]))
-        else:
-            b.skipped.append(f"tensor strings {tag}: atom outside box")
-    if filts:  # the twist's line and total, once for its filtrations
-        last, total = b.at("line", k), [q + move for q in keys]
-        for name, parts in filts:
-            b.filtration(name + tag, parts, last, total)
+def _tensor_row(b: _Builder, a: int) -> None:
+    """The tensor rules of the twists in row a, twist by twist, W1's before W2's and a weight
+    filtration before a string filtration.  A generator's weight filtrations are one column
+    of line ids per template offset, each checked against its weight's keys."""
+    bmax, size = b.bmax, 4 * b.width
+    rules, labels, skipped = [None] * size, [None] * size, [None] * size
+    p0, p1 = b.parabolic.pair(Weight(a, 0)), b.parabolic.pair(W2)
+    for g, gen in enumerate((W1, W2)):
+        offsets, fit, atoms, atoms_fit, keys = _tensor_template(gen, b.parabolic, b.amax, bmax)
+        cols = fit[1] if a in fit[0] else range(-bmax, -bmax)
+        lo, n, key0, tag = b.line(a, cols.start), len(cols), _key((a, cols.start)), f"{gen}@({a},"
+        columns = [range(lo + o, lo + o + n) for o in offsets if n]
+        b.check(f"wtfilt{tag}{cols.start}..{cols.stop - 1})", list(map(b.line_keys, columns)),
+                [list(range(key0 + k, key0 + k + n)) for k in keys if n])
+        j = slice(4 * (cols.start + bmax) + 2 * g, 4 * (cols.stop + bmax) + 2 * g, 4)
+        rules[j] = zip(*columns, range(lo, lo + n))
+        labels[j] = map(f"wtfilt{tag}{{}})".format, cols)
+        skipped[2 * g::4] = [None if bb in cols else f"tensor {tag}{bb}): weight outside box"
+                             for bb in range(-bmax, bmax + 1)]
+        for bb in (bb for bb in range(-bmax, bmax + 1) if p0 + bb * p1 == 0):  # wall twists
+            k, i, move = 4 * (bb + bmax) + 2 * g + 1, b.line(a, bb), _key((a, bb))
+            if a in atoms_fit[0] and bb in atoms_fit[1]:
+                labels[k] = f"strfilt{tag}{bb})"
+                parts = [i + o if kind == "line" else b.at(i + o) for kind, o in atoms]
+                rules[k] = b.filtration(labels[k], parts, i, [q + move for q in keys])
+            else:
+                skipped[k] = f"tensor strings {tag}{bb}): atom outside box"
+    b.extend(labels, rules)
+    b.skipped += filter(None, skipped)
 
 
 def _add_koszul_rules(b: _Builder) -> None:
     """Length-eight exact complexes stepping by the first fundamental weight,
-    one per twist in the box."""
+    one per twist in the box, written a row of twists at a time."""
     v = weyl_character(W1)
     euler = sum((exterior_power(v, k).tensor(Character.line(W1.scaled(-k))).scaled((-1) ** k)
                  for k in range(8)), Character())
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
-    steps = [-(sa * b.width + sb) for sa, sb in (W1.scaled(k) for k in range(8))]
+    steps = [b.line(0, 0) - b.line(*W1.scaled(k)) for k in range(8)]
     for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
-        for bb in range(-b.bmax, b.bmax + 1):
-            b.add(f"koszul({a},{bb})", b.lines(b.cell(a, bb), steps) + [ZERO_ID])
+        lo = b.line(a, -b.bmax)
+        b.extend(map(f"koszul({a},{{}})".format, range(-b.bmax, b.bmax + 1)),
+                 zip(*(range(lo + s, lo + s + b.width) for s in steps), repeat(ZERO_ID)))
 
 
 SHORT_SEED_LINES = [Weight(0, 0), Weight(0, -1), Weight(1, -2), Weight(2, -2),
@@ -378,9 +398,8 @@ def _compiled(parabolic: ParabolicId, amax: int, bmax: int) -> RuleTable:
     """The rule table of a box, built and checked once."""
     b = _Builder(parabolic, amax, bmax)
     _string_line_rules(b)
-    for nu in (Weight(a, bb) for a in range(-amax, amax + 1) for bb in range(-bmax, bmax + 1)):
-        for gen in (W1, W2):
-            _add_tensor_rules(b, gen, nu)
+    for a in range(-amax, amax + 1):
+        _tensor_row(b, a)
     _add_koszul_rules(b)
     return b.freeze()
 
@@ -427,9 +446,10 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
         r = pop()
         if missing[r] != 1:
             continue
-        rule = slots[first[r]:first[r + 1]]
-        new = next(q for q in rule if not known[q])
-        if new == rule[-1]:
+        for new in slots[first[r]:first[r + 1] - 1]:  # its one unknown slot, if not the last
+            if not known[new]:
+                break
+        else:
             continue
         known[new] = 1
         learn((new, r))

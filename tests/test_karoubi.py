@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 from collections import Counter
+from itertools import accumulate, chain
 
 import pytest
 
@@ -11,9 +12,9 @@ from g2bwb.rootdata import ParabolicId, Weight, ZERO, W1, W2
 from g2bwb.karoubi import (
     GenerationReport,
     _add_koszul_rules,
-    _add_tensor_rules,
     _Builder,
     _string_line_rules,
+    _tensor_row,
     close,
     default_targets,
     line_class,
@@ -60,13 +61,14 @@ def test_closure_derives_first_consequences():
 
 
 def test_tensor_rule_parts():
+    # row 0 of a short box is all wall twists: each has weight and string filtrations
     b = _Builder(SHORT, 8, 8)
-    _add_tensor_rules(b, W1, Weight(0, -1))
-    labels = set(b.freeze().rule_ids)
-    assert any(rid.startswith("strfilt") for rid in labels)
-    assert any(rid.startswith("wtfilt") for rid in labels)
-    with pytest.raises(ValueError):
-        _add_tensor_rules(b, Weight(2, 0), Weight(0, -1))
+    _tensor_row(b, 0)
+    labels = b.freeze().rule_ids
+    # twist by twist, W1 before W2 (which fits from b = -6 on), wtfilt before strfilt
+    assert labels[:6] == ("wtfilt(1,0)@(0,-7)", "strfilt(1,0)@(0,-7)", "wtfilt(1,0)@(0,-6)",
+                          "strfilt(1,0)@(0,-6)", "wtfilt(0,1)@(0,-6)", "strfilt(0,1)@(0,-6)")
+    assert {"wtfilt(0,1)@(0,-1)", "strfilt(0,1)@(0,-1)"} <= set(labels)
 
 
 def test_closure_monotone_idempotent():
@@ -137,8 +139,9 @@ def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
     b = _Builder(SHORT, 8, 8)
     x, z, y, total = (b.cid(line_class(Weight(k, k))) for k in (3, middle, 4, 5))
     for c in {z, y, total} - {x}:
-        b.add(f"from seed {c}", [c, b.seeds[0]])
-    b.filtration("xzy", [x, z, y], total, Counter(Weight(k, k) for k in (3, middle, 4)))
+        b.extend([f"from seed {c}"], [[c, b.seeds[0]]])
+    b.extend(["xzy"], [b.filtration("xzy", [x, z, y], total,
+                                    Counter(Weight(k, k) for k in (3, middle, 4)))])
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[y] and kb.flags[total] and kb.flags[x] == learned and kb.replay()
     if not learned:
@@ -153,8 +156,8 @@ def test_premise_last_rule_never_learns_its_last_slot(parts):
     b = _Builder(SHORT, 8, 8)
     x, y, z = (b.cid(line_class(Weight(k, k))) for k in (3, 4, 5))
     for c in (x, y):
-        b.add(f"from seed {c}", [c, b.seeds[0]])
-    b.add("xyz", [x, y, z][-1 - parts:])
+        b.extend([f"from seed {c}"], [[c, b.seeds[0]]])
+    b.extend(["xyz"], [[x, y, z][-1 - parts:]])
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[x] and kb.flags[y] and not kb.flags[z] and kb.replay()
     kb.flags[z] = 1
@@ -255,7 +258,7 @@ def test_seed_copies_are_independent():
         _string_line_rules(b)
         _add_koszul_rules(b)
         if extra:
-            _add_tensor_rules(b, W1, Weight(0, -1))
+            _tensor_row(b, 0)
         return set(close(karoubi._seeded(b.freeze())).known)
 
     assert closed_known(False) < closed_known(True)
@@ -431,15 +434,24 @@ def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
 
 
 def _table_sha(t) -> str:
-    """sha256 of a fixed serialization of every field of a compiled rule table."""
-    parts = ["\n".join(map(karoubi.class_str, t.classes))]
-    parts += [",".join(map(str, x)) for x in (t.seeds, t.first, t.slots, t.offsets, t.watch)]
+    """sha256 of a fixed serialization of every field of a compiled rule table, with its
+    classes renumbered in order of first appearance in zero, the seeds and the slots in
+    rule order, and its watch index read in that class order."""
+    order = list(dict.fromkeys([karoubi.ZERO_ID, *t.seeds, *t.slots]))
+    new = {c: i for i, c in enumerate(order)}
+    readers = [t.watch[t.offsets[c]:t.offsets[c + 1]].tolist() for c in order]
+    parts = ["\n".join(karoubi.class_str(t.classes[c]) for c in order)]
+    parts += [",".join(map(str, x)) for x in (
+        [new[c] for c in t.seeds], t.first, [new[c] for c in t.slots],
+        accumulate(map(len, readers), initial=0), chain.from_iterable(readers))]
     parts += ["\n".join(t.rule_ids), "\n".join(t.skipped)]
     return hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
 
 
-# The whole compiled table of a box, pinned by its sha256: class ids and their
-# order, rule slots and labels, seeds, the watch index and the skipped list.
+# The whole compiled table of a box, pinned by its sha256 up to class numbering: classes
+# in order of first use, rule slots and labels, seeds, the watch index and the skipped
+# list.  Raw class ids are not first-use order: line (a, b) is grid cell
+# 1 + (a + amax) * (2 * bmax + 1) + b + bmax, string classes follow.
 @pytest.mark.parametrize("parabolic, box, digest", [
     (SHORT, (10, 8), "18bb3628675576601b06b410575282dc7e96912907feefe5fbc7ed5ae95cb021"),
     (LONG, (16, 12), "9217f999d67a415d764b56705f6d113ba7b887d971cf26ce95cad543f81b583c"),
@@ -449,7 +461,77 @@ def _table_sha(t) -> str:
     (LONG, (32, 28), "9f150e4125f3179c031b6f3fa3639b1365333d7ba6c6cacc5b0a193445bc814f"),
 ], ids=["short-10-8", "long-16-12", "short-24-20", "long-24-20", "short-32-28", "long-32-28"])
 def test_rule_table_golden(parabolic, box, digest):
-    assert _table_sha(seed(parabolic, *box).rules) == digest
+    t = seed(parabolic, *box).rules
+    assert _table_sha(t) == digest
+    amax, bmax = box
+    for a in range(-amax, amax + 1):
+        for b in range(-bmax, bmax + 1):
+            assert t.id_of(line_class(Weight(a, b))) == 1 + (a + amax) * (2 * bmax + 1) + b + bmax
+    # every class is a seed or fills a slot, so renumbering hides no unused class
+    assert set(t.seeds) | set(t.slots) | {karoubi.ZERO_ID} == set(range(len(t.classes)))
+
+
+# The derivation order of every box report karoubi accepts, pinned by its sha256.
+_AUDIT_LOGS = {
+    SHORT: {
+        10: "c85e5dbd417a50f5f4b6658d7cac500a16077c15d02367aacd959216d3d7be9c",
+        11: "5ea6da60f9f5f012830ac75e2502fa97f2cf63b7377b9a10f790e0a756bf05b4",
+        12: "9621c8f8786332a8bf35d5493b38477314972184b6c16f6ec5c6374ac873995f",
+        13: "993c2db582de313ad678b6103c8bccd0885c028b0adf34a8e6f1f95458c46193",
+        14: "92f3c934adf2ae049db769e0c467521c0928c184266d8253f6df5e7949706a6a",
+        15: "762fbf865ee1bfc6cc76516267ac87aadd17d170df42ad5c9ed323aa2550bbe0",
+        16: "6430cd819c326b953ba71c2e8b9fc807cc67e997b9ff68c175f689c08cd00d43",
+        17: "d0b980f06aeaaee3448720bcc1199ede1e4e19176d04c096bff28451449ad40b",
+        18: "a541ab41a624912267c49d88dcd91aa8160cc368dacc7491f70540c691bb780b",
+        19: "022ebce6f93c8e43b948bd0f5ea26556953eb44606a605455160d3ab78b20477",
+        20: "224432d0254c6140bbc460009910ba4940824e39145ab24060073a7b4d72d9ad",
+        21: "1f261b71193aab6dd436768520d451e85f8c9b207dbc33bb51f4efb4529310d8",
+        22: "8206fdb38a22530629a28a74493ae27ea7020088a36de5aa2018931e97e14658",
+        23: "7ccc55347729f77eb92c7c9866b10863d9dee6ff4fb9b8364d67ae73c02f0643",
+        24: "30eca865c4e8dc09d2d8cac1a97374b37a1602a56df1aa4ed177949ed601351b",
+        25: "f85fb20773133f27f611b5a6046b63209d76d4cc89538cd91392819d72b04d9a",
+        26: "4c43293b83e0eb999ca5427e1147f32f0839c6537488183e7ed2db14b855ee25",
+        27: "9250506517b8dc2a1571e060272af65971fa94da44b4ff8a80b4499bc8109c7c",
+        28: "dd878996fcc740cbfddb3cf1d72628c7f9918d9f9cbb4b6d11fba6e84e4e1752",
+        29: "0fdf6ff60a08155c1b9df0feea27ac45e591fd4c768cb0528e8c951906de0c75",
+        30: "5d9bed71b027694da61bc6fcd240fe7484344071f3233fd5cc15efc020d05571",
+        31: "676bf8f8140c75e16275634b3d5d022bb93173a67ad182692410d14d2b5161a1",
+        32: "29e331464a706f7cbd7cf9940f4ba6053c1dc5469ceee91846d2164723be28b1",
+    },
+    LONG: {
+        12: "587301272f108c7f9c76dd571b8da50f9ac7a52e08293f28ad66c9fae073b8d6",
+        13: "1ea76a771390f24d3d9d31ca26e98ca673d9abc4d4582e01976f46f2e1b46899",
+        14: "1d10b50fd4f27d4174d977eef4e7c1cf3d846027fef7c0b566d1bace392228e0",
+        15: "53ff1d0504b417f71b3f27b2d8ab955e80c8110b44ccf3616e3f662fb5f09c99",
+        16: "7bf958bfb365a68c1e08dd6c7fb3e7cb38b1710c34906e23181e5a5070bece58",
+        17: "01d07183563fa81ea7a9f2a9b446d1b2db44c6e7d795b34cae291a81cfe60a51",
+        18: "13f79d1bfafc06ca1da25637c577ca1b2c6d1f5bf7735a175782d448cf195f3d",
+        19: "798f49b1cba5eb4f22cf305a8487444e7facd8c49b37fb520c5dfb5d9ce72596",
+        20: "8b717df0f816cd24f65c19df39d4721406a3344155262f278269b62cb7fd8f4b",
+        21: "199481a65ff7e5e03f93354503e24b7a1c23feecb17e4b2340ab82445c512d5f",
+        22: "f79413011f361261db0713d4e3625fb8af8df83b3755e4816bb055fcd3533f61",
+        23: "516b909bc138d1b08dc8016d2f46807616f9c3c8d28ba1af4d2c8f59c58d3490",
+        24: "1a5050ecd7c6a860fed02d9635fad4fe6a4ed5e0c8c34dc12eec233d2e5e29f9",
+        25: "f16616f3a93564e67f8b1afa95eac593084992dddbe91913f7424b114df22054",
+        26: "bb1011fdf8a3147add451946b8a21b00b6b31ba3dfdcabb90189d2da5a1794e3",
+        27: "68aa85b714d0ff8856e94090a230d96eb3eafabecc82fd8039d4a40a0fcbb79a",
+        28: "13989c9323fe38cac0f54e396890ca28f308f382bca62867c88085a9d007dc26",
+        29: "cfd979ed28407c6f65804c01916d59750963c2431edadc1dd5d53f742431f475",
+        30: "9a3402fd1ddb10dc81b7898b6d77f12a1b387c4bcca5a5b7f2f7e9b8fed07f1e",
+        31: "1cca467b5deae239f5a59f1fd3a9e5cdd1f19d33b45d53108c76587b0bb73e39",
+        32: "978902fda9708c804a0fdc31f1171ab23253f69a5cc8d53a0378d0db9a659590",
+    },
+}
+
+
+def test_audit_log_at_every_accepted_box():
+    # the box of report karoubi --box n; each table is dropped after its box, so the 44
+    # tables (about 60 MB) are never cached together
+    for parabolic, digests in _AUDIT_LOGS.items():
+        for n, digest in digests.items():
+            karoubi._compiled.cache_clear()
+            assert _audit_sha(close(seed(parabolic, n, max(12, n - 4)))) == digest, (parabolic, n)
+    karoubi._compiled.cache_clear()
 
 
 @pytest.mark.parametrize("generator, which, shift", [(W1, 0, 1), (W1, -1, -1), (W2, 0, 1),
@@ -474,6 +556,55 @@ def test_additivity_check_reads_each_part_class(monkeypatch, generator, which, s
             seed(SHORT, 10, 8)
     finally:
         karoubi._compiled.cache_clear()
+
+
+def _wider_twist_columns(monkeypatch):
+    # a template whose b-range of twists is one wider: a row's column runs into the next
+    # grid row
+    template = karoubi._tensor_template
+
+    def wider(*args):
+        offsets, fit, *rest = template(*args)
+        return offsets, (fit[0], range(fit[1].start, fit[1].stop + 1)), *rest
+
+    monkeypatch.setattr(karoubi, "_tensor_template", wider)
+
+
+def _string_step_one_cell_off(monkeypatch):
+    init = karoubi._Builder.__init__
+
+    def off(self, *args):
+        init(self, *args)
+        self.step += 1
+
+    monkeypatch.setattr(karoubi._Builder, "__init__", off)
+
+
+@pytest.mark.parametrize("mutate, rule", [(_wider_twist_columns, "wtfilt"),
+                                          (_string_step_one_cell_off, "bfilt")],
+                         ids=["template-b-range-one-wider", "string-step-one-cell-off"])
+def test_additivity_check_reads_each_grid_line(monkeypatch, mutate, rule):
+    # line ids are computed from grid cells; only the classes' keys show a wrong cell
+    mutate(monkeypatch)
+    karoubi._compiled.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"rule {rule}.*additivity"):
+            seed(SHORT, 10, 8)
+    finally:
+        karoubi._compiled.cache_clear()
+
+
+def test_grid_check_reads_only_line_classes():
+    # zero and each string share their key with a line, so a column of ids reaching them
+    # must fail on the class, not on the key
+    b = _Builder(SHORT, 10, 8)
+    s = b.seeds[-1]
+    hi = b.line(*b.classes[s][1])
+    assert b.classes[s][0] == "pstring" and b.keys[s] == b.keys[hi]
+    assert b.keys[karoubi.ZERO_ID] == b.keys[b.line(0, 0)]
+    assert b.line_keys(range(hi, hi + 1)) == [b.keys[hi]]
+    for ids in (range(0, 1), range(s, s + 1), range(-1, 2), range(hi, s + 1, s - hi)):
+        assert b.line_keys(ids) is None
 
 
 def _drop_last_atom(lam, parabolic):
