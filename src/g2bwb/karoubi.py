@@ -150,7 +150,7 @@ class _Builder:
         if i is None:
             i = self.index[c] = len(self.classes)
             self.classes.append(c)
-            self.keys.append(_key(c[1]) if len(c) > 1 else 0)
+            self.keys.append(_key(c[1]))
         return i
 
     def line(self, a: int, b: int) -> int:
