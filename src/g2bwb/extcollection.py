@@ -64,7 +64,7 @@ collection; it reads no modular character and no Ext table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
@@ -298,7 +298,7 @@ class ExtEngine:
             hit = _CELLS.get((X, Y, p)) or self._compute(X, Y)
         p0, table = hit
         self._needs(p0)
-        return table if table.p == p else replace(table, p=p)
+        return table if table.p == p else ExtTable(table.degrees, table.exact, p, table.caveats)
 
     def _compute(self, X: SheafObject, Y: SheafObject) -> tuple[int, ExtTable]:
         self._p0.append(0)

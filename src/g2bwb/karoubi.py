@@ -26,15 +26,17 @@ class that the two tensor filtrations of a wall twist share, would learn nothing
   slots).  But then the string part through nu is known and is not L(nu), and its other
   lines are known weight parts, so its filtration, which the box holds, learns L(nu).
 
-Each box is compiled once into a read-only ``RuleTable`` of flat integer arrays shared by
-every closure over it.  A line's class id is its grid cell, and rules are written a row
-of twists at a time, a generator's tensor rules as one column of line ids per offset of its
-cached template.  Every filtration passes an exact check of character additivity on keys
-a * 2^16 + b read from its parts' classes: a row's columns hold their weights' keys, a
-string's lines its weights' in order, and a string filtration's sorted keys its total's.
-A knowledge base holds a byte of known flags per class and the log of learned facts as
-(class id, rule index) pairs; the closure is a worklist saturation, independent of rule
-order, whose derivations are logged and replayable.
+Each box is compiled once into a read-only ``RuleTable`` of its classes and flat integer
+arrays, shared by every closure over it: even a rule's label, or a twist or string skipped as
+outside the box, is an integer code of its kind and its twist's grid cell, formatted when read.
+A line's class id is its grid cell, and rules are written a row of twists at a time, a
+generator's tensor rules as one column of line ids per offset of its cached template.  Every
+filtration passes an exact check of character additivity on keys a * 2^16 + b read from its
+parts' classes: a row's columns hold their weights' keys, a string's lines its weights' in
+order, and a string filtration's sorted keys its total's.  A knowledge base holds a byte of
+known flags per class and the log of learned facts as (class id, rule index) pairs; the
+closure is a worklist saturation, independent of rule order, whose derivations are logged
+and replayable.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import functools
 import random
 from array import array
+from collections.abc import Sequence
 from itertools import accumulate, chain, compress, repeat
 from operator import sub
 from dataclasses import dataclass
@@ -83,27 +86,57 @@ def class_str(c: ClassId) -> str:
 
 ZERO_ID = 0  # class id of the zero object in every table
 
+# The kinds of rule labels and skipped entries, each a template for its twist's weight; the
+# tensor kinds of W1 and then W2 put the weight filtration first, as a row's slots do.
+_KINDS = ("bfilt{}", "push{}", "pull{}", "koszul{}", "string {}: layer outside box",
+          *(f"{t}{g}@{{}}" for g in (W1, W2) for t in ("wtfilt", "strfilt")),
+          *(f"tensor{t} {g}@{{}}: {part} outside box" for g in (W1, W2)
+            for t, part in (("", "weight"), (" strings", "atom"))))
+BFILT, PUSH, PULL, KOSZUL, LAYER, TENSOR, TENSOR_SKIPPED = 0, 1, 2, 3, 4, 5, 9
+
+
+class Entries(Sequence):
+    """Read-only strings formatted on access from integer codes kind * cells + k: the
+    ``_KINDS`` template of the kind for the twist in grid cell k of the box, line k + 1."""
+
+    __slots__ = ("codes", "amax", "bmax")
+
+    def __init__(self, codes: array, amax: int, bmax: int):
+        self.codes, self.amax, self.bmax = codes, amax, bmax
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        codes = self.codes[i]
+        return tuple(map(self.name, codes)) if isinstance(i, slice) else self.name(codes)
+
+    def name(self, code: int) -> str:
+        width = 2 * self.bmax + 1
+        kind, k = divmod(code, (2 * self.amax + 1) * width)
+        return _KINDS[kind].format(Weight(k // width - self.amax, k % width - self.bmax))
+
 
 @dataclass(frozen=True, eq=False)
 class RuleTable:
-    """The compiled rules of one box as flat integer tables, shared and read-only.
+    """The compiled rules of one box as its classes and flat integer tables, shared, read-only.
 
     Class i is ``classes[i]``.  Rule r has label ``rule_ids[r]`` and the slots
     ``slots[first[r]:first[r + 1]]``: its parts, then its last slot, which it only
     reads (an implication's part, a string's class, a tensor twist's line, or zero).
     The rules with a slot on class c, once per slot and in rule order, are
-    ``watch[offsets[c]:offsets[c + 1]]``.
+    ``watch[offsets[c]:offsets[c + 1]]``.  Labels and skipped entries are formatted when read.
     """
 
     classes: tuple
     index: MappingProxyType
     seeds: tuple[int, ...]
-    rule_ids: tuple[str, ...]
+    rule_ids: Entries
     first: memoryview
     slots: memoryview
     offsets: memoryview
     watch: memoryview
-    skipped: tuple[str, ...]
+    skipped: Entries
 
     def __len__(self) -> int:
         return len(self.rule_ids)
@@ -137,7 +170,8 @@ class _Builder:
         cells = [Weight(a, bb) for a in range(-amax, amax + 1) for bb in range(-bmax, bmax + 1)]
         self.classes, self.keys = [ZERO_CLASS, *map(line_class, cells)], [0, *map(_key, cells)]
         self.index = dict(zip(self.classes, range(len(self.classes))))
-        self.line_ids, self.rule_ids, self.skipped = range(1, len(self.classes)), [], []
+        self.line_ids, self.cells = range(1, len(self.classes)), len(cells)
+        self.rule_ids, self.skipped = (Entries(array("i"), amax, bmax) for _ in range(2))
         self.first, self.slots = array("i", [0]), array("i")
         self.step = self.line(*parabolic.simple_root.weight) - self.line(0, 0)
         lines, strings = ((SHORT_SEED_LINES, SHORT_SEED_STRINGS) if parabolic is ParabolicId.SHORT
@@ -156,6 +190,10 @@ class _Builder:
     def line(self, a: int, b: int) -> int:
         return 1 + (a + self.amax) * self.width + b + self.bmax
 
+    def code(self, kind: int, i: int) -> int:
+        """Code of the label or skipped entry of that kind at the twist of line i."""
+        return kind * self.cells + i - 1
+
     def at(self, i: int) -> int:
         """Id of the string class whose highest weight is line i's, made on first use."""
         return self.cid(("pstring", self.classes[i][1]))
@@ -170,19 +208,21 @@ class _Builder:
         k, step = self.keys[c], _key(self.parabolic.simple_root.weight)
         return range(k, k - (self.parabolic.pair(self.classes[c][1]) + 1) * step, -step)
 
-    def check(self, rule_id: str, got, want) -> None:
-        """Exact character additivity: the keys ``got`` read from a rule's parts are ``want``."""
+    def check(self, codes: range, got, want) -> None:
+        """Exact character additivity: the keys ``got`` read from the parts of the rules
+        labelled ``codes`` are ``want``.  Their names are formatted only if it fails."""
         if got != want:
-            raise ValueError(f"rule {rule_id}: character additivity fails")
+            names = " .. ".join(map(self.rule_ids.name, sorted({codes[0], codes[-1]})))
+            raise ValueError(f"rule {names}: character additivity fails")
 
     def extend(self, labels, rules) -> None:
-        """Append rules by their labels and slots, skipping None entries of both."""
+        """Append rules by their label codes and slots, skipping None entries of both."""
         rules = [*filter(None, rules)]
-        self.rule_ids += filter(None, labels)
+        self.rule_ids.codes.extend(c for c in labels if c is not None)
         self.first.extend(accumulate(map(len, rules), initial=self.first.pop()))
         self.slots.extend(chain.from_iterable(rules))
 
-    def filtration(self, rule_id: str, parts: list[int], last: int, total: list | dict) -> list:
+    def filtration(self, code: int, parts: list[int], last: int, total: list | dict) -> list:
         """The slots of a rule of two or more parts and then ``last``, their total or a class
         standing for it, which the rule only reads; exact character additivity is
         mandatory.  ``total`` is the character as sorted keys, or as {weight: multiplicity};
@@ -192,9 +232,9 @@ class _Builder:
         keys, classes, got = self.keys, self.classes, []
         for c in parts:
             got += (keys[c],) if classes[c][0] == "line" else self.string_keys(c)
-        self.check(rule_id, sorted(got), total)
+        self.check(range(code, code + 1), sorted(got), total)
         if len(parts) < 2:
-            raise ValueError(f"rule {rule_id}: a filtration needs two parts")
+            raise ValueError(f"rule {self.rule_ids.name(code)}: a filtration needs two parts")
         return parts + [last]
 
     def freeze(self) -> RuleTable:
@@ -214,8 +254,7 @@ class _Builder:
             fill[q] += 1
         ro = lambda a: memoryview(a).toreadonly()  # noqa: E731
         return RuleTable(tuple(self.classes), MappingProxyType(self.index), self.seeds,
-                         tuple(self.rule_ids), ro(first), ro(slots),
-                         ro(offsets), ro(watch), tuple(self.skipped))
+                         self.rule_ids, ro(first), ro(slots), ro(offsets), ro(watch), self.skipped)
 
 
 class _Known:
@@ -327,14 +366,13 @@ def _string_line_rules(b: _Builder) -> None:
         for bb in range(-bmax, bmax + 1):
             if (r := p0 + bb * p1) <= 0:  # the pairing is linear
                 continue
-            lam = f"({a},{bb})"
-            if not (-amax <= a - r * aa <= amax and -bmax <= bb - r * ab <= bmax):
-                b.skipped.append(f"string {lam}: layer outside box")  # the box is convex
-                continue
             hi = b.line(a, bb)
-            ids, s = range(hi, hi - (r + 1) * step, -step), b.at(hi)
-            b.check(f"bfilt{lam}", b.line_keys(ids), list(b.string_keys(s)))
-            labels += f"bfilt{lam}", f"push{lam}", f"pull{lam}"
+            if not (-amax <= a - r * aa <= amax and -bmax <= bb - r * ab <= bmax):
+                b.skipped.codes.append(b.code(LAYER, hi))  # the box is convex
+                continue
+            ids, s, code = range(hi, hi - (r + 1) * step, -step), b.at(hi), b.code(BFILT, hi)
+            b.check(range(code, code + 1), b.line_keys(ids), list(b.string_keys(s)))
+            labels += code, b.code(PUSH, hi), b.code(PULL, hi)
             rules += (*ids, s), (hi, s), (s, hi)
         b.extend(labels, rules)
 
@@ -343,45 +381,51 @@ def _tensor_row(b: _Builder, a: int) -> None:
     """The tensor rules of the twists in row a, twist by twist, W1's before W2's and a weight
     filtration before a string filtration.  A generator's weight filtrations are one column
     of line ids per template offset, each checked against its weight's keys."""
-    bmax, size = b.bmax, 4 * b.width
+    bmax, size, row = b.bmax, 4 * b.width, b.line(a, -b.bmax)
     rules, labels, skipped = [None] * size, [None] * size, [None] * size
     p0, p1 = b.parabolic.pair(Weight(a, 0)), b.parabolic.pair(W2)
     for g, gen in enumerate((W1, W2)):
         offsets, fit, atoms, atoms_fit, keys = _tensor_template(gen, b.parabolic, b.amax, bmax)
         cols = fit[1] if a in fit[0] else range(-bmax, -bmax)
-        lo, n, key0, tag = b.line(a, cols.start), len(cols), _key((a, cols.start)), f"{gen}@({a},"
+        lo, n, key0 = b.line(a, cols.start), len(cols), _key((a, cols.start))
+        codes = range(b.code(TENSOR + 2 * g, lo), b.code(TENSOR + 2 * g, lo + n))
         columns = [range(lo + o, lo + o + n) for o in offsets if n]
-        b.check(f"wtfilt{tag}{cols.start}..{cols.stop - 1})", list(map(b.line_keys, columns)),
+        b.check(codes, list(map(b.line_keys, columns)),
                 [list(range(key0 + k, key0 + k + n)) for k in keys if n])
         j = slice(4 * (cols.start + bmax) + 2 * g, 4 * (cols.stop + bmax) + 2 * g, 4)
-        rules[j] = zip(*columns, range(lo, lo + n))
-        labels[j] = map(f"wtfilt{tag}{{}})".format, cols)
-        skipped[2 * g::4] = [None if bb in cols else f"tensor {tag}{bb}): weight outside box"
-                             for bb in range(-bmax, bmax + 1)]
+        rules[j], labels[j] = zip(*columns, range(lo, lo + n)), codes
+        skip = b.code(TENSOR_SKIPPED + 2 * g, row) + bmax
+        skipped[2 * g::4] = [None if bb in cols else skip + bb for bb in range(-bmax, bmax + 1)]
         for bb in (bb for bb in range(-bmax, bmax + 1) if p0 + bb * p1 == 0):  # wall twists
             k, i, move = 4 * (bb + bmax) + 2 * g + 1, b.line(a, bb), _key((a, bb))
             if a in atoms_fit[0] and bb in atoms_fit[1]:
-                labels[k] = f"strfilt{tag}{bb})"
+                labels[k] = b.code(TENSOR + 2 * g + 1, i)
                 parts = [i + o if kind == "line" else b.at(i + o) for kind, o in atoms]
                 rules[k] = b.filtration(labels[k], parts, i, [q + move for q in keys])
             else:
-                skipped[k] = f"tensor strings {tag}{bb}): atom outside box"
+                skipped[k] = b.code(TENSOR_SKIPPED + 2 * g + 1, i)
     b.extend(labels, rules)
-    b.skipped += filter(None, skipped)
+    b.skipped.codes.extend(c for c in skipped if c is not None)
 
 
-def _add_koszul_rules(b: _Builder) -> None:
-    """Length-eight exact complexes stepping by the first fundamental weight,
-    one per twist in the box, written a row of twists at a time."""
+@functools.cache
+def _koszul_exact() -> None:
+    """Check once that the Koszul complex is exact at character level: no box enters it."""
     v = weyl_character(W1)
     euler = sum((exterior_power(v, k).tensor(Character.line(W1.scaled(-k))).scaled((-1) ** k)
                  for k in range(8)), Character())
     if euler:
         raise ValueError("Koszul complex must be exact at character level")
+
+
+def _add_koszul_rules(b: _Builder) -> None:
+    """Length-eight exact complexes stepping by the first fundamental weight,
+    one per twist in the box, written a row of twists at a time."""
+    _koszul_exact()
     steps = [b.line(0, 0) - b.line(*W1.scaled(k)) for k in range(8)]
     for a in range(len(steps) - 1 - b.amax, b.amax + 1):  # twists whose terms lie in the box
         lo = b.line(a, -b.bmax)
-        b.extend(map(f"koszul({a},{{}})".format, range(-b.bmax, b.bmax + 1)),
+        b.extend(range(b.code(KOSZUL, lo), b.code(KOSZUL, lo + b.width)),
                  zip(*(range(lo + s, lo + s + b.width) for s in steps), repeat(ZERO_ID)))
 
 

@@ -157,6 +157,7 @@ def is_positive_root_weight(lam: Weight) -> bool:
     return (c1 > 0 and c2 >= 0) or (c1 >= 0 and c2 > 0)
 
 
+@lru_cache(maxsize=None)
 def minimal_reps(parabolic: ParabolicId) -> tuple[WeylElement, ...]:
     """Minimal length coset representatives: the w with w(alpha_P) > 0."""
     alpha = parabolic.simple_root.weight

@@ -1,7 +1,9 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 from itertools import accumulate, chain
 
 import pytest
@@ -125,11 +127,12 @@ def test_audit_chain_replayable():
 def test_character_guard_rejects_bad_rule():
     b = _Builder(SHORT, 8, 8)
     zero, w1 = b.cid(line_class(ZERO)), b.cid(line_class(W1))
-    with pytest.raises(ValueError, match="additivity"):
-        b.filtration("bogus", [w1], zero, {ZERO: 1})
+    bogus = b.code(karoubi.BFILT, w1)
+    with pytest.raises(ValueError, match=r"rule bfilt\(1,0\): character additivity"):
+        b.filtration(bogus, [w1], zero, {ZERO: 1})
     # a character that adds up still needs two parts
     with pytest.raises(ValueError, match="two parts"):
-        b.filtration("bogus", [w1], zero, {W1: 1})
+        b.filtration(bogus, [w1], zero, {W1: 1})
     assert len(b.freeze()) == 0
 
 
@@ -139,14 +142,15 @@ def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
     b = _Builder(SHORT, 8, 8)
     x, z, y, total = (b.cid(line_class(Weight(k, k))) for k in (3, middle, 4, 5))
     for c in {z, y, total} - {x}:
-        b.extend([f"from seed {c}"], [[c, b.seeds[0]]])
-    b.extend(["xzy"], [b.filtration("xzy", [x, z, y], total,
-                                    Counter(Weight(k, k) for k in (3, middle, 4)))])
+        b.extend([b.code(karoubi.PULL, c)], [[c, b.seeds[0]]])
+    code = b.code(karoubi.BFILT, x)
+    b.extend([code], [b.filtration(code, [x, z, y], total,
+                                   Counter(Weight(k, k) for k in (3, middle, 4)))])
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[y] and kb.flags[total] and kb.flags[x] == learned and kb.replay()
     if not learned:
         kb.flags[x] = 1
-        kb.log.extend((x, kb.rules.rule_ids.index("xzy")))
+        kb.log.extend((x, len(kb.rules) - 1))  # the filtration, the last rule
         assert not kb.replay()
 
 
@@ -156,12 +160,12 @@ def test_premise_last_rule_never_learns_its_last_slot(parts):
     b = _Builder(SHORT, 8, 8)
     x, y, z = (b.cid(line_class(Weight(k, k))) for k in (3, 4, 5))
     for c in (x, y):
-        b.extend([f"from seed {c}"], [[c, b.seeds[0]]])
-    b.extend(["xyz"], [[x, y, z][-1 - parts:]])
+        b.extend([b.code(karoubi.PULL, c)], [[c, b.seeds[0]]])
+    b.extend([b.code(karoubi.BFILT, z)], [[x, y, z][-1 - parts:]])
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[x] and kb.flags[y] and not kb.flags[z] and kb.replay()
     kb.flags[z] = 1
-    kb.log.extend((z, kb.rules.rule_ids.index("xyz")))
+    kb.log.extend((z, len(kb.rules) - 1))  # the rule [x, y, z], the last rule
     assert not kb.replay()
 
 
@@ -423,14 +427,49 @@ def test_seeds_match_collection_atoms(parabolic):
 
 
 def test_koszul_check_rejects_wrong_exterior_power(monkeypatch):
-    # a raise, not an assert, so the check also runs under python -O
+    # a raise, not an assert, so the check also runs under python -O; the check is made
+    # once per process, so its cache is cleared too
     karoubi._compiled.cache_clear()
+    karoubi._koszul_exact.cache_clear()
     monkeypatch.setattr(karoubi, "exterior_power", lambda v, k: v)
     try:
         with pytest.raises(ValueError, match="Koszul"):
             seed(SHORT, 10, 8)
     finally:
         karoubi._compiled.cache_clear()
+        karoubi._koszul_exact.cache_clear()
+
+
+@pytest.mark.parametrize("parabolic, box", [(SHORT, (10, 8)), (LONG, (16, 12))])
+def test_labels_and_skipped_entries_are_read_only_sequences(parabolic, box):
+    # both are formatted on access from integer codes
+    t = seed(parabolic, *box).rules
+    for entries, n in ((t.rule_ids, len(t)), (t.skipped, len([*t.skipped]))):
+        assert isinstance(entries, Sequence) and len(entries) == n > 0
+        assert entries[1:4] == (entries[1], entries[2], entries[3])
+        assert entries[-1] == entries[n - 1] == [*entries][-1]
+        assert entries.index(entries[n // 2]) == n // 2
+        with pytest.raises(IndexError):
+            entries[n]
+        with pytest.raises(TypeError):
+            entries[0] = entries[1]
+        with pytest.raises(ValueError):
+            entries.index("xyz")
+
+
+def test_compiled_table_retains_few_bytes_per_rule():
+    # a table holds integer arrays and its classes, no string per rule; compiled afresh
+    # through __wrapped__, once the character caches are warm from a small box
+    karoubi._compiled.__wrapped__(SHORT, 10, 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = karoubi._compiled.__wrapped__(SHORT, 24, 20)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 7198
+    assert retained < 200 * len(t), retained / len(t)
 
 
 def _table_sha(t) -> str:

@@ -96,10 +96,15 @@ def test_minimal_reps_defining_property():
 
 
 def test_minimal_reps_count_check_raises(monkeypatch):
-    # a positivity test that keeps every element gives 12 representatives, not 6
+    # a positivity test that keeps every element gives 12 representatives, not 6; the
+    # representatives are cached, so the cache is cleared around the check
+    weyl.minimal_reps.cache_clear()
     monkeypatch.setattr(weyl, "is_positive_root_weight", lambda lam: True)
-    with pytest.raises(ArithmeticError, match="12 minimal coset representatives"):
-        weyl.minimal_reps(ParabolicId.SHORT)
+    try:
+        with pytest.raises(ArithmeticError, match="12 minimal coset representatives"):
+            weyl.minimal_reps(ParabolicId.SHORT)
+    finally:
+        weyl.minimal_reps.cache_clear()
 
 
 def test_coset_factorization():
