@@ -40,7 +40,7 @@ EXIT_AMBIGUOUS = 3
 EXIT_FAILED = 4
 
 # Largest --box of report karoubi: the rule count grows with the box squared, and each compiled
-# rule set stays cached (cold on 2 cores, --box 32 takes 0.2-0.3 s, 0.05 s of it compiling, 22 MB).
+# rule set stays cached (cold on 2 cores, --box 32 takes 0.2-0.3 s, 0.05 s of it compiling, 21 MB).
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of
