@@ -10,8 +10,8 @@ passes when its four blocks do, and its text ends in that verdict too.  A
 command refuses input outside the supported domain by raising
 ``UsageError``, and a library exception that escapes it maps to 3 or 4;
 ``main`` alone turns each into its exit code and one line on stderr.
-``--p`` takes a prime of at least ``MIN_P``, and at most ``RANK_MAX_P`` for
-``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
+``--p`` takes a prime of at least ``MIN_P`` and below ``PRIME_LIMIT``, and at most
+``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
 
 from __future__ import annotations
@@ -52,8 +52,13 @@ MAX_WEIGHT = 5
 # through the rank-p^5 identity: their time and memory grow steeply with p (on
 # 2 cores, cold, p = 43 takes about 0.9 s and 34 MB, p = 61 about 2.5 s and
 # 52 MB, p = 101 about 8.5-10 s and 124 MB, nearly all of it the nonnegativity
-# check of the rows).  The other commands take any prime.
+# check of the rows).  The other commands take any prime below PRIME_LIMIT.
 RANK_MAX_P = 101
+
+# Every --p must be below this: the least strong pseudoprime to all the bases 2, 3,
+# ..., 37 of _is_prime (Sorenson and Webster, Math. Comp. 86, 2017), which is exact
+# below it and would pass it.
+PRIME_LIMIT = 318665857834031151167461
 
 
 def _audit_enabled() -> bool:
@@ -226,7 +231,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the first twelve primes as witnesses: exact below
-    3.3e24, and never slow, unlike trial division on a huge input."""
+    ``PRIME_LIMIT``, and never slow, unlike trial division on a huge input."""
     if n < 2:
         return False
     for q in _WITNESSES:
@@ -249,11 +254,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(text: str) -> int:
-    """argparse type for --p: a prime number, at least MIN_P."""
+    """argparse type for --p: a prime number, at least MIN_P.  One at or above
+    PRIME_LIMIT, where primality is not decided, raises UsageError, which argparse
+    passes on to ``main``."""
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if p >= PRIME_LIMIT:
+        raise UsageError(f"--p must be below {PRIME_LIMIT}, where its primality check is exact")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     if p < MIN_P:
@@ -321,8 +330,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(e, file=sys.stderr)

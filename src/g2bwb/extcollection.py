@@ -406,8 +406,7 @@ def ext_table(X: SheafObject, Y: SheafObject, p: int = DEFAULT_P) -> ExtTable:
 class CollectionReport:
     parabolic: ParabolicId
     p: int
-    order: tuple[weyl.WeylElement, ...]
-    cells: dict[tuple[str, str], ExtTable]
+    cells: dict[tuple[str, str], ExtTable]  # rows in collection order, then M
     higher_ext_vanish: bool
     hom_matches_bruhat: bool
     diagonal_trivial: bool
@@ -433,10 +432,7 @@ class CollectionReport:
         }
 
     def to_text(self) -> str:
-        coll, m_obj = builtin_collection(self.parabolic)
-        names = [coll[w].name for w in self.order]
-        if m_obj is not None:
-            names.append(m_obj.name)
+        names = list(dict.fromkeys(x for x, _ in self.cells))
         width = max(len(self.cells[(x, y)].render()) for x in names for y in names)
         width = max(width, max(len(n) for n in names)) + 2
         lines = []
@@ -468,11 +464,10 @@ def full_collection_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> Collec
     """Every Ext table of the collection plus the three structural verdicts."""
     engine = _report_engine(parabolic, p)
     coll, m_obj = builtin_collection(parabolic)
-    order = weyl.minimal_reps(parabolic)
     cells: dict[tuple[str, str], ExtTable] = {}
     failures: list[str] = []
 
-    objects = [(w, coll[w]) for w in order]
+    objects = [(w, coll[w]) for w in weyl.minimal_reps(parabolic)]
     for _, ox in objects:
         for _, oy in objects:
             cells[(ox.name, oy.name)] = engine.cell(ox, oy)
@@ -507,9 +502,7 @@ def full_collection_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> Collec
             diagonal = False
             failures.append(f"diagonal cell of {o.name} is not trivial")
 
-    return CollectionReport(
-        parabolic, p, order, cells, higher, bruhat_ok, diagonal, tuple(failures)
-    )
+    return CollectionReport(parabolic, p, cells, higher, bruhat_ok, diagonal, tuple(failures))
 
 
 @dataclass(frozen=True)

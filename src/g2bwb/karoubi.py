@@ -222,13 +222,11 @@ class _Builder:
         self.first.extend(accumulate(map(len, rules), initial=self.first.pop()))
         self.slots.extend(chain.from_iterable(rules))
 
-    def filtration(self, code: int, parts: list[int], last: int, total: list | dict) -> list:
+    def filtration(self, code: int, parts: list[int], last: int, total: list[int]) -> list:
         """The slots of a rule of two or more parts and then ``last``, their total or a class
         standing for it, which the rule only reads; exact character additivity is
-        mandatory.  ``total`` is the character as sorted keys, or as {weight: multiplicity};
-        each part's is read from its class: a line's key, or a string's weights' keys."""
-        if isinstance(total, dict):
-            total = sorted(_key(w) for w, m in total.items() for _ in range(m))
+        mandatory.  ``total`` is the character as sorted keys; each part's is read from its
+        class: a line's key, or a string's weights' keys."""
         keys, classes, got = self.keys, self.classes, []
         for c in parts:
             got += (keys[c],) if classes[c][0] == "line" else self.string_keys(c)
@@ -257,39 +255,21 @@ class _Builder:
                          self.rule_ids, ro(first), ro(slots), ro(offsets), ro(watch), self.skipped)
 
 
-class _Known:
-    """The known classes of a knowledge base, read as ClassIds."""
-
-    __slots__ = ("_kb",)
-
-    def __init__(self, kb: "KnowledgeBase"):
-        self._kb = kb
-
-    def __contains__(self, c: ClassId) -> bool:
-        i = self._kb.rules.id_of(c)
-        return i is not None and self._kb.flags[i] == 1
-
-    def __len__(self) -> int:
-        return self._kb.flags.count(1)
-
-    def __iter__(self):
-        return compress(self._kb.rules.classes, self._kb.flags)
-
-
 @dataclass
 class KnowledgeBase:
     """One closure's state over a shared rule table.
 
     ``flags[i]`` is 1 once class i is known; ``log`` holds the learned facts
-    in order as (class id, rule index) pairs, rule index -1 for a seed."""
+    in order as (class id, rule index) pairs, rule index -1 for a seed.  ``known``
+    is a snapshot of the known classes, read from the flags when it is called."""
 
     rules: RuleTable
     flags: bytearray
     log: array
 
     @property
-    def known(self) -> _Known:
-        return _Known(self)
+    def known(self) -> frozenset:
+        return frozenset(compress(self.rules.classes, self.flags))
 
     def _fact(self, c: int, r: int) -> str:
         t = self.rules
@@ -316,7 +296,8 @@ class KnowledgeBase:
             rule = t.slots_of(r).tolist()
             if rule.count(c) != 1 or rule[-1] == c:
                 return False
-            # the premises of (c, r), as in RuleTable.premises; zero is always known
+            # the premises of (c, r), as in RuleTable.premises, walked inline: calling it
+            # made replay about 2.4x slower; zero is always known
             for q in rule:
                 if q > ZERO_ID and q != c and not 0 <= pos[q] < i:
                     return False
@@ -520,8 +501,9 @@ class GenerationReport:
     def of(cls, parabolic: ParabolicId, targets: tuple[Weight, ...],
            kb: KnowledgeBase) -> "GenerationReport":
         """Which target line classes a closed knowledge base reached, and its replay."""
-        reached = tuple(w for w in targets if line_class(w) in kb.known)
-        unreached = tuple(w for w in targets if line_class(w) not in kb.known)
+        ids = [kb.rules.id_of(line_class(w)) for w in targets]  # None: outside the box
+        reached = tuple(w for w, i in zip(targets, ids) if i is not None and kb.flags[i])
+        unreached = tuple(w for w, i in zip(targets, ids) if i is None or not kb.flags[i])
         return cls(parabolic, tuple(targets), reached, unreached, kb.replay())
 
     @property

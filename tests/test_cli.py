@@ -496,6 +496,18 @@ def test_prime_check_agrees_with_trial_division():
     assert _is_prime(2 ** 89 - 1)
 
 
+@pytest.mark.parametrize("argv", [
+    # 399165290221 * 798330580441, the least strong pseudoprime to the bases 2 ... 37
+    ["report", "frobenius", "--p", "318665857834031151167461", "--format", "json"],
+    ["report", "collection", "--p", "3317044064679887385961981"],  # 1287836182261 * 2575672364521
+])
+def test_p_at_or_above_prime_limit_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "must be below" in captured.err
+
+
 @pytest.mark.parametrize("parabolic, digest", [
     ("short", "ebee80866f1f686d0d30397d857c619163bb812533ffedf70bc9bcef5e4a8cc9"),
     ("long", "43d21bb84ccdd0e3fef6505f787d78889ab32a314602c1d28265ae0fd1e42d65"),

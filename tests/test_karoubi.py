@@ -2,7 +2,6 @@ import hashlib
 import random
 import re
 import tracemalloc
-from collections import Counter
 from collections.abc import Sequence
 from itertools import accumulate, chain
 
@@ -83,6 +82,20 @@ def test_closure_monotone_idempotent():
     assert set(kb.known) == after
 
 
+def test_known_is_a_snapshot():
+    kb = seed(SHORT, amax=10, bmax=8)
+    before = kb.known
+    assert isinstance(before, frozenset) and len(before) == 10  # zero and the nine seeds
+    close(kb)
+    assert len(before) == 10 and before < kb.known
+
+
+def test_generation_target_outside_the_box_is_unreached():
+    rep, _ = verify_generation(SHORT, targets=(Weight(40, 0),))
+    assert rep.unreached == (Weight(40, 0),) and not rep.reached
+    assert not rep.complete and rep.replay_ok
+
+
 def test_generation_short_default_box():
     rep, kb = verify_generation(SHORT)
     assert rep.complete
@@ -129,10 +142,10 @@ def test_character_guard_rejects_bad_rule():
     zero, w1 = b.cid(line_class(ZERO)), b.cid(line_class(W1))
     bogus = b.code(karoubi.BFILT, w1)
     with pytest.raises(ValueError, match=r"rule bfilt\(1,0\): character additivity"):
-        b.filtration(bogus, [w1], zero, {ZERO: 1})
+        b.filtration(bogus, [w1], zero, [karoubi._key(ZERO)])
     # a character that adds up still needs two parts
     with pytest.raises(ValueError, match="two parts"):
-        b.filtration(bogus, [w1], zero, {W1: 1})
+        b.filtration(bogus, [w1], zero, [karoubi._key(W1)])
     assert len(b.freeze()) == 0
 
 
@@ -145,7 +158,7 @@ def test_filtration_never_learns_a_class_filling_two_slots(middle, learned):
         b.extend([b.code(karoubi.PULL, c)], [[c, b.seeds[0]]])
     code = b.code(karoubi.BFILT, x)
     b.extend([code], [b.filtration(code, [x, z, y], total,
-                                   Counter(Weight(k, k) for k in (3, middle, 4)))])
+                                   sorted(karoubi._key((k, k)) for k in (3, middle, 4)))])
     kb = close(karoubi._seeded(b.freeze()))
     assert kb.flags[y] and kb.flags[total] and kb.flags[x] == learned and kb.replay()
     if not learned:
