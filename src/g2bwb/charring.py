@@ -16,8 +16,8 @@ submodule end.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import (POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight,
                        dominance_leq, root_coords)
@@ -277,17 +277,21 @@ def dual_pstring(s: PString) -> PString:
     return PString(s.parabolic, -s.weights()[-1])
 
 
-@dataclass(frozen=True)
-class FilteredPModule:
-    """Ordered atoms of a costandard P-filtration, quotient end first."""
-
+class _FilteredPModule(NamedTuple):
     parabolic: ParabolicId
     atoms: tuple[PString, ...]
 
-    def __post_init__(self):
-        for s in self.atoms:
-            if s.parabolic is not self.parabolic:
+
+class FilteredPModule(_FilteredPModule):
+    """Ordered atoms of a costandard P-filtration, quotient end first."""
+
+    __slots__ = ()
+
+    def __new__(cls, parabolic: ParabolicId, atoms: tuple[PString, ...]):
+        for s in atoms:
+            if s.parabolic is not parabolic:
                 raise ValueError("atom parabolic mismatch")
+        return super().__new__(cls, parabolic, atoms)
 
     def character(self) -> Character:
         """Each distinct atom, counted by its highest weight, is expanded once."""

@@ -34,9 +34,9 @@ module is detected there.  Cold, ``report chevalley`` takes about 0.2 s on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import POSITIVE_ROOTS, Root, Weight, pairing
 from .charring import weyl_character
@@ -335,8 +335,7 @@ def _reference_images() -> dict[tuple[str, Root], Mat]:
 CARTAN = {(1, 1): 2, (1, 2): -3, (2, 1): -1, (2, 2): 2}  # <alpha_j, alpha_i^v> at (i, j)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     checks: tuple[tuple[str, bool], ...]
 

@@ -6,9 +6,9 @@ error, 3 when a table or multiplicity the command needs is not certified,
 4 when a certified check fails (a nonzero splitting Ext^1 among them).
 Every report but chevalley decides its own ``passed`` verdict, which
 ``_cmd_report`` alone maps to 0 or 4 after printing the report; chevalley
-passes when its four blocks do, and its text ends in that verdict too.  A
-command refuses input outside the supported domain by raising
-``UsageError``, and a library exception that escapes it maps to 3 or 4;
+passes when its four blocks do, and its text ends in that verdict too.  The
+parser and every command refuse input outside the supported domain by raising
+``UsageError``, and a library exception that escapes a command maps to 3 or 4;
 ``main`` alone turns each into its exit code and one line on stderr.
 ``--p`` takes a prime of at least ``MIN_P`` and below ``PRIME_LIMIT``, and at most
 ``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
@@ -254,15 +254,15 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(text: str) -> int:
-    """argparse type for --p: a prime number, at least MIN_P.  One at or above
-    PRIME_LIMIT, where primality is not decided, raises UsageError, which argparse
-    passes on to ``main``."""
+    """argparse type for --p: a prime number, at least MIN_P, and below PRIME_LIMIT,
+    where primality is not decided."""
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if p >= PRIME_LIMIT:
-        raise UsageError(f"--p must be below {PRIME_LIMIT}, where its primality check is exact")
+        raise argparse.ArgumentTypeError(
+            f"p must be below {PRIME_LIMIT}, where its primality check is exact")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     if p < MIN_P:
@@ -270,8 +270,17 @@ def _prime(text: str) -> int:
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with a ``UsageError``, which ``main`` prints as one line,
+    instead of a usage block and ``SystemExit``; ``--help`` still exits 0.  Subparsers
+    are of the same class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="g2bwb",
         description="Exact cohomology, Ext tables and matrix checks for the G2 flag varieties",
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ def _beta_pair(x: Weight) -> int:
     return 2 * x.a + 3 * x.b
 
 
-@dataclass(frozen=True)
-class BottResult:
+class BottResult(NamedTuple):
     """Either vanishing or concentration in one degree."""
 
     vanishes: bool

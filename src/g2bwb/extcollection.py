@@ -64,8 +64,8 @@ collection; it reads no modular character and no Ext table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
 from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, module,
@@ -76,29 +76,33 @@ from .cohomology import (DEFAULT_P, MIN_P, Bound, Degrees, Frozen, bott_line, co
 from . import charring, weyl
 
 
-@dataclass(frozen=True)
-class TwoTerm:
+class TwoTerm(NamedTuple):
     kind: str  # "kernel" or "cokernel"
     gweight: Weight  # highest weight of V; V is self-dual for G2
     twist: Weight
     other: FilteredPModule
 
 
-@dataclass(frozen=True)
-class SheafObject:
-    """A sheaf on G/P with its canonical filtration and extra presentations."""
-
+class _SheafObject(NamedTuple):
     name: str
     parabolic: ParabolicId
     filtration: FilteredPModule
     two_terms: tuple[TwoTerm, ...] = ()
 
-    def __post_init__(self):
-        for tt in self.two_terms:
+
+class SheafObject(_SheafObject):
+    """A sheaf on G/P with its canonical filtration and extra presentations."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, parabolic: ParabolicId, filtration: FilteredPModule,
+                two_terms: tuple[TwoTerm, ...] = ()):
+        for tt in two_terms:
             middle = weyl_character(tt.gweight).tensor(Character.line(tt.twist))
             lhs = middle - tt.other.character()
-            if lhs != self.filtration.character():
-                raise ValueError(f"{self.name}: inconsistent {tt.kind} presentation")
+            if lhs != filtration.character():
+                raise ValueError(f"{name}: inconsistent {tt.kind} presentation")
+        return super().__new__(cls, name, parabolic, filtration, two_terms)
 
     def __hash__(self) -> int:
         # the cell memo hashes objects on every lookup; equal objects share
@@ -135,8 +139,7 @@ def costandard_factors(first: Weight, *rest: Weight) -> tuple[tuple[Weight, int]
 # ---------------------------------------------------------------------------
 # Ext tables
 
-@dataclass(frozen=True)
-class ExtTable:
+class ExtTable(NamedTuple):
     """Degreewise composition-factor table of Ext^*(X, Y)."""
 
     degrees: Frozen
@@ -402,8 +405,7 @@ def ext_table(X: SheafObject, Y: SheafObject, p: int = DEFAULT_P) -> ExtTable:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass(frozen=True)
-class CollectionReport:
+class CollectionReport(NamedTuple):
     parabolic: ParabolicId
     p: int
     cells: dict[tuple[str, str], ExtTable]  # rows in collection order, then M
@@ -505,15 +507,13 @@ def full_collection_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> Collec
     return CollectionReport(parabolic, p, cells, higher, bruhat_ok, diagonal, tuple(failures))
 
 
-@dataclass(frozen=True)
-class FrobeniusSummand:
+class FrobeniusSummand(NamedTuple):
     sheaf: str
     rank: int
     multiplicity_labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(NamedTuple):
     parabolic: ParabolicId
     p: int
     summands: tuple[FrobeniusSummand, ...]

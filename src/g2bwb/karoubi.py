@@ -47,8 +47,8 @@ from array import array
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, repeat
 from operator import sub
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .rootdata import W1, W2, ParabolicId, Weight
 from .charring import Character, exterior_power, restrict_to_P, weyl_character
@@ -117,7 +117,6 @@ class Entries(Sequence):
         return _KINDS[kind].format(Weight(k // width - self.amax, k % width - self.bmax))
 
 
-@dataclass(frozen=True, eq=False)
 class RuleTable:
     """The compiled rules of one box as its classes and flat integer tables, shared, read-only.
 
@@ -128,15 +127,15 @@ class RuleTable:
     ``watch[offsets[c]:offsets[c + 1]]``.  Labels and skipped entries are formatted when read.
     """
 
-    classes: tuple
-    index: MappingProxyType
-    seeds: tuple[int, ...]
-    rule_ids: Entries
-    first: memoryview
-    slots: memoryview
-    offsets: memoryview
-    watch: memoryview
-    skipped: Entries
+    __slots__ = ("classes", "index", "seeds", "rule_ids", "first", "slots", "offsets", "watch",
+                 "skipped")
+
+    def __init__(self, classes: tuple, index: MappingProxyType, seeds: tuple[int, ...],
+                 rule_ids: Entries, first: memoryview, slots: memoryview, offsets: memoryview,
+                 watch: memoryview, skipped: Entries):
+        self.classes, self.index, self.seeds, self.rule_ids = classes, index, seeds, rule_ids
+        self.first, self.slots, self.offsets, self.watch = first, slots, offsets, watch
+        self.skipped = skipped
 
     def __len__(self) -> int:
         return len(self.rule_ids)
@@ -255,7 +254,6 @@ class _Builder:
                          self.rule_ids, ro(first), ro(slots), ro(offsets), ro(watch), self.skipped)
 
 
-@dataclass
 class KnowledgeBase:
     """One closure's state over a shared rule table.
 
@@ -263,9 +261,8 @@ class KnowledgeBase:
     in order as (class id, rule index) pairs, rule index -1 for a seed.  ``known``
     is a snapshot of the known classes, read from the flags when it is called."""
 
-    rules: RuleTable
-    flags: bytearray
-    log: array
+    def __init__(self, rules: RuleTable, flags: bytearray, log: array):
+        self.rules, self.flags, self.log = rules, flags, log
 
     @property
     def known(self) -> frozenset:
@@ -489,8 +486,7 @@ def close(kb: KnowledgeBase, rng: random.Random | None = None) -> KnowledgeBase:
     return kb
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(NamedTuple):
     parabolic: ParabolicId
     targets: tuple[Weight, ...]
     reached: tuple[Weight, ...]

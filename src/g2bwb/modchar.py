@@ -38,8 +38,8 @@ survives, and every caller reads that survivor and its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
 from .charring import TRIVIAL, Character, weyl_character, weyl_dim
@@ -233,8 +233,7 @@ def _identity_sides(parabolic: ParabolicId, oracle: CharacterOracle
     return lhs, _verma_numerator(parabolic, oracle.p)
 
 
-@dataclass(frozen=True)
-class RankIdentityReport:
+class RankIdentityReport(NamedTuple):
     parabolic: ParabolicId
     p: int
     dims: dict[str, int]
@@ -256,7 +255,7 @@ class RankIdentityReport:
         return self.p ** 5
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         for name in ("expected", "dims_match", "character_match", "zero_weight_match", "passed"):
             out[name] = getattr(self, name)
         out.update(parabolic=self.parabolic.name.lower(), choice_points=list(self.choice_points))

@@ -8,8 +8,8 @@ the length, and the full Bruhat order are precomputed once at import time.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootdata import (
     RHO,
@@ -39,8 +39,7 @@ def _apply(m: Matrix, lam: Weight) -> Weight:
     return Weight(m[0] * lam.a + m[1] * lam.b, m[2] * lam.a + m[3] * lam.b)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """Group element with its canonical reduced word over {1, 2}."""
 
     matrix: Matrix

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -36,10 +35,24 @@ def test_bott_json_roundtrip(capsys):
     assert data["degree"] == 1 and data["weight"] == [0, 0]
 
 
-def test_bott_usage_error():
+def _refused(capsys, argv):
+    """main returns 2 with one line on stderr and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == "", argv
+    assert len(captured.err.splitlines()) == 1, captured.err
+
+
+def test_bott_usage_error(capsys):
+    _refused(capsys, ["bott", "x", "2"])
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bott", "x", "2"])
-    assert exc.value.code == EXIT_USAGE
+        main(["report", "--help"])
+    assert exc.value.code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: g2bwb report") and captured.err == ""
 
 
 def test_ext_command(capsys):
@@ -141,11 +154,9 @@ def test_modchar_command(capsys):
     ["report", "chevalley"],
     ["modchar", "--w", "e"],
 ], ids=["bott", "report-chevalley", "modchar"])
-def test_latex_unavailable_is_usage_error(argv):
+def test_latex_unavailable_is_usage_error(capsys, argv):
     # refused by the parser, before any of the work runs
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--format", "latex"])
-    assert exc.value.code == EXIT_USAGE
+    _refused(capsys, [*argv, "--format", "latex"])
 
 
 def test_all_report_jsons_roundtrip(capsys):
@@ -170,10 +181,8 @@ def test_all_report_jsons_roundtrip(capsys):
     ["bott", "3", "-2", "--p", "5"],
     ["bott", "3", "-2", "--p", "x"],
 ])
-def test_non_prime_p_is_usage_error(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
+def test_non_prime_p_is_usage_error(capsys, argv):
+    _refused(capsys, argv)
 
 
 def test_karoubi_box_below_targets_is_usage_error(capsys):
@@ -282,12 +291,12 @@ def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, exp
 
 
 def _mutate_cell(monkeypatch, pair, **changes):
-    """Serve one named cell changed by ``dataclasses.replace``; the memo keeps the true table."""
+    """Serve one named cell changed by ``_replace``; the memo keeps the true table."""
     cell = ExtEngine.cell
 
     def patched(self, X, Y):
         t = cell(self, X, Y)
-        return dataclasses.replace(t, **changes) if (X.name, Y.name) == pair else t
+        return t._replace(**changes) if (X.name, Y.name) == pair else t
 
     monkeypatch.setattr(ExtEngine, "cell", patched)
 
@@ -356,23 +365,23 @@ def test_report_exit_code_is_its_verdict(capsys, kind, parabolic):
 
 def _fail_first_check(rep):
     (a, b, _), *rest = rep.splitting_checks
-    return dataclasses.replace(rep, splitting_checks=((a, b, False), *rest))
+    return rep._replace(splitting_checks=((a, b, False), *rest))
 
 
 def _fail_first_chevalley_check(reps):
     (label, _), *rest = reps[0].checks
-    return [dataclasses.replace(reps[0], checks=((label, False), *rest)), *reps[1:]]
+    return [reps[0]._replace(checks=((label, False), *rest)), *reps[1:]]
 
 
 # each report function that cli imports, and a change of its result that fails the verdict
 _FORCED_FAILURES = {
     "collection": ("full_collection_report",
-                   lambda rep: dataclasses.replace(rep, failures=("forced",))),
+                   lambda rep: rep._replace(failures=("forced",))),
     "frobenius": ("frobenius_report", _fail_first_check),
     "karoubi": ("verify_generation",
-                lambda out: (dataclasses.replace(out[0], replay_ok=False), out[1])),
+                lambda out: (out[0]._replace(replay_ok=False), out[1])),
     "rank": ("rank_identity_check",
-             lambda rep: dataclasses.replace(rep, surviving_assignments=0)),
+             lambda rep: rep._replace(surviving_assignments=0)),
     "chevalley": ("chevalley_verify", _fail_first_chevalley_check),
 }
 
@@ -538,10 +547,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert cli._parser() is cli._parser()
     codes = []
     for argv in runs:
-        try:
-            code = main(argv)
-        except SystemExit as e:
-            code = e.code
+        code = main(argv)
         out = capsys.readouterr().out
         alone = subprocess.run([sys.executable, "-m", "g2bwb", *argv], env=env,
                                capture_output=True, text=True)
