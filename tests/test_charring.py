@@ -6,6 +6,7 @@ import pytest
 from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
 from g2bwb.charring import (
     Character,
+    FilteredPModule,
     FiltrationError,
     PString,
     clebsch_gordan_P,
@@ -212,6 +213,15 @@ def test_filtered_module_operations():
     d = m.dual()
     assert [s.highest for s in d.atoms] == [RHO, Weight(2, 0)]
     assert d.character() == dual(m.character())
+
+
+def test_filtered_module_rejects_an_atom_of_the_other_parabolic():
+    long_atom = PString(ParabolicId.LONG, RHO)
+    with pytest.raises(ValueError, match="atom parabolic mismatch"):
+        FilteredPModule(SHORT, (PString(SHORT, ZERO), long_atom))
+    with pytest.raises(ValueError, match="atom parabolic mismatch"):
+        FilteredPModule(parabolic=SHORT, atoms=(long_atom,))
+    assert FilteredPModule(ParabolicId.LONG, (long_atom,)).dual().atoms == (dual_pstring(long_atom),)
 
 
 def test_character_json_roundtrip():

@@ -528,6 +528,22 @@ def test_report_karoubi_box24_json_golden(capsys, parabolic, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each cold command pays for what importing the CLI loads
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import g2bwb
+
+    code = ("import sys, g2bwb.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = {"PYTHONPATH": str(Path(g2bwb.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "\n"
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     # main builds its parser once; a usage error in between leaves it as it was
     import os
