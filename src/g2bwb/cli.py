@@ -254,15 +254,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(text: str) -> int:
-    """argparse type for --p: a prime number, at least MIN_P, and below PRIME_LIMIT,
-    where primality is not decided."""
+    """argparse type for --p: a prime, at least MIN_P and below PRIME_LIMIT (see there)."""
     try:
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if p >= PRIME_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"p must be below {PRIME_LIMIT}, where its primality check is exact")
+        raise argparse.ArgumentTypeError(f"must be below {PRIME_LIMIT}, where primality is exact")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
     if p < MIN_P:
@@ -271,9 +269,8 @@ def _prime(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses bad arguments with a ``UsageError``, which ``main`` prints as one line,
-    instead of a usage block and ``SystemExit``; ``--help`` still exits 0.  Subparsers
-    are of the same class."""
+    """Raises ``UsageError``, printed by ``main`` as one line, where argparse would print a
+    usage block and exit; ``--help`` still exits 0.  Subparsers share the class."""
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")

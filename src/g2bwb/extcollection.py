@@ -95,8 +95,7 @@ class SheafObject(_SheafObject):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, parabolic: ParabolicId, filtration: FilteredPModule,
-                two_terms: tuple[TwoTerm, ...] = ()):
+    def __new__(cls, name, parabolic, filtration, two_terms=()):  # the fields of _SheafObject
         for tt in two_terms:
             middle = weyl_character(tt.gweight).tensor(Character.line(tt.twist))
             lhs = middle - tt.other.character()
