@@ -1,8 +1,9 @@
 """Exact formal character ring for G2 and its two maximal parabolic Levis.
 
 A :class:`Character` is a finite map from weights to integer multiplicities
-(signed entries are allowed, so virtual characters are first-class).  Weyl
-characters are produced by Freudenthal's multiplicity recursion; exterior
+(signed entries are allowed, so virtual characters are first-class).  The
+dominant multiplicities of any combination of Weyl characters come from Weyl's
+formula alone, in Racah's recursive form (``dominant_multiplicities``); exterior
 powers go through the elementary-symmetric generating function; tensor
 products are plain convolutions.  All of it is exact integer arithmetic.
 
@@ -19,14 +20,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootdata import (POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight,
-                       dominance_leq, root_coords)
+from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight
 from . import weyl
-
-
-def inner(lam: Weight, mu: Weight) -> int:
-    """W-invariant inner product, normalized so (alpha1, alpha1) = 2."""
-    return 2 * lam.a * mu.a + 3 * (lam.a * mu.b + lam.b * mu.a) + 6 * lam.b * mu.b
 
 
 class Character:
@@ -146,50 +141,59 @@ TRIVIAL = Character.line(ZERO)
 
 
 def _dominant_cone(lam: Weight) -> list[Weight]:
-    """Dominant weights mu <= lam, sorted by decreasing height of lam - mu."""
-    c1max = 2 * lam.a + 3 * lam.b
-    c2max = lam.a + 2 * lam.b
-    out = []
-    for c2 in range(c2max + 1):
-        for c1 in range(c1max + 1):
-            mu = Weight(lam.a - 2 * c1 + 3 * c2, lam.b + c1 - 2 * c2)
-            if mu.is_dominant() and dominance_leq(mu, lam):
-                out.append(mu)
-    out.sort(key=lambda mu: sum(root_coords(lam - mu)))
+    """Dominant weights mu <= lam, by increasing height of lam - mu and, at one
+    height, by increasing alpha2-coordinate.  With x = lam.a - mu.a and
+    d = lam.b - mu.b, lam - mu = (2x + 3d) alpha1 + (x + 2d) alpha2, so mu.a runs
+    up to lam.a + min(3d // 2, 2d)."""
+    la, lb = lam
+    out = [Weight(a, b) for b in range(lb + la // 2 + 1)
+           for a in range(la + min(3 * (lb - b) // 2, 2 * (lb - b)) + 1)]
+    out.sort(key=lambda mu: (-3 * mu.a - 5 * mu.b, -mu.a - 2 * mu.b))
     return out
+
+
+# (rho - w rho, -sgn w) for the 11 elements w != 1 of W
+_RACAH = tuple((*(RHO - weyl.act(w, RHO)), -(-1) ** w.length) for w in weyl.ALL_ELEMENTS[1:])
+
+
+def dominant_multiplicities(row: Character, top: Weight) -> dict[Weight, int]:
+    """Multiplicity at each dominant mu <= top of sum_nu c_nu nabla(nu), where
+    row = {nu: c_nu} has every nu <= top, by Racah's form of Weyl's formula.
+
+    The character times sum_w sgn(w) e^{w rho} is sum_nu c_nu sum_w sgn(w)
+    e^{w(nu + rho)}; at e^{mu + rho}, mu dominant, the right side reads c_mu, so
+    m(mu) = c_mu + sum_{w != 1} -sgn(w) m(dom(mu + rho - w rho)).  Each weight
+    read lies strictly higher than mu, and the cone is in decreasing height."""
+    mult: dict[Weight, int] = {}
+    get = mult.get
+    coeff = row.mult.get
+    for mu in _dominant_cone(top):
+        m = coeff(mu, 0)
+        for da, db, sign in _RACAH:
+            a, b = mu.a + da, mu.b + db
+            while a < 0 or b < 0:  # dominant conjugate, as weyl.dominant_conjugate
+                a, b = (-a, a + b) if a < 0 else (a + 3 * b, -b)
+            m += sign * get((a, b), 0)
+        mult[mu] = m
+    return mult
 
 
 @lru_cache(maxsize=None)
 def weyl_character(lam: Weight) -> Character:
-    """Character of the costandard module with highest weight lam (Freudenthal).
-
-    Each dominant multiplicity is spread over its W-orbit as soon as it is
-    known, so the recursion reads the weights mu + k alpha above mu directly:
-    their dominant conjugates lie strictly higher and come earlier in the cone."""
+    """Character of the costandard module with highest weight lam: each dominant
+    multiplicity of ``dominant_multiplicities`` spread over its W-orbit.  Its
+    dimension must be the product formula ``weyl_dim``."""
     if not lam.is_dominant():
         raise ValueError(f"highest weight must be dominant, got {lam}")
-    clam = inner(lam + RHO, lam + RHO)
-    # each positive root (ra, rb) with its inner product (a, b) -> pa*a + pb*b
-    roots = [(*alpha.weight, inner(W1, alpha.weight), inner(W2, alpha.weight))
-             for alpha in POSITIVE_ROOTS]
     total: dict[Weight, int] = {}
-    get = total.get
-    for mu in _dominant_cone(lam):
-        m = 1
-        if mu != lam:
-            num = 0
-            for ra, rb, pa, pb in roots:
-                a, b = mu.a + ra, mu.b + rb
-                while k := get((a, b), 0):
-                    num += 2 * k * (pa * a + pb * b)
-                    a, b = a + ra, b + rb
-            den = clam - inner(mu + RHO, mu + RHO)
-            if den <= 0 or num % den:
-                raise ArithmeticError(f"Freudenthal step at {mu} below {lam}: {num}/{den}")
-            m = num // den
+    for mu, m in dominant_multiplicities(Character.line(lam), lam).items():
         for w in weyl.ALL_ELEMENTS:
             total.setdefault(weyl.act(w, mu), m)
-    return Character(total)
+    out = Character(total)
+    if out.dimension() != weyl_dim(lam):
+        raise ArithmeticError(f"character of nabla{lam} has dimension {out.dimension()}, "
+                              f"not {weyl_dim(lam)}")
+    return out
 
 
 def euler_characteristic(ch: Character) -> int:

@@ -44,15 +44,15 @@ EXIT_FAILED = 4
 KAROUBI_MAX_BOX = 32
 
 # Largest coordinate of a weight that tensor and restrict accept: the time of
-# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.16 s,
-# 6 6 0.23 s and 8 8 0.5 s, while tensor 5 5 5 5 takes 0.13 s).
+# restrict grows steeply with it (on 2 cores, cold, restrict 5 5 takes 0.12-0.15 s,
+# 6 6 0.2 s and 8 8 0.4 s, while tensor 5 5 5 5 takes 0.1 s).
 MAX_WEIGHT = 5
 
 # Largest --p of report rank and modchar, which resolve the simple characters
-# through the rank-p^5 identity: their time and memory grow steeply with p (on
-# 2 cores, cold, p = 43 takes about 0.9 s and 34 MB, p = 61 about 2.5 s and
-# 52 MB, p = 101 about 8.5-10 s and 124 MB, nearly all of it the nonnegativity
-# check of the rows).  The other commands take any prime below PRIME_LIMIT.
+# through the rank-p^5 identity: their time grows with p (on 2 cores, cold,
+# report rank takes about 0.15 s at p = 43, 0.25 s at p = 61 and 0.6-0.8 s at
+# p = 101, each under 18 MB; modchar --w s1s2 --p 101 about 0.8 s and 36 MB).
+# The other commands take any prime below PRIME_LIMIT.
 RANK_MAX_P = 101
 
 # Every --p must be below this: the least strong pseudoprime to all the bases 2, 3,

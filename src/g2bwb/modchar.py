@@ -42,7 +42,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
-from .charring import TRIVIAL, Character, weyl_character, weyl_dim
+from .charring import TRIVIAL, Character, dominant_multiplicities, weyl_character, weyl_dim
 from .cohomology import DEFAULT_P, costandard_times, lowest_alcove
 from .extcollection import FROBENIUS_SUMMANDS, multiplicity_dims, object_by_name
 from . import weyl
@@ -54,12 +54,6 @@ def _expand(row: Character) -> Character:
     for nu, c in row.mult.items():
         out.isub_scaled(weyl_character(nu), -c)
     return out
-
-
-@lru_cache(maxsize=None)
-def _dominant_part(nu: Weight) -> tuple[tuple[Weight, int], ...]:
-    """The dominant weights of nabla(nu) with their multiplicities."""
-    return tuple((mu, m) for mu, m in weyl_character(nu).mult.items() if mu.is_dominant())
 
 
 @lru_cache(maxsize=None)
@@ -152,11 +146,7 @@ class CharacterOracle:
         elif not lowest_alcove(lam, self.p):
             for mu, a in self.radical_counts(lam).items():
                 out.isub_scaled(self._row(mu), a)
-            dominant: dict[Weight, int] = {}
-            for nu, c in out.mult.items():
-                for mu, m in _dominant_part(nu):
-                    dominant[mu] = dominant.get(mu, 0) + c * m
-            if any(v < 0 for v in dominant.values()):
+            if any(m < 0 for m in dominant_multiplicities(out, lam).values()):
                 raise InconsistentChoice(f"negative character at {lam}")
             if out.coeff(lam) != 1:
                 raise InconsistentChoice(f"malformed character at {lam}")

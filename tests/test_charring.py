@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
+from g2bwb.rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight, dominance_leq, root_coords
 from g2bwb.charring import (
     Character,
     FilteredPModule,
@@ -51,7 +51,8 @@ def test_weyl_character_rejects_non_dominant():
 
 
 def test_weyl_character_dimension_formula_agreement():
-    # two independent routes: Freudenthal mass versus the product formula
+    # the recursion reads Weyl's formula in its sum form, the dimension the
+    # product form: weyl_character raises on a mismatch, and this pins it
     for a in range(5):
         for b in range(4):
             lam = Weight(a, b)
@@ -70,6 +71,16 @@ def test_euler_characteristic_is_signed_bott():
     for par in ParabolicId:
         s = PString(par, Weight(3, 2) if par is SHORT else Weight(2, 3))
         assert euler_characteristic(pstring_character(s)) == weyl_dim(s.highest)
+
+
+def test_dominant_cone_is_every_dominant_weight_below_in_height_order():
+    # against a filter of a box by dominance_leq; at one height the alpha2
+    # coordinate of lam - mu decides, so the order is total
+    for lam in (ZERO, W1, W2, Weight(3, 0), Weight(0, 3), Weight(7, 4), Weight(1, 12)):
+        below = [Weight(a, b) for a in range(lam.a + 2 * lam.b + 1)
+                 for b in range(lam.b + lam.a + 1) if dominance_leq(Weight(a, b), lam)]
+        below.sort(key=lambda mu: (sum(root_coords(lam - mu)), root_coords(lam - mu)[1]))
+        assert charring._dominant_cone(lam) == below, lam
 
 
 def test_weyl_character_w_invariant():
@@ -237,13 +248,15 @@ def test_isub_scaled_in_place():
     assert c.mult == {ZERO: 6}
 
 
-def test_freudenthal_check_raises(monkeypatch):
-    # shifting the form by 1 leaves each denominator alone and makes the
-    # numerator at the zero weight of nabla(1,0) 18 over 12
-    inner = charring.inner
-    monkeypatch.setattr(charring, "inner", lambda lam, mu: inner(lam, mu) + 1)
-    with pytest.raises(ArithmeticError):
-        weyl_character.__wrapped__(W1)
+def test_racah_recursion_check_raises(monkeypatch):
+    # without any one of its 11 terms the recursion gives nabla(3,3) a dimension
+    # other than the product formula's 4096
+    table = charring._RACAH
+    assert len(table) == 11
+    for i in range(len(table)):
+        monkeypatch.setattr(charring, "_RACAH", table[:i] + table[i + 1:])
+        with pytest.raises(ArithmeticError, match="not 4096"):
+            weyl_character.__wrapped__(Weight(3, 3))
 
 
 def test_clebsch_gordan_check_raises(monkeypatch):

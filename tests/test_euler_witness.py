@@ -11,7 +11,8 @@ import pytest
 
 from g2bwb import cohomology, extcollection
 from g2bwb.charring import euler_characteristic
-from g2bwb.extcollection import FROBENIUS_SUMMANDS, ExtEngine, ext_table, object_by_name
+from g2bwb.extcollection import (FROBENIUS_SUMMANDS, ExtEngine, ext_table, multiplicity_dims,
+                                 object_by_name)
 from g2bwb.rootdata import ParabolicId
 
 
@@ -87,3 +88,34 @@ def test_an_entry_moved_up_one_degree_fails_the_identity(parabolic):
             assert _alternating_dim(mutant) != _chi(X, Y), (X.name, Y.name)
             mutants += 1
     assert mutants > 0
+
+
+# chi(F_*O, F_*O) at p = 7 and 43, as the three forms below gave it
+_SELF_CHI = {(ParabolicId.SHORT, 7): 360829483, (ParabolicId.SHORT, 43): 27731326629645178,
+             (ParabolicId.LONG, 7): 650716619}
+
+
+@pytest.mark.parametrize("parabolic", list(ParabolicId), ids=lambda par: par.name.lower())
+@pytest.mark.parametrize("p", [7, 11, 13, 43, 101])
+def test_the_euler_characteristic_of_the_pushforward_has_three_forms(monkeypatch, parabolic, p):
+    # F_*O = sum_j E_j (x) V_j with m_j = dim V_j, so chi(F_*O, F_*O) is
+    # sum_{j,k} m_j m_k chi(E_j, E_k), read from the engine's cells or from the
+    # characters, and, by the projection formula chi(E_j^v (x) F_*O) =
+    # chi(F^*E_j^v), sum_j m_j chi(F^*E_j^v), with m_M = 1 on the short side.
+    # Both engine-free forms depend on m only through the class of F_*O in K_0,
+    # so they do not check m_M; they check the engine's cells and the
+    # projection formula.
+    objs = _summands(parabolic)
+    m = multiplicity_dims(parabolic, p)
+    engine = 0
+    for X in objs:
+        for Y in objs:
+            t = ext_table(X, Y, p)
+            assert t.exact, (X.name, Y.name, p)
+            engine += m[X.name] * m[Y.name] * _alternating_dim(t)
+    _forbid_engine(monkeypatch)
+    m = multiplicity_dims(parabolic, p)
+    pairwise = sum(m[X.name] * m[Y.name] * _chi(X, Y) for X in objs for Y in objs)
+    stretched = sum(m[X.name] * euler_characteristic(X.filtration.dual().character().stretch(p))
+                    for X in objs)
+    assert pairwise == stretched == engine == _SELF_CHI.get((parabolic, p), engine)

@@ -150,10 +150,49 @@ def test_verma_character_is_the_product_of_geometric_series(p):
         assert _verma_numerator(par, p) == verma_by_series(par, p).tensor(DELTA)
 
 
-@pytest.mark.parametrize("nu", [ZERO, W1, W2, RHO, Weight(3, 2), Weight(0, 5), Weight(6, 1)])
+@pytest.mark.parametrize("nu", [ZERO, W1, W2, RHO, Weight(3, 2), Weight(0, 5), Weight(6, 1),
+                                Weight(43, 0), Weight(0, 43), Weight(20, 20)])
 def test_numerator_is_the_weyl_character_formula(nu):
-    # Freudenthal's character times Delta is the alternating sum over W
+    # the recursion's character times Delta, in its product form, is the
+    # alternating sum over W
     assert _numerator(Character.line(nu)) == weyl_character(nu).tensor(DELTA)
+
+
+def _spread(dominant: dict[Weight, int]) -> Character:
+    """The W-invariant character with the given dominant multiplicities."""
+    return Character({weyl.act(w, mu): m for mu, m in dominant.items() for w in weyl.ALL_ELEMENTS})
+
+
+# multiplicity 2 at four open points of p = 7 over-subtracts at (4,3)
+NEGATIVE_CHOICES = {(Weight(3, 3), Weight(2, 2)): 2, (Weight(4, 3), Weight(5, 1)): 2,
+                    (Weight(4, 3), Weight(2, 2)): 2, (Weight(4, 3), Weight(1, 2)): 2}
+
+
+def _negative_row() -> tuple[Weight, Character]:
+    """The row at (4,3) under ``NEGATIVE_CHOICES``, which ``_row`` refuses as a
+    negative character, built here without the check."""
+    lam = Weight(4, 3)
+    oracle = CharacterOracle(7, NEGATIVE_CHOICES)
+    row = Character.line(lam)
+    for mu, a in oracle.radical_counts(lam).items():
+        row.isub_scaled(oracle._row(mu), a)
+    return lam, row
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_dominant_multiplicities_are_the_weyl_numerator_of_a_row(p):
+    # the recursion reads the sum form of Delta; the product form times the
+    # W-spread of its dominant multiplicities must give the row's numerator,
+    # also for the negative row that the nonnegativity check refuses
+    rows = list(_resolution(p)[0]._rows.items())
+    assert len(rows) > 10
+    if p == 7:
+        lam, row = _negative_row()
+        assert min(charring.dominant_multiplicities(row, lam).values()) < 0
+        rows.append((lam, row))
+    for lam, row in rows:
+        dominant = charring.dominant_multiplicities(row, lam)
+        assert _spread(dominant).tensor(DELTA) == _numerator(row), lam
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23])
@@ -352,13 +391,10 @@ def test_rows_match_torus_peeling_reference(p):
 
 
 def test_nonnegativity_check_matches_torus_reference():
-    # multiplicity 2 at four open points of p = 7 over-subtracts at (4,3)
     lam = Weight(4, 3)
-    choices = {(Weight(3, 3), Weight(2, 2)): 2, (lam, Weight(5, 1)): 2,
-               (lam, Weight(2, 2)): 2, (lam, Weight(1, 2)): 2}
     with pytest.raises(InconsistentChoice, match="negative character"):
-        CharacterOracle(7, choices).simple(lam)
-    assert min(TorusPeeling(7, choices).simple(lam).mult.values()) < 0
+        CharacterOracle(7, NEGATIVE_CHOICES).simple(lam)
+    assert min(TorusPeeling(7, NEGATIVE_CHOICES).simple(lam).mult.values()) < 0
 
 
 def test_euler_character_signs():
