@@ -4,12 +4,12 @@ Subcommands: bott, ext, tensor, restrict, report, modchar.  Weights are two
 integers in fundamental-weight coordinates.  Exit codes: 0 success, 2 usage
 error, 3 when a table or multiplicity the command needs is not certified,
 4 when a certified check fails (a nonzero splitting Ext^1 among them).
-Every report but chevalley decides its own ``passed`` verdict, which
-``_cmd_report`` alone maps to 0 or 4 after printing the report; chevalley
-passes when its four blocks do, and its text ends in that verdict too.  The
-parser and every command refuse input outside the supported domain by raising
-``UsageError``, and a library exception that escapes a command maps to 3 or 4;
-``main`` alone turns each into its exit code and one line on stderr.
+Every report decides its own ``passed`` verdict (chevalley's when its four
+blocks do), which ``_cmd_report`` alone maps to 0 or 4 after printing the
+report, and its text ends in that verdict too.  The parser and every command
+refuse input outside the supported domain by raising ``UsageError``, and a
+library exception that escapes a command maps to 3 or 4; ``main`` alone turns
+each into its exit code and one line on stderr.
 ``--p`` takes a prime of at least ``MIN_P`` and below ``PRIME_LIMIT``, and at most
 ``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 """
@@ -23,7 +23,7 @@ import sys
 from functools import lru_cache
 
 from .rootdata import ParabolicId, Weight
-from .charring import restrict_to_P, weyl_dim
+from .charring import dominant_multiplicities, restrict_to_P, weyl_dim
 from .cohomology import DEFAULT_P, MIN_P, EulerMismatch, bott_line
 from .extcollection import (AmbiguousTable, costandard_factors, ext_table,
                             filtration_to_latex, frobenius_report, full_collection_report,
@@ -51,7 +51,7 @@ MAX_WEIGHT = 5
 # Largest --p of report rank and modchar, which resolve the simple characters
 # through the rank-p^5 identity: their time grows with p (on 2 cores, cold,
 # report rank takes about 0.15 s at p = 43, 0.25 s at p = 61 and 0.6-0.8 s at
-# p = 101, each under 18 MB; modchar --w s1s2 --p 101 about 0.8 s and 36 MB).
+# p = 101, each under 19 MB; modchar --w s1s2 --p 101 about 0.5 s and 18.4 MB).
 # The other commands take any prime below PRIME_LIMIT.
 RANK_MAX_P = 101
 
@@ -172,15 +172,8 @@ def _cmd_restrict(args) -> int:
 def _cmd_report(args) -> int:
     kind, par = args.kind, _parabolic(args.parabolic)
     if kind == "chevalley":
-        reps = chevalley_verify()
-        ok = all(r.passed for r in reps)
-        _emit(
-            args,
-            lambda: {"reports": [r.to_json() for r in reps], "passed": ok},
-            lambda: "\n\n".join(r.to_text() for r in reps) + ("\nPASS" if ok else "\nFAIL"),
-        )
-        return EXIT_OK if ok else EXIT_FAILED
-    if kind == "collection":
+        rep = chevalley_verify()
+    elif kind == "collection":
         rep = full_collection_report(par, args.p)
     elif kind == "frobenius":
         rep = frobenius_report(par, args.p)
@@ -210,14 +203,17 @@ def _cmd_modchar(args) -> int:
         raise UsageError(f"{args.w} is not a reduced word")
     lam0 = restricted_weight(w, args.p)
     oracle, decided_by, points = resolved_oracle(args.p)
-    ch = oracle.simple(lam0)
+    # both from the row: expanding the torus character of L(w) would double the peak at p = 101
+    dim = oracle._dim(lam0)
+    support = sum(len({weyl.act(x, mu) for x in weyl.ALL_ELEMENTS})
+                  for mu, m in dominant_multiplicities(oracle._row(lam0), lam0).items() if m)
     _emit(
         args,
         lambda: {"w": args.w, "p": args.p, "weight": [lam0.a, lam0.b],
-                 "dim": ch.dimension(), "support": len(ch.mult),
+                 "dim": dim, "support": support,
                  "costandard_dim": weyl_dim(lam0), "decided_by": decided_by},
-        lambda: f"L({args.w}) = L({lam0.a},{lam0.b}): dim {ch.dimension()}, "
-        f"support {len(ch.mult)} weights, inside nabla of dim {weyl_dim(lam0)} "
+        lambda: f"L({args.w}) = L({lam0.a},{lam0.b}): dim {dim}, "
+        f"support {support} weights, inside nabla of dim {weyl_dim(lam0)} "
         f"[{decided_by}]",
     )
     if _audit_enabled() and points:

@@ -42,7 +42,6 @@ and replayable.
 from __future__ import annotations
 
 import functools
-import random
 from array import array
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, repeat

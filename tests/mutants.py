@@ -60,6 +60,15 @@ CATALOGUE = (
     Mutant("no nonnegativity check of a row", "src/g2bwb/modchar.py",
            (("if any(m < 0 for m in dominant_multiplicities(out, lam).values()):", "if False:"),),
            ("tests/test_modchar.py",)),
+    Mutant("generator relations without [e_i, f_j]", "src/g2bwb/chevalley.py",
+           (("if pair_brackets[(e, f)] != (im[(\"h\", i)] if i == j else zero_mat()):", "if False:"),),
+           ("tests/test_chevalley.py",)),
+    Mutant("stabilizer inside list without the simple root", "src/g2bwb/chevalley.py",
+           (("for alpha in POSITIVE_ROOTS] + [(simple, True)]", "for alpha in POSITIVE_ROOTS]"),),
+           ("tests/test_chevalley.py",)),
+    Mutant("closed-form check reads the order-2 terms", "src/g2bwb/chevalley.py",
+           (("_closed_form(alpha.weight, positive)[1]", "_closed_form(alpha.weight, positive)[2]"),),
+           ("tests/test_chevalley.py",)),
 )
 
 

@@ -176,3 +176,54 @@ def test_coroot_diagonal_check_raises(monkeypatch):
     monkeypatch.setattr(chevalley, "coroot", lambda i: root_subgroup(A2, XI))
     with pytest.raises(ArithmeticError):
         coroot_diagonal_exponents(1)
+
+
+# each check below must fail on the changed data it names
+
+@pytest.fixture
+def fresh_closed_forms():
+    """Clears the cache of _closed_form before and after the test, so that a
+    changed _SUBGROUP_TERMS is read and then forgotten."""
+    chevalley._closed_form.cache_clear()
+    yield
+    chevalley._closed_form.cache_clear()
+
+
+def test_changed_closed_form_fails_both_closed_form_checks(fresh_closed_forms, monkeypatch):
+    # x_{alpha1+alpha2}(xi) with its first order-1 entry doubled
+    key = (A12.weight, True)
+    ((i, j, c), *order1), order2 = chevalley._SUBGROUP_TERMS[key]
+    monkeypatch.setitem(chevalley._SUBGROUP_TERMS, key, (((i, j, 2 * c), *order1), order2))
+    embedding, subgroups = dict(verify_embedding().checks), dict(verify_subgroups().checks)
+    assert embedding["bracket-generated images match the closed-form constants"] is False
+    assert subgroups["closed forms equal the truncated exponentials"] is False
+
+
+@pytest.mark.parametrize("change, grading", [
+    (lambda h: mscale(2, h), False),
+    # the identity commutes with every image, so only [e_1, f_1] = h_1 can catch it
+    (lambda h: madd(h, identity_mat()), True),
+], ids=["doubled", "shifted-by-identity"])
+def test_wrong_cartan_image_fails_the_relations(monkeypatch, change, grading):
+    th = dict(theta())
+    th[("h", 1)] = change(th[("h", 1)])
+    monkeypatch.setattr(chevalley, "theta", lambda: th)
+    checks = dict(verify_embedding().checks)
+    assert checks["Chevalley generator relations hold"] is False
+    assert checks["root-space grading under both Cartan images"] is grading
+
+
+@pytest.mark.parametrize("simple, column, label", [
+    (A2, -1, "the long-root parabolic fixes the last line"),
+    (A1, -2, "the short-root parabolic preserves the last plane"),
+], ids=["line", "plane"])
+def test_subgroup_moving_the_flag_fails_the_stabilizer(monkeypatch, simple, column, label):
+    # x_simple(xi) gains the entry xi at row 2 of the column of the basis vector v_column
+    subgroup = chevalley.root_subgroup
+
+    def moved(alpha, xi, positive=True):
+        g = subgroup(alpha, xi, positive)
+        return madd(g, mscale(XI, matunit(2, column))) if (alpha, positive) == (simple, True) else g
+
+    monkeypatch.setattr(chevalley, "root_subgroup", moved)
+    assert dict(stabilizer_check().checks)[label] is False

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from g2bwb import cli, weyl
+from g2bwb.chevalley import ChevalleyReport
 from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from g2bwb.cohomology import EulerMismatch
 from g2bwb.extcollection import AmbiguousTable, ExtEngine
@@ -371,7 +372,7 @@ def _fail_first_check(rep):
 
 def _fail_first_chevalley_check(reps):
     (label, _), *rest = reps[0].checks
-    return [reps[0]._replace(checks=((label, False), *rest)), *reps[1:]]
+    return ChevalleyReport((reps[0]._replace(checks=((label, False), *rest)), *reps[1:]))
 
 
 # each report function that cli imports, and a change of its result that fails the verdict
