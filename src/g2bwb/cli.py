@@ -22,17 +22,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .rootdata import ParabolicId, Weight
-from .charring import dominant_multiplicities, restrict_to_P, weyl_dim
-from .cohomology import DEFAULT_P, MIN_P, EulerMismatch, bott_line
-from .extcollection import (AmbiguousTable, costandard_factors, ext_table,
-                            filtration_to_latex, frobenius_report, full_collection_report,
-                            object_by_name)
-from .karoubi import default_targets, verify_generation
-from .modchar import (InconsistentChoice, Undecided, rank_identity_check, resolved_oracle,
-                      restricted_weight)
-from .chevalley import chevalley_verify
-from . import weyl
+from . import charring, chevalley, cohomology, extcollection, karoubi, modchar, rootdata, weyl
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,8 +55,8 @@ def _audit_enabled() -> bool:
     return bool(os.environ.get("G2BWB_LOG"))
 
 
-def _parabolic(name: str) -> ParabolicId:
-    return ParabolicId.SHORT if name == "short" else ParabolicId.LONG
+def _parabolic(name: str) -> rootdata.ParabolicId:
+    return rootdata.ParabolicId.SHORT if name == "short" else rootdata.ParabolicId.LONG
 
 
 def _emit(args, to_json, to_text, to_latex=None) -> None:
@@ -91,7 +81,7 @@ def _check_rank_p(p: int) -> None:
         raise UsageError(f"--p must be at most {RANK_MAX_P} for the rank identity")
 
 
-def _check_weights(*weights: Weight) -> None:
+def _check_weights(*weights: rootdata.Weight) -> None:
     if not all(w.is_dominant() for w in weights):
         raise UsageError("the weight must be dominant")
     if max(max(w.a, w.b) for w in weights) > MAX_WEIGHT:
@@ -99,7 +89,7 @@ def _check_weights(*weights: Weight) -> None:
 
 
 def _cmd_bott(args) -> int:
-    r = bott_line(Weight(args.a, args.b), args.p)
+    r = cohomology.bott_line(rootdata.Weight(args.a, args.b), args.p)
     payload = {"vanishes": True} if r.vanishes else {
         "vanishes": False, "degree": r.degree, "weight": [r.weight.a, r.weight.b],
         "caveat": r.caveat}
@@ -110,11 +100,11 @@ def _cmd_bott(args) -> int:
 def _cmd_ext(args) -> int:
     par = _parabolic(args.parabolic)
     try:
-        X = object_by_name(par, args.x)
-        Y = object_by_name(par, args.y)
+        X = extcollection.object_by_name(par, args.x)
+        Y = extcollection.object_by_name(par, args.y)
     except KeyError as e:
         raise UsageError(f"unknown object: {e.args[0]}") from None
-    t = ext_table(X, Y, args.p)
+    t = extcollection.ext_table(X, Y, args.p)
 
     def latex() -> str:
         rows = [f"\\mathrm{{Ext}}^{{{d}}} \\simeq " + " \\oplus ".join(
@@ -132,9 +122,9 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
-    lam, mu = Weight(args.a, args.b), Weight(args.c, args.d)
+    lam, mu = rootdata.Weight(args.a, args.b), rootdata.Weight(args.c, args.d)
     _check_weights(lam, mu)
-    factors = costandard_factors(lam, mu)
+    factors = extcollection.costandard_factors(lam, mu)
     text = " + ".join(
         (f"nabla({w.a},{w.b})" if m == 1 else f"{m}*nabla({w.a},{w.b})")
         for w, m in factors
@@ -150,9 +140,9 @@ def _cmd_tensor(args) -> int:
 
 def _cmd_restrict(args) -> int:
     par = _parabolic(args.parabolic)
-    lam = Weight(args.a, args.b)
+    lam = rootdata.Weight(args.a, args.b)
     _check_weights(lam)
-    mod = restrict_to_P(lam, par)
+    mod = charring.restrict_to_P(lam, par)
     names = []
     for s in mod.atoms:
         if par.pair(s.highest) == 0:
@@ -164,7 +154,7 @@ def _cmd_restrict(args) -> int:
         lambda: {"parabolic": args.parabolic,
                  "atoms": [[s.highest.a, s.highest.b] for s in mod.atoms]},
         lambda: " / ".join(names),
-        lambda: filtration_to_latex(mod),
+        lambda: extcollection.filtration_to_latex(mod),
     )
     return EXIT_OK
 
@@ -172,23 +162,23 @@ def _cmd_restrict(args) -> int:
 def _cmd_report(args) -> int:
     kind, par = args.kind, _parabolic(args.parabolic)
     if kind == "chevalley":
-        rep = chevalley_verify()
+        rep = chevalley.chevalley_verify()
     elif kind == "collection":
-        rep = full_collection_report(par, args.p)
+        rep = extcollection.full_collection_report(par, args.p)
     elif kind == "frobenius":
-        rep = frobenius_report(par, args.p)
+        rep = extcollection.frobenius_report(par, args.p)
     elif kind == "karoubi":
-        need = max(abs(w.a) for w in default_targets(par))
+        need = max(abs(w.a) for w in karoubi.default_targets(par))
         if args.box < need:
             raise UsageError(f"--box must be at least {need} to hold the {args.parabolic} targets")
         if args.box > KAROUBI_MAX_BOX:
             raise UsageError(f"--box must be at most {KAROUBI_MAX_BOX}")
-        rep, kb = verify_generation(par, amax=args.box, bmax=max(12, args.box - 4))
+        rep, kb = karoubi.verify_generation(par, amax=args.box, bmax=max(12, args.box - 4))
         if _audit_enabled():
             print(kb.audit_log(), file=sys.stderr)
     else:  # "rank", the last of the kinds that argparse accepts
         _check_rank_p(args.p)
-        rep = rank_identity_check(args.p, par)
+        rep = modchar.rank_identity_check(args.p, par)
     _emit(args, rep.to_json, rep.to_text)
     return EXIT_OK if rep.passed else EXIT_FAILED
 
@@ -201,19 +191,19 @@ def _cmd_modchar(args) -> int:
         raise UsageError(f"bad word {args.w}") from None
     if w.length < args.w.count("s"):  # like ext, name an element by a reduced word only
         raise UsageError(f"{args.w} is not a reduced word")
-    lam0 = restricted_weight(w, args.p)
-    oracle, decided_by, points = resolved_oracle(args.p)
+    lam0 = modchar.restricted_weight(w, args.p)
+    oracle, decided_by, points = modchar.resolved_oracle(args.p)
     # both from the row: expanding the torus character of L(w) would double the peak at p = 101
     dim = oracle._dim(lam0)
-    support = sum(len({weyl.act(x, mu) for x in weyl.ALL_ELEMENTS})
-                  for mu, m in dominant_multiplicities(oracle._row(lam0), lam0).items() if m)
+    row = charring.dominant_multiplicities(oracle._row(lam0), lam0)
+    support = sum(len({weyl.act(x, mu) for x in weyl.ALL_ELEMENTS}) for mu, m in row.items() if m)
     _emit(
         args,
         lambda: {"w": args.w, "p": args.p, "weight": [lam0.a, lam0.b],
                  "dim": dim, "support": support,
-                 "costandard_dim": weyl_dim(lam0), "decided_by": decided_by},
+                 "costandard_dim": charring.weyl_dim(lam0), "decided_by": decided_by},
         lambda: f"L({args.w}) = L({lam0.a},{lam0.b}): dim {dim}, "
-        f"support {support} weights, inside nabla of dim {weyl_dim(lam0)} "
+        f"support {support} weights, inside nabla of dim {charring.weyl_dim(lam0)} "
         f"[{decided_by}]",
     )
     if _audit_enabled() and points:
@@ -259,8 +249,8 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be below {PRIME_LIMIT}, where primality is exact")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
-    if p < MIN_P:
-        raise argparse.ArgumentTypeError(f"p must be at least {MIN_P}, got {p}")
+    if p < cohomology.MIN_P:
+        raise argparse.ArgumentTypeError(f"p must be at least {cohomology.MIN_P}, got {p}")
     return p
 
 
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         if parabolic:
             p.add_argument("--parabolic", choices=("short", "long"), default="short")
         if prime:
-            p.add_argument("--p", type=_prime, default=DEFAULT_P)
+            p.add_argument("--p", type=_prime, default=cohomology.DEFAULT_P)
         formats = ("text", "json", "latex") if latex else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
 
@@ -338,12 +328,16 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE
-    except (EulerMismatch, InconsistentChoice, ArithmeticError) as e:
-        print(f"verification failed: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_FAILED
-    except (AmbiguousTable, Undecided) as e:
-        print(f"ambiguous: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+    except Exception as e:
+        # tested inside the handler: an except tuple naming these classes would load
+        # their modules whenever an exception passes, SystemExit of --help among them
+        if isinstance(e, (cohomology.EulerMismatch, modchar.InconsistentChoice, ArithmeticError)):
+            print(f"verification failed: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_FAILED
+        if isinstance(e, (extcollection.AmbiguousTable, modchar.Undecided)):
+            print(f"ambiguous: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_AMBIGUOUS
+        raise
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from g2bwb import cli, weyl
+from g2bwb import chevalley, cli, extcollection, karoubi, modchar, weyl
 from g2bwb.chevalley import ChevalleyReport
 from g2bwb.cli import EXIT_AMBIGUOUS, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from g2bwb.cohomology import EulerMismatch
@@ -175,7 +175,7 @@ def test_all_report_jsons_roundtrip(capsys):
     ["ext", "E(e)", "E(e)", "--p", "0"],
     ["report", "rank", "--p", "-3"],
     ["report", "rank", "--p", "4"],
-    # primes below cli.MIN_P
+    # primes below cohomology.MIN_P
     ["report", "frobenius", "--p", "5"],
     ["report", "collection", "--p", "3"],
     ["report", "rank", "--p", "5"],
@@ -267,22 +267,23 @@ def _raiser(exc):
     return raise_it
 
 
-@pytest.mark.parametrize("target, argv, exc, expected", [
-    ("full_collection_report", ["report", "collection"],
+# cli reads each library function from its module when a command runs, so the tests patch there
+@pytest.mark.parametrize("module, target, argv, exc, expected", [
+    (extcollection, "full_collection_report", ["report", "collection"],
      EulerMismatch("two exact routes disagree"), EXIT_FAILED),
-    ("rank_identity_check", ["report", "rank", "--p", "7"],
+    (modchar, "rank_identity_check", ["report", "rank", "--p", "7"],
      InconsistentChoice("negative character at (0,0)"), EXIT_FAILED),
-    ("frobenius_report", ["report", "frobenius"],
+    (extcollection, "frobenius_report", ["report", "frobenius"],
      AmbiguousTable("a required splitting vanishing is not certified"), EXIT_AMBIGUOUS),
-    ("ext_table", ["ext", "E(e)", "E(e)"], Undecided(ZERO, 11, {}), EXIT_AMBIGUOUS),
-    ("chevalley_verify", ["report", "chevalley"],
+    (extcollection, "ext_table", ["ext", "E(e)", "E(e)"], Undecided(ZERO, 11, {}), EXIT_AMBIGUOUS),
+    (chevalley, "chevalley_verify", ["report", "chevalley"],
      ArithmeticError("coroot is not diagonal"), EXIT_FAILED),
-    ("resolved_oracle", ["modchar", "--w", "s1s2", "--p", "7"],
+    (modchar, "resolved_oracle", ["modchar", "--w", "s1s2", "--p", "7"],
      Undecided(ZERO, 7, {}), EXIT_AMBIGUOUS),
 ], ids=["EulerMismatch", "InconsistentChoice", "AmbiguousTable", "Undecided", "ArithmeticError",
         "modchar"])
-def test_library_exception_exit_code(capsys, monkeypatch, target, argv, exc, expected):
-    monkeypatch.setattr(cli, target, _raiser(exc))
+def test_library_exception_exit_code(capsys, monkeypatch, module, target, argv, exc, expected):
+    monkeypatch.setattr(module, target, _raiser(exc))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == expected
@@ -375,24 +376,24 @@ def _fail_first_chevalley_check(reps):
     return ChevalleyReport((reps[0]._replace(checks=((label, False), *rest)), *reps[1:]))
 
 
-# each report function that cli imports, and a change of its result that fails the verdict
+# each report function that cli calls, its module, and a change of its result that fails the verdict
 _FORCED_FAILURES = {
-    "collection": ("full_collection_report",
+    "collection": (extcollection, "full_collection_report",
                    lambda rep: rep._replace(failures=("forced",))),
-    "frobenius": ("frobenius_report", _fail_first_check),
-    "karoubi": ("verify_generation",
+    "frobenius": (extcollection, "frobenius_report", _fail_first_check),
+    "karoubi": (karoubi, "verify_generation",
                 lambda out: (out[0]._replace(replay_ok=False), out[1])),
-    "rank": ("rank_identity_check",
+    "rank": (modchar, "rank_identity_check",
              lambda rep: rep._replace(surviving_assignments=0)),
-    "chevalley": ("chevalley_verify", _fail_first_chevalley_check),
+    "chevalley": (chevalley, "chevalley_verify", _fail_first_chevalley_check),
 }
 
 
 @pytest.mark.parametrize("kind, parabolic", _REPORT_KINDS)
 def test_forced_failing_report_exits_4(capsys, monkeypatch, kind, parabolic):
-    target, fail = _FORCED_FAILURES[kind]
-    report = getattr(cli, target)
-    monkeypatch.setattr(cli, target, lambda *args, **kwargs: fail(report(*args, **kwargs)))
+    module, target, fail = _FORCED_FAILURES[kind]
+    report = getattr(module, target)
+    monkeypatch.setattr(module, target, lambda *args, **kwargs: fail(report(*args, **kwargs)))
     code, out = run(capsys, "report", kind, "--parabolic", parabolic, "--format", "json")
     assert json.loads(out)["passed"] is False and code == EXIT_FAILED
     code, out = run(capsys, "report", kind, "--parabolic", parabolic)
@@ -403,11 +404,12 @@ def test_rank_bound_refuses_only_rank_and_modchar(capsys, monkeypatch):
     # at the bound, and on the other reports far above it, the library is reached
     assert cli.RANK_MAX_P >= 101
     p = str(cli.RANK_MAX_P)
-    for target, argv in (("rank_identity_check", ["report", "rank", "--p", p]),
-                         ("resolved_oracle", ["modchar", "--w", "e", "--p", p]),
-                         ("full_collection_report", ["report", "collection", "--p", "997"]),
-                         ("frobenius_report", ["report", "frobenius", "--p", "997"])):
-        monkeypatch.setattr(cli, target, _raiser(InconsistentChoice("reached")))
+    for module, target, argv in (
+            (modchar, "rank_identity_check", ["report", "rank", "--p", p]),
+            (modchar, "resolved_oracle", ["modchar", "--w", "e", "--p", p]),
+            (extcollection, "full_collection_report", ["report", "collection", "--p", "997"]),
+            (extcollection, "frobenius_report", ["report", "frobenius", "--p", "997"])):
+        monkeypatch.setattr(module, target, _raiser(InconsistentChoice("reached")))
         assert main(argv) == EXIT_FAILED, argv
         assert "reached" in capsys.readouterr().err
 
@@ -527,20 +529,80 @@ def test_report_karoubi_box24_json_golden(capsys, parabolic, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # each cold command pays for what importing the CLI loads
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports g2bwb from this tree and
+    writes no bytecode into it."""
     import subprocess
     import sys
     from pathlib import Path
 
     import g2bwb
 
+    env = {"PYTHONPATH": str(Path(g2bwb.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each cold command pays for what importing the CLI loads
     code = ("import sys, g2bwb.cli; "
             "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
-    env = {"PYTHONPATH": str(Path(g2bwb.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "\n"
+    assert _fresh_python(code) == "\n"
+
+
+# Prints the exit code of main(ARGV) and the g2bwb modules whose code ran, other than the
+# package's __init__ and cli: the "exec" audit event fires when the import system runs a
+# module's code, whether or not a bytecode cache spared the compile.
+_EXECUTED = """
+import contextlib, io, sys
+from pathlib import Path
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+import g2bwb.cli
+code = None
+if ARGV is not None:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = g2bwb.cli.main(ARGV)
+    except SystemExit as e:
+        code = e.code
+print(code, *sorted(Path(f).stem for f in ran
+                    if Path(f).parent.name == "g2bwb" and Path(f).stem not in ("__init__", "cli")))
+"""
+
+
+def _executed(argv):
+    code, *modules = _fresh_python(_EXECUTED.replace("ARGV", repr(argv))).split()
+    return code, set(modules)
+
+
+def test_importing_the_cli_executes_no_submodule():
+    assert _executed(None) == ("None", set())
+
+
+@pytest.mark.parametrize("argv, needed, never", [
+    (["report", "chevalley", "--format", "json"], {"chevalley"},
+     {"extcollection", "karoubi", "modchar"}),
+    (["report", "karoubi", "--format", "json"], {"karoubi"},
+     {"extcollection", "modchar", "chevalley"}),
+    (["report", "collection", "--format", "json"], {"extcollection"},
+     {"karoubi", "modchar", "chevalley"}),
+    (["report", "frobenius", "--format", "json"], {"extcollection"},
+     {"karoubi", "modchar", "chevalley"}),
+    (["--help"], set(), {"modchar"}),
+], ids=["chevalley", "karoubi", "collection", "frobenius", "help"])
+def test_each_command_executes_only_the_modules_it_calls(argv, needed, never):
+    code, modules = _executed(argv)
+    assert code == "0" and needed <= modules and not modules & never, (code, modules)
+
+
+def test_every_public_name_resolves():
+    import g2bwb
+
+    for name in g2bwb.__all__:
+        assert getattr(g2bwb, name).__name__ == name
+    with pytest.raises(AttributeError):
+        g2bwb.no_such_name
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
