@@ -69,6 +69,12 @@ CATALOGUE = (
     Mutant("closed-form check reads the order-2 terms", "src/g2bwb/chevalley.py",
            (("_closed_form(alpha.weight, positive)[1]", "_closed_form(alpha.weight, positive)[2]"),),
            ("tests/test_chevalley.py",)),
+    Mutant("sparse matrices keep their zero entries", "src/g2bwb/chevalley.py",
+           (("return {k: v for k, v in m.items() if v}", "return {k: v for k, v in m.items()}"),),
+           ("tests/test_chevalley_matrix_layer.py",)),
+    Mutant("closure learns a rule's last slot", "src/g2bwb/karoubi.py",
+           (("for new in slots[first[r]:first[r + 1] - 1]:", "for new in slots[first[r]:first[r + 1]]:"),),
+           ("tests/test_karoubi.py",)),
 )
 
 
