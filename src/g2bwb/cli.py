@@ -10,8 +10,15 @@ report, and its text ends in that verdict too.  The parser and every command
 refuse input outside the supported domain by raising ``UsageError``, and a
 library exception that escapes a command maps to 3 or 4; ``main`` alone turns
 each into its exit code and one line on stderr.
-``--p`` takes a prime of at least ``MIN_P`` and below ``PRIME_LIMIT``, and at most
+``--p`` takes a prime of at least ``cohomology.MIN_P`` and below ``PRIME_LIMIT``, and at most
 ``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
+
+Each command loads only the modules it calls.  The package registers its submodules
+lazily, through ``importlib.util.LazyLoader``, so importing this module executes none of
+them; it reads every library function and exception from its module when a command runs
+(``extcollection.frobenius_report``), never at import.  LazyLoader, not imports inside
+functions, because code that reads ``sys.modules`` after importing the CLI, like the
+benchmark's tracer, must find every module there.
 """
 
 from __future__ import annotations
