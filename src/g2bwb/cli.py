@@ -13,12 +13,11 @@ each into its exit code and one line on stderr.
 ``--p`` takes a prime of at least ``cohomology.MIN_P`` and below ``PRIME_LIMIT``, and at most
 ``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 
-Each command loads only the modules it calls.  The package registers its submodules
-lazily, through ``importlib.util.LazyLoader``, so importing this module executes none of
-them; it reads every library function and exception from its module when a command runs
-(``extcollection.frobenius_report``), never at import.  LazyLoader, not imports inside
-functions, because code that reads ``sys.modules`` after importing the CLI, like the
-benchmark's tracer, must find every module there.
+Each command loads only the modules it calls: the package registers them with
+``importlib.util.LazyLoader``, and this module reads each library function and exception
+from its module when a command runs (``extcollection.frobenius_report``), never at import.
+LazyLoader, not imports inside functions, keeps every module in ``sys.modules``, where the
+benchmark's tracer looks for them.
 """
 
 from __future__ import annotations
