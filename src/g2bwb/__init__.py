@@ -5,7 +5,13 @@ throughout; no floating point anywhere.
 
 Each submodule runs on first use: importing the package, or ``g2bwb.cli``,
 executes none of them, so a CLI command compiles and runs only the modules on
-its own path (``report chevalley`` never loads ``karoubi`` or ``modchar``).
+its own path.  The parser and ``--help`` run ``rootdata`` alone, and every
+command adds ``weyl`` and ``charring``, then: ``report chevalley``
+``chevalley``; ``report karoubi`` ``karoubi``; ``bott`` ``cohomology``;
+``restrict --format latex`` ``collection``; ``report rank`` and ``modchar``
+``cohomology``, ``collection`` and ``modchar``; ``report collection``,
+``report frobenius``, ``ext`` and ``tensor`` ``cohomology``, ``collection``
+and ``extcollection``.
 The submodules are registered in ``sys.modules`` through
 ``importlib.util.LazyLoader`` rather than imported inside functions, because
 code that reads ``sys.modules`` after ``import g2bwb.cli`` (the benchmark's
@@ -33,6 +39,7 @@ rootdata = _lazy("rootdata")
 weyl = _lazy("weyl")
 charring = _lazy("charring")
 cohomology = _lazy("cohomology")
+collection = _lazy("collection")
 extcollection = _lazy("extcollection")
 karoubi = _lazy("karoubi")
 modchar = _lazy("modchar")
@@ -45,7 +52,8 @@ _HOME = {
     "weyl_dim": charring,
     "BottResult": cohomology, "bott_line": cohomology, "linked": cohomology,
     "lowest_alcove": cohomology,
-    "ExtTable": extcollection, "SheafObject": extcollection, "ext_table": extcollection,
+    "SheafObject": collection,
+    "ExtTable": extcollection, "ext_table": extcollection,
     "full_collection_report": extcollection,
     "verify_generation": karoubi,
     "rank_identity_check": modchar, "simple_character": modchar,

@@ -10,12 +10,13 @@ report, and its text ends in that verdict too.  The parser and every command
 refuse input outside the supported domain by raising ``UsageError``, and a
 library exception that escapes a command maps to 3 or 4; ``main`` alone turns
 each into its exit code and one line on stderr.
-``--p`` takes a prime of at least ``cohomology.MIN_P`` and below ``PRIME_LIMIT``, and at most
+``--p`` takes a prime of at least ``rootdata.MIN_P`` and below ``PRIME_LIMIT``, and at most
 ``RANK_MAX_P`` for ``report rank`` and ``modchar``.  Set G2BWB_LOG for audit output on stderr.
 
 Each command loads only the modules it calls: the package registers them with
 ``importlib.util.LazyLoader``, and this module reads each library function and exception
 from its module when a command runs (``extcollection.frobenius_report``), never at import.
+The parser reads ``rootdata`` alone, so ``--help`` and a refusal load nothing else.
 LazyLoader, not imports inside functions, keeps every module in ``sys.modules``, where the
 benchmark's tracer looks for them.
 """
@@ -28,7 +29,8 @@ import os
 import sys
 from functools import lru_cache
 
-from . import charring, chevalley, cohomology, extcollection, karoubi, modchar, rootdata, weyl
+from . import (charring, chevalley, cohomology, collection, extcollection, karoubi, modchar,
+               rootdata, weyl)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,8 +108,8 @@ def _cmd_bott(args) -> int:
 def _cmd_ext(args) -> int:
     par = _parabolic(args.parabolic)
     try:
-        X = extcollection.object_by_name(par, args.x)
-        Y = extcollection.object_by_name(par, args.y)
+        X = collection.object_by_name(par, args.x)
+        Y = collection.object_by_name(par, args.y)
     except KeyError as e:
         raise UsageError(f"unknown object: {e.args[0]}") from None
     t = extcollection.ext_table(X, Y, args.p)
@@ -160,7 +162,7 @@ def _cmd_restrict(args) -> int:
         lambda: {"parabolic": args.parabolic,
                  "atoms": [[s.highest.a, s.highest.b] for s in mod.atoms]},
         lambda: " / ".join(names),
-        lambda: extcollection.filtration_to_latex(mod),
+        lambda: collection.filtration_to_latex(mod),
     )
     return EXIT_OK
 
@@ -255,8 +257,8 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(f"must be below {PRIME_LIMIT}, where primality is exact")
     if not _is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not a prime")
-    if p < cohomology.MIN_P:
-        raise argparse.ArgumentTypeError(f"p must be at least {cohomology.MIN_P}, got {p}")
+    if p < rootdata.MIN_P:
+        raise argparse.ArgumentTypeError(f"p must be at least {rootdata.MIN_P}, got {p}")
     return p
 
 
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         if parabolic:
             p.add_argument("--parabolic", choices=("short", "long"), default="short")
         if prime:
-            p.add_argument("--p", type=_prime, default=cohomology.DEFAULT_P)
+            p.add_argument("--p", type=_prime, default=rootdata.DEFAULT_P)
         formats = ("text", "json", "latex") if latex else ("text", "json")
         p.add_argument("--format", choices=formats, default="text")
 

@@ -27,13 +27,9 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootdata import POSITIVE_ROOTS, RHO, Weight, ZERO
+from .rootdata import DEFAULT_P, POSITIVE_ROOTS, RHO, Weight, ZERO
 from .charring import Character
 from . import weyl
-
-DEFAULT_P = 11
-
-MIN_P = 7  # no report is backed below the first prime > h = 6, where 0 is p-regular
 
 # The wall used for affine reduction: the positive root with highest coroot.
 _BETA = Weight(1, 0)  # 2*alpha1 + alpha2 as a weight

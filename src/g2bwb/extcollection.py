@@ -1,17 +1,8 @@
-"""The exceptional collections on the two G2 flag varieties and their Ext tables.
+"""The Ext tables of the exceptional collections on the two G2 flag varieties,
+and the reports built on them.
 
-Every sheaf handled here is presented by costandard string data for the
-relevant parabolic.  Besides its canonical filtration, an object may carry
-two-term presentations of the shape
-
-* kernel:    0 -> X -> V (x) L(nu) -> Q -> 0,
-* cokernel:  0 -> S -> V (x) L(nu) -> X -> 0,
-
-with V a self-dual G-module (the 7- or 14-dimensional fundamental one).
-Such presentations are exact character data and are verified as such on
-construction.  The objects of both collections, and the extra summand M,
-are rows of one declarative table (``_COLLECTIONS``, ``_M_ROW``).
-
+The objects, their two-term presentations and the decomposition of F_*O
+into them are data of ``collection``; this module computes with them.
 ``ext_table`` bounds Ext^*(X, Y) along every available route, each read
 from presentation pieces of one shape (``ExtEngine._pieces``):
 
@@ -52,13 +43,6 @@ answer, so the cell computed at any p >= p0 is the cell at every p >= p0:
 it is stored once and served at a later prime with only its ``p`` replaced,
 which the labels L/nabla are rendered from.  A cell computed at p < p0 is
 stored for that prime alone.
-
-``FROBENIUS_SUMMANDS`` is the one decomposition table of F_*O into summands
-E (x) L(w) on each G/P.  ``frobenius_report`` prints it, and
-``modchar.rank_identity_check`` reads it for the rank-p^5 identity.
-``multiplicity_dims`` gives the dimension of each multiplicity space at any
-p from Euler characteristics alone, through the triangular Euler form of the
-collection; it reads no modular character and no Ext table.
 """
 
 from __future__ import annotations
@@ -67,53 +51,13 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootdata import RHO, W1, W2, ZERO, ParabolicId, Weight
-from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, module,
-                       weyl_character, weyl_dim)
-from .cohomology import (DEFAULT_P, MIN_P, Bound, Degrees, Frozen, bott_line, combine,
-                         costandard_times, euler_characteristic, linkage_collision,
-                         lowest_alcove, p_threshold)
-from . import charring, weyl
-
-
-class TwoTerm(NamedTuple):
-    kind: str  # "kernel" or "cokernel"
-    gweight: Weight  # highest weight of V; V is self-dual for G2
-    twist: Weight
-    other: FilteredPModule
-
-
-class _SheafObject(NamedTuple):
-    name: str
-    parabolic: ParabolicId
-    filtration: FilteredPModule
-    two_terms: tuple[TwoTerm, ...] = ()
-
-
-class SheafObject(_SheafObject):
-    """A sheaf on G/P with its canonical filtration and extra presentations."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, parabolic, filtration, two_terms=()):  # the fields of _SheafObject
-        for tt in two_terms:
-            middle = weyl_character(tt.gweight).tensor(Character.line(tt.twist))
-            lhs = middle - tt.other.character()
-            if lhs != filtration.character():
-                raise ValueError(f"{name}: inconsistent {tt.kind} presentation")
-        return super().__new__(cls, name, parabolic, filtration, two_terms)
-
-    def __hash__(self) -> int:
-        # the cell memo hashes objects on every lookup; equal objects share
-        # a name, and a string caches its own hash
-        return hash(self.name)
-
-    @property
-    def key(self) -> tuple:
-        return (self.parabolic, self.name)
-
-    def rank(self) -> int:
-        return self.filtration.dimension()
+from .rootdata import DEFAULT_P, MIN_P, RHO, ZERO, ParabolicId, Weight
+from .charring import (Character, FilteredPModule, PString, clebsch_gordan_P, weyl_character,
+                       weyl_dim)
+from .cohomology import (Bound, Degrees, Frozen, bott_line, combine, costandard_times,
+                         euler_characteristic, linkage_collision, lowest_alcove, p_threshold)
+from .collection import FROBENIUS_SUMMANDS, SheafObject, builtin_collection, object_by_name
+from . import weyl
 
 
 def _anon(parabolic: ParabolicId, atoms: tuple[PString, ...]) -> SheafObject:
@@ -326,75 +270,6 @@ class ExtEngine:
         return p0, table
 
 
-# ---------------------------------------------------------------------------
-# the built-in objects
-
-# One row per object: its Weyl word, the atoms' highest weights (quotient end
-# first) and its two-term presentations as (kind, highest weight of V, twist,
-# atoms of the other term).  Rows are in the order ``builtin_collection`` keeps.
-_COLLECTIONS: dict[ParabolicId, tuple[tuple, ...]] = {
-    ParabolicId.SHORT: (
-        ("", [(0, 0)], ()),
-        ("s2", [(0, -1)], ()),
-        ("s1s2", [(2, -2), (1, -2)], (("kernel", W1, (0, -1), [(1, -1)]),)),
-        ("s2s1s2", [(1, -2)], ()),
-        ("s1s2s1s2", [(1, -2), (2, -3)], (("cokernel", W1, (0, -2), [(1, -3)]),)),
-        ("s2s1s2s1s2", [(0, -2)], ()),
-    ),
-    ParabolicId.LONG: (
-        ("", [(0, 0)], ()),
-        ("s1", [(-1, 0)], ()),
-        ("s2s1", [(-2, 0)], ()),
-        ("s1s2s1", [(-2, 0), (-4, 1), (-3, 0)],
-         (("cokernel", W1, (-3, 0), [(-5, 1), (-4, 0)]),)),
-        ("s2s1s2s1", [(-3, 0)], ()),
-        ("s1s2s1s2s1", [(-4, 0)], ()),
-    ),
-}
-# The extra summand M of F_*O on the short-root G/P, in the same row shape.
-_M_ROW = ("M", [(2, -2), (0, -1), (3, -3), (0, -2)],
-          (("kernel", W2, (0, -1), [(0, 0), (3, -2)]),))
-
-
-def _object(parabolic: ParabolicId, name: str, atoms, two_terms) -> SheafObject:
-    def filtration(highs):
-        return module(parabolic, [Weight(*h) for h in highs])
-
-    return SheafObject(name, parabolic, filtration(atoms), tuple(
-        TwoTerm(kind, g, Weight(*nu), filtration(other)) for kind, g, nu, other in two_terms))
-
-
-@lru_cache(maxsize=None)
-def builtin_collection(
-    parabolic: ParabolicId,
-) -> tuple[dict[weyl.WeylElement, SheafObject], SheafObject | None]:
-    """The collection objects on G/P, plus the extra summand for the short case."""
-    coll = {weyl.from_word(word): _object(parabolic, f"E({word or 'e'})", atoms, two_terms)
-            for word, atoms, two_terms in _COLLECTIONS[parabolic]}
-    if parabolic is ParabolicId.SHORT:
-        return coll, _object(parabolic, *_M_ROW)
-    return coll, None
-
-
-def object_by_name(parabolic: ParabolicId, name: str) -> SheafObject:
-    """Resolve names like ``E(s2s1s2)``, ``E(e)``, ``E(wP)`` or ``M``."""
-    coll, m_obj = builtin_collection(parabolic)
-    if name == "M":
-        if m_obj is None:
-            raise KeyError("M exists only for the short-root parabolic")
-        return m_obj
-    label = name[2:-1] if name.startswith("E(") and name.endswith(")") else name
-    if label in ("wP", "w^P"):
-        return coll[max(coll, key=lambda w: w.length)]
-    # only the words of the collection table name objects: a word that merely
-    # reduces to one of them (say s1s1s2) does not
-    wanted = f"E({label or 'e'})"
-    for obj in coll.values():
-        if obj.name == wanted:
-            return obj
-    raise KeyError(f"{name} is not an object of this collection")
-
-
 def ext_table(X: SheafObject, Y: SheafObject, p: int = DEFAULT_P) -> ExtTable:
     if X.parabolic is not Y.parabolic:
         raise ValueError("objects live on different flag varieties")
@@ -563,65 +438,6 @@ class FrobeniusReport(NamedTuple):
         return "\n".join(lines)
 
 
-# Each summand sheaf of F_*O on G/P with the Weyl words w of the simple
-# modules L(w) in its multiplicity space, in the order the report prints them.
-FROBENIUS_SUMMANDS: dict[ParabolicId, tuple[tuple[str, tuple[str, ...]], ...]] = {
-    ParabolicId.SHORT: (
-        ("E(e)", ("e",)),
-        ("E(s2)", ("s2", "s1s2s1s2")),
-        ("E(s1s2)", ("s1s2",)),
-        ("M", ("e",)),
-        ("E(s2s1s2)", ("s2s1s2",)),
-        ("E(s1s2s1s2)", ("s1s2s1s2",)),
-        ("E(s2s1s2s1s2)", ("s2s1s2s1s2", "s1s2")),
-    ),
-    ParabolicId.LONG: (
-        ("E(e)", ("e",)),
-        ("E(s1)", ("s1",)),
-        ("E(s2s1)", ("s2s1", "e", "s1s2s1s2s1")),
-        ("E(s1s2s1)", ("s1s2s1",)),
-        ("E(s2s1s2s1)", ("s2s1s2s1", "s1")),
-        ("E(s1s2s1s2s1)", ("s1s2s1s2s1", "e")),
-    ),
-}
-
-
-@lru_cache(maxsize=None)
-def _euler_form(parabolic: ParabolicId) -> tuple[tuple[int, ...], ...]:
-    """G[k][j] = chi(E_k^v (x) E_j) over the rows of ``FROBENIUS_SUMMANDS``,
-    in table order.  The collection is exceptional and Hom(E_k, E_j) = 0
-    unless w_j <= w_k in the Bruhat order, so G is lower unitriangular on
-    the collection rows; M, which is no member, is only read as a column."""
-    table = FROBENIUS_SUMMANDS[parabolic]
-    mods = [object_by_name(parabolic, name).filtration for name, _ in table]
-    form = tuple(tuple(charring.euler_characteristic(x.dual().character().tensor(y.character()))
-                       for y in mods) for x in mods)
-    rows = [k for k, (name, _) in enumerate(table) if name != "M"]
-    for k in rows:
-        if form[k][k] != 1 or any(form[k][j] for j in rows if j > k):
-            raise ArithmeticError(f"the Euler form is not lower unitriangular at {table[k][0]} "
-                                  f"({parabolic.name.lower()} root)")
-    return form
-
-
-def multiplicity_dims(parabolic: ParabolicId, p: int) -> dict[str, int]:
-    """dim V_j of each summand E_j (x) V_j of F_*O, from Euler characteristics
-    alone: chi(E_k^v (x) F_*O) = chi(F^*E_k^v), the bundle of the character of
-    E_k^v stretched by p, so G m = r with r_k = chi(stretch_p(E_k^v)), solved
-    by forward substitution.  M's multiplicity space is L(0), so m_M = 1 is
-    known, and each row subtracts M's column of G with the solved m_j."""
-    table = FROBENIUS_SUMMANDS[parabolic]
-    form = _euler_form(parabolic)
-    # an unknown reads 0 until it is solved, so row k sums the solved m_j and m_M
-    m = [int(name == "M") for name, _ in table]
-    for k, (name, _) in enumerate(table):
-        if name != "M":
-            dual = object_by_name(parabolic, name).filtration.dual()
-            r = charring.euler_characteristic(dual.character().stretch(p))
-            m[k] = r - sum(g * mj for g, mj in zip(form[k], m))
-    return {name: mk for (name, _), mk in zip(table, m)}
-
-
 def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusReport:
     """Summand list of the Frobenius pushforward and its splitting evidence."""
     engine = _report_engine(parabolic, p)
@@ -655,18 +471,3 @@ def frobenius_report(parabolic: ParabolicId, p: int = DEFAULT_P) -> FrobeniusRep
     return FrobeniusReport(
         parabolic, p, summands, tuple(checks), self_ext, witness, wt
     )
-
-
-def filtration_to_latex(mod: FilteredPModule) -> str:
-    """Boxed-filtration fragment, quotient end on top."""
-    rows = []
-    for s in mod.atoms:
-        par = mod.parabolic
-        if par.pair(s.highest) == 0:
-            rows.append(f"${s.highest.a}\\varpi_1{s.highest.b:+d}\\varpi_2$")
-        else:
-            rows.append(
-                f"$\\nabla^P({s.highest.a}\\varpi_1{s.highest.b:+d}\\varpi_2)$"
-            )
-    body = "\\\\\n\\hline\n".join(rows)
-    return "\\begin{tabular}{|c|}\n\\hline\n" + body + "\\\\\n\\hline\n\\end{tabular}"

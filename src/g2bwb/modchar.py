@@ -21,8 +21,8 @@ character formula, ch nabla(nu) Delta = sum_{x in W} sgn(x) e^{x(nu + rho)}
 (``_verma_numerator``).  Laurent polynomials over Z have no zero divisors, so
 equal numerators give equal characters, and so equal dimensions.  The left
 side and the search read one table, ``_summands``: each summand E_j (x) V_j
-of F_*O in ``extcollection.FROBENIUS_SUMMANDS``, with the L(w) of V_j and
-dim V_j from ``extcollection.multiplicity_dims`` (Euler characteristics
+of F_*O in ``collection.FROBENIUS_SUMMANDS``, with the L(w) of V_j and
+dim V_j from ``collection.multiplicity_dims`` (Euler characteristics
 alone).  ``_resolution`` runs one depth-first search from the sum-formula
 oracle: an open choice point forks a branch once per admissible
 multiplicity, and a branch with a negative character is pruned.  So is a
@@ -41,10 +41,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rootdata import POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight, restricted_split
+from .rootdata import (DEFAULT_P, POSITIVE_ROOTS, RHO, ZERO, ParabolicId, Weight,
+                       restricted_split)
 from .charring import TRIVIAL, Character, dominant_multiplicities, weyl_character, weyl_dim
-from .cohomology import DEFAULT_P, costandard_times, lowest_alcove
-from .extcollection import FROBENIUS_SUMMANDS, multiplicity_dims, object_by_name
+from .cohomology import costandard_times, lowest_alcove
+from .collection import FROBENIUS_SUMMANDS, multiplicity_dims, object_by_name
 from . import weyl
 
 
@@ -197,7 +198,7 @@ def _verma_numerator(parabolic: ParabolicId, p: int) -> Character:
 def _summands(p: int) -> tuple[tuple[ParabolicId, int, Character, tuple[Weight, ...], int], ...]:
     """Each summand E_j (x) V_j of F_*O on both parabolics: its parabolic, the
     rank of E_j, the character of E_j stretched by p, the restricted weights
-    of the L(w) in V_j and dim V_j from ``extcollection.multiplicity_dims``;
+    of the L(w) in V_j and dim V_j from ``collection.multiplicity_dims``;
     in increasing height 3a + 5b of its highest restricted weight (stable,
     short summands first at a tie)."""
     out = []

@@ -6,13 +6,18 @@ long one is ``alpha2 = (-3, 2)``; the determinant of the base change between
 the root and weight lattices is 1, so the two lattices coincide.
 
 All values are immutable and all functions are pure; everything is exact
-integer arithmetic.
+integer arithmetic.  The default and least prime of the package live here
+too, so that the CLI parser loads no other module.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
+
+DEFAULT_P = 11
+
+MIN_P = 7  # no report is backed below the first prime > h = 6, where 0 is p-regular
 
 
 class Weight(NamedTuple):

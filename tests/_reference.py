@@ -5,7 +5,7 @@ from functools import lru_cache
 from g2bwb import weyl
 from g2bwb.charring import TRIVIAL, Character
 from g2bwb.cohomology import costandard_times
-from g2bwb.extcollection import FROBENIUS_SUMMANDS, object_by_name
+from g2bwb.collection import FROBENIUS_SUMMANDS, object_by_name
 from g2bwb.modchar import (CharacterOracle, InconsistentChoice, Undecided, _expand,
                            _jantzen_row, restricted_weight)
 from g2bwb.rootdata import ALPHA1, ALPHA2, POSITIVE_ROOTS, ZERO, ParabolicId, Weight
@@ -44,7 +44,7 @@ def descents(w: weyl.WeylElement) -> list[int]:
 def socle(parabolic: ParabolicId) -> tuple[tuple[weyl.WeylElement, int, Character], ...]:
     """For each w in ``weyl.minimal_reps`` order: the total rank and the total
     character of the F_*O summands whose multiplicity space holds L(w), read
-    straight from ``extcollection.FROBENIUS_SUMMANDS``."""
+    straight from ``collection.FROBENIUS_SUMMANDS``."""
     rank = dict.fromkeys(weyl.minimal_reps(parabolic), 0)
     char = {w: Character() for w in rank}
     for name, words in FROBENIUS_SUMMANDS[parabolic]:

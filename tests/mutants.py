@@ -1,12 +1,15 @@
 """Catalogue of mutants that the test suite must kill, and a runner for it.
 
 Each mutant names a source file, one or more (old, new) text edits and the test
-files that must catch it.  The runner copies ``src``, ``tests`` and
-``pyproject.toml`` to a temporary directory, checks that each old text occurs
-exactly once in the file, applies the edits and runs ``pytest -x`` on the named
-files; a mutant is killed when pytest fails.  The named files must first pass on
-the unmutated copy, so a broken test cannot kill a mutant.  Standard library
-only, and pytest does not collect this file.
+functions that must catch it, as pytest node ids.  The runner copies ``src``,
+``tests`` and ``pyproject.toml`` to a temporary directory, checks that each old
+text occurs exactly once in the file, applies the edits and runs ``pytest -x``
+on the named tests; a mutant is killed when pytest fails.  The named tests must
+first pass on the unmutated copy, so a broken or missing test cannot kill a
+mutant.  Each pytest runs with ``--assert=plain``: without a bytecode cache,
+rewriting the asserts of every module pytest marks (the plugins' too) costs
+more than the tests, and a failing assert fails a test either way.  Standard
+library only, and pytest does not collect this file.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py NAME ...   # the named ones
@@ -33,54 +36,55 @@ class Mutant(NamedTuple):
     name: str
     path: str  # relative to the repository root
     edits: tuple[tuple[str, str], ...]  # (old, new); each old text occurs exactly once
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # pytest node ids
 
 
 CATALOGUE = (
-    Mutant("multiplicity dims without the stretch", "src/g2bwb/extcollection.py",
+    Mutant("multiplicity dims without the stretch", "src/g2bwb/collection.py",
            (("charring.euler_characteristic(dual.character().stretch(p))",
              "charring.euler_characteristic(dual.character())"),),
-           ("tests/test_modchar.py",)),
+           ("tests/test_modchar.py::test_multiplicity_dims_match_the_resolved_oracle",)),
     Mutant("rank verdict accepts no survivor", "src/g2bwb/modchar.py",
            (("return self.surviving_assignments == 1", "return self.surviving_assignments >= 0"),),
-           ("tests/test_modchar.py",)),
+           ("tests/test_modchar.py::test_no_survivor_at_p2",)),
     Mutant("replay skips the premise order", "src/g2bwb/karoubi.py",
            (("not 0 <= pos[q] < i", "not 0 <= pos[q]"),),
-           ("tests/test_karoubi.py",)),
+           ("tests/test_karoubi.py::test_replay_rejects_a_fact_learned_before_its_premises",)),
     Mutant("Weyl numerator without its sign", "src/g2bwb/modchar.py",
            (("out.get(mu, 0) + (-1) ** x.length * c", "out.get(mu, 0) + c"),),
-           ("tests/test_modchar.py",)),
+           ("tests/test_modchar.py::test_numerator_is_the_weyl_character_formula",)),
     Mutant("one sign of the Racah table flipped", "src/g2bwb/charring.py",
            (("-(-1) ** w.length) for w in", "-(-1) ** w.length * (-1 if w == weyl.S1 else 1)) for w in"),),
-           ("tests/test_charring.py",)),
+           ("tests/test_charring.py::test_weyl_character_small",)),
     Mutant("no dimension guard and one Racah term dropped", "src/g2bwb/charring.py",
            (("if out.dimension() != weyl_dim(lam):", "if False:"),
             ("for w in weyl.ALL_ELEMENTS[1:])", "for w in weyl.ALL_ELEMENTS[2:])")),
-           ("tests/test_modchar.py",)),
+           ("tests/test_modchar.py::test_numerator_is_the_weyl_character_formula",)),
     Mutant("no nonnegativity check of a row", "src/g2bwb/modchar.py",
            (("if any(m < 0 for m in dominant_multiplicities(out, lam).values()):", "if False:"),),
-           ("tests/test_modchar.py",)),
+           ("tests/test_modchar.py::test_nonnegativity_check_matches_torus_reference",)),
     Mutant("generator relations without [e_i, f_j]", "src/g2bwb/chevalley.py",
            (("if pair_brackets[(e, f)] != (im[(\"h\", i)] if i == j else zero_mat()):", "if False:"),),
-           ("tests/test_chevalley.py",)),
+           ("tests/test_chevalley.py::test_wrong_cartan_image_fails_the_relations",)),
     Mutant("stabilizer inside list without the simple root", "src/g2bwb/chevalley.py",
            (("for alpha in POSITIVE_ROOTS] + [(simple, True)]", "for alpha in POSITIVE_ROOTS]"),),
-           ("tests/test_chevalley.py",)),
+           ("tests/test_chevalley.py::test_subgroup_moving_the_flag_fails_the_stabilizer",)),
     Mutant("closed-form check reads the order-2 terms", "src/g2bwb/chevalley.py",
            (("_closed_form(alpha.weight, positive)[1]", "_closed_form(alpha.weight, positive)[2]"),),
-           ("tests/test_chevalley.py",)),
+           ("tests/test_chevalley.py::test_verify_embedding_passes",)),
     Mutant("sparse matrices keep their zero entries", "src/g2bwb/chevalley.py",
            (("return {k: v for k, v in m.items() if v}", "return {k: v for k, v in m.items()}"),),
-           ("tests/test_chevalley_matrix_layer.py",)),
+           ("tests/test_chevalley_matrix_layer.py::test_to_int_matrix",)),
     Mutant("closure learns a rule's last slot", "src/g2bwb/karoubi.py",
            (("for new in slots[first[r]:first[r + 1] - 1]:", "for new in slots[first[r]:first[r + 1]]:"),),
-           ("tests/test_karoubi.py",)),
+           ("tests/test_karoubi.py::test_premise_last_rule_never_learns_its_last_slot",)),
 )
 
 
 def _pytest(tree: Path, tests: tuple[str, ...]) -> bool:
-    """True when pytest passes the test files in the tree."""
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    """True when pytest passes the named tests in the tree."""
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain",
+            *tests]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode == 0

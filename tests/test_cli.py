@@ -175,7 +175,7 @@ def test_all_report_jsons_roundtrip(capsys):
     ["ext", "E(e)", "E(e)", "--p", "0"],
     ["report", "rank", "--p", "-3"],
     ["report", "rank", "--p", "4"],
-    # primes below cohomology.MIN_P
+    # primes below rootdata.MIN_P
     ["report", "frobenius", "--p", "5"],
     ["report", "collection", "--p", "3"],
     ["report", "rank", "--p", "5"],
@@ -582,15 +582,23 @@ def test_importing_the_cli_executes_no_submodule():
 
 @pytest.mark.parametrize("argv, needed, never", [
     (["report", "chevalley", "--format", "json"], {"chevalley"},
-     {"extcollection", "karoubi", "modchar"}),
+     {"cohomology", "extcollection", "karoubi", "modchar"}),
     (["report", "karoubi", "--format", "json"], {"karoubi"},
-     {"extcollection", "modchar", "chevalley"}),
+     {"cohomology", "extcollection", "modchar", "chevalley"}),
     (["report", "collection", "--format", "json"], {"extcollection"},
      {"karoubi", "modchar", "chevalley"}),
     (["report", "frobenius", "--format", "json"], {"extcollection"},
      {"karoubi", "modchar", "chevalley"}),
-    (["--help"], set(), {"modchar"}),
-], ids=["chevalley", "karoubi", "collection", "frobenius", "help"])
+    # the rank identity reads the F_*O table and dim V_j, never an Ext cell
+    (["report", "rank", "--p", "7", "--format", "json"], {"collection", "modchar"},
+     {"extcollection"}),
+    (["modchar", "--w", "s1s2", "--p", "7"], {"collection", "modchar"}, {"extcollection"}),
+    (["restrict", "1", "1", "--format", "latex"], {"collection"}, {"extcollection"}),
+    # the parser reads rootdata alone
+    (["--help"], {"rootdata"}, {"weyl", "charring", "cohomology", "collection", "extcollection",
+                                "karoubi", "modchar", "chevalley"}),
+], ids=["chevalley", "karoubi", "collection", "frobenius", "rank", "modchar", "restrict-latex",
+        "help"])
 def test_each_command_executes_only_the_modules_it_calls(argv, needed, never):
     code, modules = _executed(argv)
     assert code == "0" and needed <= modules and not modules & never, (code, modules)

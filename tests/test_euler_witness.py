@@ -11,8 +11,8 @@ import pytest
 
 from g2bwb import cohomology, extcollection
 from g2bwb.charring import euler_characteristic
-from g2bwb.extcollection import (FROBENIUS_SUMMANDS, ExtEngine, ext_table, multiplicity_dims,
-                                 object_by_name)
+from g2bwb.collection import FROBENIUS_SUMMANDS, multiplicity_dims, object_by_name
+from g2bwb.extcollection import ExtEngine, ext_table
 from g2bwb.rootdata import ParabolicId
 
 

@@ -5,19 +5,16 @@ import pytest
 from g2bwb.rootdata import POSITIVE_ROOTS, RHO, W1, W2, ZERO, ParabolicId, Weight
 from g2bwb.charring import Character, clebsch_gordan_P, module, weyl_character
 from g2bwb.cohomology import bott_line
-from g2bwb import extcollection
-from g2bwb.extcollection import (
+from g2bwb import collection
+from g2bwb.collection import (
     FROBENIUS_SUMMANDS,
-    ExtEngine,
     SheafObject,
     builtin_collection,
-    ext_table,
     filtration_to_latex,
-    frobenius_report,
-    full_collection_report,
     multiplicity_dims,
     object_by_name,
 )
+from g2bwb.extcollection import ExtEngine, ext_table, frobenius_report, full_collection_report
 from g2bwb.modchar import CharacterOracle
 from g2bwb import weyl
 
@@ -252,8 +249,8 @@ def test_multiplicity_dims_fill_the_rank_p5(monkeypatch, p):
 def test_multiplicity_dims_see_swapped_summand_names(monkeypatch):
     # naming the wrong sheaf for a multiplicity space breaks the triangular
     # Euler form, or gives that space another dimension
-    monkeypatch.setattr(extcollection, "FROBENIUS_SUMMANDS", dict(FROBENIUS_SUMMANDS))
-    extcollection._euler_form.cache_clear()
+    monkeypatch.setattr(collection, "FROBENIUS_SUMMANDS", dict(FROBENIUS_SUMMANDS))
+    collection._euler_form.cache_clear()
     swaps = 0
     try:
         for par, table in FROBENIUS_SUMMANDS.items():
@@ -262,8 +259,8 @@ def test_multiplicity_dims_see_swapped_summand_names(monkeypatch):
                 for j in range(i + 1, len(table)):
                     rows = list(table)
                     rows[i], rows[j] = (table[j][0], table[i][1]), (table[i][0], table[j][1])
-                    extcollection.FROBENIUS_SUMMANDS[par] = tuple(rows)
-                    extcollection._euler_form.cache_clear()
+                    collection.FROBENIUS_SUMMANDS[par] = tuple(rows)
+                    collection._euler_form.cache_clear()
                     try:
                         dims = multiplicity_dims(par, 7)
                     except ArithmeticError:
@@ -271,9 +268,9 @@ def test_multiplicity_dims_see_swapped_summand_names(monkeypatch):
                         continue
                     assert [dims[name] for name, _ in rows] != true, (par, i, j)
                     swaps += 1
-            extcollection.FROBENIUS_SUMMANDS[par] = table
+            collection.FROBENIUS_SUMMANDS[par] = table
     finally:
-        extcollection._euler_form.cache_clear()
+        collection._euler_form.cache_clear()
     assert swaps == 21 + 15
 
 
@@ -343,12 +340,11 @@ def test_certified_tables_within_every_route_bound():
 
 
 def test_inconsistent_presentation_rejected():
-    import g2bwb.extcollection as ec
     from g2bwb.rootdata import W2 as w2
     with pytest.raises(ValueError):
-        ec.SheafObject(
+        SheafObject(
             "bogus", SHORT, module(SHORT, [ZERO]),
-            (ec.TwoTerm("kernel", w2, Weight(0, -1), module(SHORT, [ZERO])),),
+            (collection.TwoTerm("kernel", w2, Weight(0, -1), module(SHORT, [ZERO])),),
         )
 
 

@@ -11,7 +11,8 @@ from g2bwb.charring import (
 )
 from g2bwb.cohomology import linked, lowest_alcove
 from g2bwb import charring, cli, modchar
-from g2bwb.extcollection import FROBENIUS_SUMMANDS, frobenius_report, multiplicity_dims
+from g2bwb.collection import FROBENIUS_SUMMANDS, multiplicity_dims
+from g2bwb.extcollection import frobenius_report
 from g2bwb.modchar import (
     CharacterOracle,
     InconsistentChoice,

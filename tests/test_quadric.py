@@ -15,9 +15,10 @@ from math import comb
 
 import pytest
 
-from g2bwb import charring, chevalley, extcollection
+from g2bwb import charring, chevalley, collection, extcollection
 from g2bwb.charring import module
-from g2bwb.extcollection import SheafObject, ext_table, object_by_name
+from g2bwb.collection import SheafObject, object_by_name
+from g2bwb.extcollection import ext_table
 from g2bwb.rootdata import ParabolicId, Weight
 
 LONG = ParabolicId.LONG
@@ -65,9 +66,9 @@ def chi_quadric(n: int) -> int:
 def test_frobenius_pullbacks_are_the_quadric(p):
     # F^*O(k varpi_1) = O(pk varpi_1): the right-hand side r_k = chi(F^*E_k^v)
     # that multiplicity_dims solves G m = r with, for E_k = O(-k varpi_1)
-    table = extcollection.FROBENIUS_SUMMANDS[LONG]
-    form = extcollection._euler_form(LONG)
-    dims = extcollection.multiplicity_dims(LONG, p)
+    table = collection.FROBENIUS_SUMMANDS[LONG]
+    form = collection._euler_form(LONG)
+    dims = collection.multiplicity_dims(LONG, p)
     m = [dims[name] for name, _ in table]
     seen = set()
     for row, (name, _) in zip(form, table):
@@ -127,12 +128,12 @@ def test_highest_weight_line_is_isotropic():
 def test_a_line_object_shifted_by_varpi2_fails(monkeypatch, name):
     word = "" if name == "E(e)" else name[2:-1]
     rows = tuple((w, [(a, b + 1) for a, b in atoms] if w == word else atoms, tt)
-                 for w, atoms, tt in extcollection._COLLECTIONS[LONG])
-    assert rows != extcollection._COLLECTIONS[LONG]
-    monkeypatch.setitem(extcollection._COLLECTIONS, LONG, rows)
+                 for w, atoms, tt in collection._COLLECTIONS[LONG])
+    assert rows != collection._COLLECTIONS[LONG]
+    monkeypatch.setitem(collection._COLLECTIONS, LONG, rows)
     monkeypatch.setattr(extcollection, "_CELLS", {})
-    extcollection.builtin_collection.cache_clear()
+    collection.builtin_collection.cache_clear()
     try:
         assert _line_cell_mismatches() != []
     finally:
-        extcollection.builtin_collection.cache_clear()
+        collection.builtin_collection.cache_clear()
